@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import lattice, toric
-from .errors import IterationLimit, NoSmoothVertex, NotConcave, NotDomainPolygon
+from .errors import IterationLimit, NoSmoothVertex, NotAmple, NotConcave, NotDomainPolygon
 from .lattice import MomentPolygon, frac
 from .toric import TorusDivisor
 
@@ -48,9 +48,12 @@ def calg(p: MomentPolygon, k: int) -> Fraction:
 def calg_witness(p: MomentPolygon, k: int) -> tuple[Fraction, TorusDivisor]:
     """Capacity together with an optimal nef divisor.
 
-    The witness is the coefficient-wise lexicographically smallest nonnegative
-    integral nef divisor with at least k+1 sections minimizing the pairing
-    with the polarization.
+    The witness is an integral nef divisor with at least k+1 sections
+    minimizing the pairing with the polarization, in gauge form at the first
+    cone s of least determinant: (a_s, a_{s+1}) is the first residue class,
+    in order, that holds an optimal divisor, and within it the coefficients
+    a_{s+2}, ..., a_{s-1} are the lexicographically smallest optimal ones.
+    On a smooth cone the gauge is a_s = a_{s+1} = 0.
     """
     if k < 0:
         raise ValueError("capacity index must be nonnegative")
@@ -58,74 +61,83 @@ def calg_witness(p: MomentPolygon, k: int) -> tuple[Fraction, TorusDivisor]:
     return val, TorusDivisor(tuple(Fraction(c) for c in coeffs))
 
 
-def _nef_h0(rays, dets, coeffs: tuple[int, ...]) -> Optional[int]:
-    """Section count of an integral divisor if it is nef, else None.
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
 
-    Integer-only inner loop; for a nef divisor the per-cone linearizations
-    are exactly the vertices of the section polytope, which bounds the count.
+
+def _section_count(rays, dets, coeffs) -> int:
+    """Lattice points of the section polytope of a nef integral divisor.
+
+    Integer-only row scan.  The polytope's vertices are the per-cone
+    linearizations, which bound the rows; every row between them has a
+    nonempty real slice, so only the constraints with a left or right side
+    matter, and each row holds hi - lo + 1 >= 0 lattice points.
     """
     n = len(rays)
-    ms = []
-    for i in range(n):
-        j = (i + 1) % n
-        vi, vj = rays[i], rays[j]
-        d = dets[i]
-        mx = -coeffs[i] * vj[1] + coeffs[j] * vi[1]
-        my = -coeffs[j] * vi[0] + coeffs[i] * vj[0]
-        for l in range(n):
-            vl = rays[l]
-            if vl[0] * mx + vl[1] * my < -d * coeffs[l]:
-                return None
-        ms.append((my, d))
-    y_lo = min(-((-my) // d) for my, d in ms)
+    # y coordinates of the cone linearizations, times the cone determinants
+    ms = [(-coeffs[(i + 1) % n] * rays[i][0] + coeffs[i] * rays[(i + 1) % n][0], dets[i])
+          for i in range(n)]
+    y_lo = min(_ceil_div(my, d) for my, d in ms)
     y_hi = max(my // d for my, d in ms)
+    # <m, v> >= -a reads x >= (-a - vy*y)/vx for vx > 0, x <= it for vx < 0
+    left = [(vx, vy, a) for (vx, vy), a in zip(rays, coeffs) if vx > 0]
+    right = [(vx, vy, a) for (vx, vy), a in zip(rays, coeffs) if vx < 0]
     total = 0
     for yy in range(y_lo, y_hi + 1):
-        lo, hi = None, None
-        empty = False
-        for (vx, vy), ai in zip(rays, coeffs):
-            rhs = -ai - vy * yy
-            if vx > 0:
-                b = -((-rhs) // vx)
-                if lo is None or b > lo:
-                    lo = b
-            elif vx < 0:
-                b = rhs // vx
-                if hi is None or b < hi:
-                    hi = b
-            elif rhs > 0:
-                empty = True
-                break
-        if not empty and hi >= lo:
-            total += hi - lo + 1
+        lo = hi = None
+        for vx, vy, a in left:
+            t = -((a + vy * yy) // vx)
+            if lo is None or t > lo:
+                lo = t
+        for vx, vy, a in right:
+            t = (-a - vy * yy) // vx
+            if hi is None or t < hi:
+                hi = t
+        total += hi - lo + 1
     return total
 
 
 _TABLES: dict[MomentPolygon, list[tuple[Fraction, tuple[int, ...]]]] = {}
-# per-polygon memo of _nef_h0 results keyed by coefficient vector, so the
-# growing-horizon recomputations never re-evaluate a vector
-_NEF_MEMO: dict[MomentPolygon, dict[tuple[int, ...], Optional[int]]] = {}
 
 
 def _ensure_table(p: MomentPolygon, k: int) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Capacity table of p covering index k, grown geometrically so that
-    sweeping k upward costs little more than the largest single query."""
+    """Capacity table of p covering index k; a sequence is served by one
+    build when its largest index is asked for first."""
     table = _TABLES.get(p)
-    if table is not None and k < len(table):
-        return table
-    target = k if table is None else max(k, 2 * (len(table) - 1))
-    table = _compute_table(p, target)
-    _TABLES[p] = table
+    if table is None or k >= len(table):
+        table = _compute_table(p, k)
+        _TABLES[p] = table
     return table
+
+
+def _gauge_classes(v0, v1) -> list[tuple[int, int]]:
+    """One representative (a_0, a_1) per class of Z^2 modulo the pairs
+    (<u, v0>, <u, v1>) for u in Z^2, the first of each in lexicographic
+    order over [0, det)^2.  A smooth cone has the single class (0, 0)."""
+    d = toric.det2(v0, v1)
+    seen = set()
+    reps = []
+    for r0 in range(d):
+        for r1 in range(d):
+            # the class is determined by d * (M^-1 r) mod d, M with rows v0, v1
+            key = ((v1[1] * r0 - v0[1] * r1) % d, (v0[0] * r1 - v1[0] * r0) % d)
+            if key not in seen:
+                seen.add(key)
+                reps.append((r0, r1))
+    return reps
 
 
 def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[int, ...]]]:
     """(value, witness vector) for every capacity index up to k_max.
 
-    One bounded enumeration serves all indices at once: every nonnegative
-    integral vector whose pairing stays below the k_max incumbent is
-    evaluated, and each feasible vector updates all indices its section
-    count covers.
+    One bounded depth-first search serves all indices at once.  Divisors are
+    taken once per linear equivalence class, in a gauge fixed at the first
+    cone s of least determinant: (a_s, a_{s+1}) runs over the det_s residue
+    classes modulo linear functions, and the remaining coefficients are set
+    in cyclic order s+2, ..., s-1.  Nefness is local on a complete simplicial
+    surface (D nef iff D.D_i >= 0 for every boundary curve), so each row is
+    checked as soon as its three coefficients are set.  Each feasible vector
+    updates all indices its section count covers.
     """
     y = toric.build_surface(p)
     n = len(y.rays)
@@ -136,7 +148,8 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     weights = tuple(
         sum(q[i][j] * ample.coeffs[j] for j in range(n)) for i in range(n)
     )
-    assert all(w > 0 for w in weights)
+    if not all(w > 0 for w in weights):
+        raise NotAmple("polarization pairs non-positively with a boundary curve")
     denom = 1
     for w in weights:
         denom = denom * w.denominator // math.gcd(denom, w.denominator)
@@ -153,57 +166,105 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
         m += 1
     bound = sum(int(m * base[i]) * iweights[i] for i in range(n))
 
-    # minimizing over nonnegative integral coefficient vectors is exhaustive:
-    # any optimal nef divisor has a section, hence a representative whose
-    # section polytope contains the origin, i.e. nonnegative coefficients
+    # rotate so that the gauge cone is (v[0], v[1]); d[j] = det(v[j], v[j+1])
+    # and e[j] = det(v[j-1], v[j+1]), so that nef row j scaled by
+    # d[j-1] * d[j] reads b[j-1] d[j] - b[j] e[j] + b[j+1] d[j-1] >= 0
+    cone_dets = y.cone_dets
+    s = cone_dets.index(min(cone_dets))
+    v = y.rays[s:] + y.rays[:s]
+    w = iweights[s:] + iweights[:s]
+    d = cone_dets[s:] + cone_dets[:s]
+    e = tuple(toric.det2(v[j - 1], v[(j + 1) % n]) for j in range(n))
     best: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * (k_max + 1)
-    coeffs = [0] * n
-    rays = y.rays
-    dets = tuple(toric.det2(rays[i], rays[(i + 1) % n]) for i in range(n))
-    # only nef vectors are memoized; the far more numerous non-nef ones are
-    # cheap to re-reject and would dominate memory
-    memo = _NEF_MEMO.setdefault(p, {})
+    b = [0] * n
+    last = n - 1
+    # lattice points on the line <m, v[last]> = -c: m = -c (p_, q_) + lam u
+    # with p_ v[last][0] + q_ v[last][1] = 1 and u = (-v[last][1], v[last][0]),
+    # where <u, v[0]> = d[last] and <u, v[last-1]> = -d[last-1]
+    _g, p_, q_ = toric._egcd(*v[last])
+    g0 = p_ * v[0][0] + q_ * v[0][1]
+    g1 = p_ * v[last - 1][0] + q_ * v[last - 1][1]
 
-    def search(i: int, partial: int) -> None:
+    def leaves(c: int, partial: int) -> None:
+        """Every nef completion by the last coefficient, c upward.
+
+        Rows n-1 and 0 bound c, so every vector reached here is nef.  Raising
+        c by one moves edge n-1 of the section polytope out by one lattice
+        line, which adds the lattice points of the new edge; only the first
+        vector needs a full count.
+        """
         nonlocal bound
-        if i == n:
-            key = tuple(coeffs)
-            h = memo.get(key)
-            if h is None:
-                h = _nef_h0(rays, dets, key)
-                if h is None:
-                    return
-                memo[key] = h
-            cand = (partial, key)
-            if h > k_max and partial < bound:
+        wl = w[last]
+        c = max(c, _ceil_div(b[0] * e[0] - b[1] * d[last], d[0]))
+        r = b[last - 1] * d[last] + b[0] * d[last - 1]
+        if e[last] == 0 and r < 0:
+            return
+        if e[last] < 0:
+            c = max(c, _ceil_div(r, e[last]))
+        c_hi = (bound - partial) // wl
+        if e[last] > 0:
+            c_hi = min(c_hi, r // e[last])
+        if c > c_hi:
+            return
+        b[last] = c
+        h = _section_count(v, d, b)
+        value = partial + c * wl
+        while True:
+            if h > k_max and value < bound:
                 # feasible at the top index: nothing more expensive can
                 # improve any entry of the table
-                bound = partial
-            # the per-index optima are nondecreasing, so stop at the first
-            # index this candidate does not improve
+                bound = value
+            # the per-index optima are nondecreasing, and a later vector wins
+            # only with a strictly smaller value, so stop at the first index
+            # this candidate does not improve
+            entry = (value, tuple(b))
             for k in range(min(h - 1, k_max), -1, -1):
-                if best[k] is None or cand < best[k]:
-                    best[k] = cand
+                if best[k] is None or value < best[k][0]:
+                    best[k] = entry
                 else:
                     break
-            return
-        c = 0
-        w = iweights[i]
-        while partial + c * w <= bound:
-            coeffs[i] = c
-            search(i + 1, partial + c * w)
             c += 1
-        coeffs[i] = 0
+            value += wl
+            if c > c_hi or value > bound:
+                return
+            b[last] = c
+            h += (b[last - 1] - c * g1) // d[last - 1] - _ceil_div(c * g0 - b[0], d[last]) + 1
 
-    search(0, 0)
+    def search(j: int, partial: int) -> None:
+        # least b[j] that keeps row j-1 nonnegative
+        c = max(lows[j], _ceil_div(b[j - 1] * e[j - 1] - b[j - 2] * d[j - 1], d[j - 2]))
+        if j == last:
+            leaves(c, partial)
+            return
+        wj, rest = w[j], rest_min[j + 1]
+        while partial + c * wj + rest <= bound:
+            b[j] = c
+            search(j + 1, partial + c * wj)
+            c += 1
+
+    for r0, r1 in _gauge_classes(v[0], v[1]):
+        b[0], b[1] = r0, r1
+        # the cone vertex m_0 = -(x0, x1) / d[0] lies in the section polytope
+        # of every nef divisor of this class, so b[l] >= ceil(-<m_0, v[l]>)
+        x0 = v[1][1] * r0 - v[0][1] * r1
+        x1 = v[0][0] * r1 - v[1][0] * r0
+        lows = [_ceil_div(x0 * vx + x1 * vy, d[0]) for vx, vy in v]
+        # least possible contribution of the coefficients from index j on
+        rest_min = [0] * (n + 1)
+        for j in range(last, 1, -1):
+            rest_min[j] = rest_min[j + 1] + w[j] * lows[j]
+        search(2, r0 * w[0] + r1 * w[1])
     if any(entry is None for entry in best):
-        # cannot happen: shifting an optimal divisor so that its section
-        # polytope contains the origin lands inside the search region
-        raise IterationLimit("no nonnegative optimal vector found")
-    return [(Fraction(v, denom), vec) for v, vec in best]
+        # cannot happen: the bound is attained by a multiple of the
+        # polarization, whose gauge representative lies in the search region
+        raise IterationLimit("no optimal vector found")
+    # undo the rotation: b[j] is the coefficient of ray s + j
+    return [(Fraction(val, denom), vec[n - s:] + vec[:n - s]) for val, vec in best]
 
 
 def alg_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
+    if k_max >= 0:
+        calg(p, k_max)  # one table build serves the whole sequence
     return CapacitySequence(tuple(calg(p, k) for k in range(k_max + 1)), ALG)
 
 
@@ -253,7 +314,7 @@ def ech_convex(p: MomentPolygon, k: int) -> Fraction:
 def ech_convex_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
     if not is_domain_polygon(p):
         raise NotDomainPolygon("convex toric domain needs an origin corner with axis edges")
-    return CapacitySequence(tuple(calg(p, k) for k in range(k_max + 1)), ECH_CONVEX)
+    return CapacitySequence(alg_capacities(p, k_max).values, ECH_CONVEX)
 
 
 @dataclass(frozen=True)
@@ -376,6 +437,7 @@ def embedding_verdict(omega: ConcaveDomain, p: MomentPolygon, k_max: int) -> Emb
         raise ValueError("k_max must be at least 1")
     _require_smooth_vertex(p)
     dom = ech_concave_capacities(omega, k_max)
+    calg(p, k_max)  # one table build serves every index below
     for k in range(1, k_max + 1):
         target = calg(p, k)
         if dom[k] > target:
@@ -410,6 +472,7 @@ def xi_width(p: MomentPolygon, omega: ConcaveDomain, k_max: int) -> XiWidth:
         raise ValueError("k_max must be at least 1")
     _require_smooth_vertex(p)
     dom = ech_concave_capacities(omega, k_max)
+    calg(p, k_max)  # one table build serves every index below
     best: Optional[Fraction] = None
     argmin = 0
     for k in range(1, k_max + 1):

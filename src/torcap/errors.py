@@ -55,3 +55,7 @@ class BoxTooSmall(TorcapError):
 
 class IterationLimit(TorcapError):
     """An iteration that is guaranteed to terminate exceeded its safety cap."""
+
+
+class NotAmple(TorcapError):
+    """Polarization fails to pair positively with every boundary curve."""

@@ -238,10 +238,8 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        return sorted(set(pts))
-    return hull
+    # collinear input leaves only its two extreme points
+    return lower[:-1] + upper[:-1]
 
 
 def lattice_count(p: MomentPolygon) -> int:

@@ -5,7 +5,26 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
+from torcap import capacities
 from torcap.lattice import MomentPolygon, UnimodularAffineMap, convex_hull
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Horizons of the capacity tables built during a test, which starts
+    from an empty table cache."""
+    builds = []
+    compute = capacities._compute_table
+
+    def spy(p, k_max):
+        builds.append(k_max)
+        return compute(p, k_max)
+
+    monkeypatch.setattr(capacities, "_compute_table", spy)
+    monkeypatch.setattr(capacities, "_TABLES", {})
+    return builds
 
 
 def random_lattice_polygon(rng: random.Random, size: int = 4) -> MomentPolygon:

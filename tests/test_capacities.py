@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_domain_polygon, random_unimodular
-from torcap import capacities, corpus, lattice, toric
+from torcap import capacities, corpus, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
-from torcap.errors import NoSmoothVertex, NotConcave, NotDomainPolygon
+from torcap.errors import NoSmoothVertex, NotAmple, NotConcave, NotDomainPolygon, TorcapError
 from torcap.lattice import MomentPolygon
 
 
@@ -92,6 +92,66 @@ def test_calg_chop_monotone():
         done += 1
         for k in range(21):
             assert capacities.calg(q, k) <= capacities.calg(p, k)
+
+
+# fans in which every cone is singular, so the search gauge has several
+# residue classes
+NO_SMOOTH_CONE = (
+    ((0, 0), (2, 1), (1, 2)),              # cone determinants 3, 3, 3
+    ((-1, 0), (0, -1), (1, 0), (0, 1)),    # 2, 2, 2, 2
+    ((-2, -2), (3, -2), (1, 3), (-1, 1)),  # 5, 7, 2, 3
+    ((-3, -1), (3, -3), (3, 3), (0, 2)),   # 3, 3, 2, 4
+)
+
+
+def test_calg_without_smooth_cone_matches_oracle():
+    for verts in NO_SMOOTH_CONE:
+        p = MomentPolygon(verts)
+        assert min(toric.build_surface(p).cone_dets) >= 2
+        for k in range(9):
+            assert capacities.calg(p, k) == oracle.brute_calg(p, k, box=5), (verts, k)
+
+
+def test_calg_witness_without_smooth_cone():
+    for verts in NO_SMOOTH_CONE:
+        p = MomentPolygon(verts)
+        y = toric.build_surface(p)
+        for k in range(9):
+            val, d = capacities.calg_witness(p, k)
+            assert d.is_integral
+            assert toric.is_nef(y, d)
+            assert toric.h0(y, d) >= k + 1
+            assert toric.intersect(y, d, toric.associated_divisor(p)) == val
+
+
+def test_calg_large_horizon_closed_forms():
+    k_max = 200
+    rect = capacities.alg_capacities(corpus.CORPUS["rect-2x3"], k_max)
+    tri = capacities.alg_capacities(corpus.CORPUS["singular-triangle"], k_max)
+    # singular-triangle is the ellipsoid E(1, 2): the (k+1)-th smallest m + 2n
+    staircase = sorted(m + 2 * n for m in range(k_max + 1) for n in range(k_max // 2 + 1))
+    for k in range(k_max + 1):
+        # rect-2x3 is the polydisk P(2, 3): the least n for each m is
+        # ceil((k+1)/(m+1)) - 1
+        polydisk = min(2 * m + 3 * (-(-(k + 1) // (m + 1)) - 1) for m in range(k + 1))
+        assert rect[k] == polydisk, k
+        assert tri[k] == staircase[k], k
+
+
+def test_one_table_build_per_sequence(table_builds):
+    seq = capacities.alg_capacities(corpus.CORPUS["chopped-square"], 65)
+    assert table_builds == [65]
+    assert len(seq) == 66
+
+
+def test_non_positive_weight_raises_typed_error(monkeypatch):
+    matrix = toric.intersection_matrix
+    monkeypatch.setattr(toric, "intersection_matrix",
+                        lambda y: tuple(tuple(-x for x in row) for row in matrix(y)))
+    monkeypatch.setattr(capacities, "_TABLES", {})
+    with pytest.raises(NotAmple) as info:
+        capacities.calg(lattice.rectangle(1, 1), 1)
+    assert isinstance(info.value, TorcapError)
 
 
 def test_ech_ellipsoid_values():

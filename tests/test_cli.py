@@ -140,6 +140,32 @@ def test_verify_sw_command(runner, tmp_path):
     assert all(line.endswith("OK") for line in res.output.splitlines())
 
 
+def test_capacities_command_builds_one_table(runner, tmp_path, table_builds):
+    poly = _write(tmp_path, "p.txt", runner.invoke(cli, ["corpus", "chopped-square"]).output)
+    res = runner.invoke(cli, ["capacities", poly, "--k-max", "65"])
+    assert res.exit_code == 0
+    assert len(res.stdout.splitlines()) == 66
+    assert table_builds == [65]
+
+
+def test_verify_calg_with_skipped_rows_exits_1(runner, tmp_path):
+    poly = _write(tmp_path, "p.txt", runner.invoke(cli, ["corpus", "two-chop-square"]).output)
+    res = runner.invoke(cli, ["verify-calg", poly, "--k-max", "3", "--box", "1"])
+    assert res.exit_code == 1
+    rows = res.stdout.splitlines()
+    assert rows[0] == "k=0\t0\t0\tOK"
+    assert [row.split("\t")[1] for row in rows[1:]] == ["SKIP"] * 3
+    assert res.stderr == "checked 1, skipped 3\n"
+
+
+def test_verify_sw_with_skipped_rows_exits_1(runner, tmp_path):
+    poly = _write(tmp_path, "p.txt", SQUARE)
+    res = runner.invoke(cli, ["verify-sw", poly, "--k-max", "3", "--box", "1"])
+    assert res.exit_code == 1
+    assert len(res.stdout.splitlines()) == 4
+    assert res.stderr == "checked 1, skipped 3\n"
+
+
 def test_corpus_listing_round_trip(runner):
     res = runner.invoke(cli, ["corpus"])
     assert res.exit_code == 0

@@ -222,3 +222,15 @@ def test_contains():
     big = lattice.rectangle(2, 2)
     assert lattice.contains(big, lattice.rectangle(1, 1))
     assert not lattice.contains(lattice.rectangle(1, 1), big)
+
+
+def test_convex_hull_of_collinear_points():
+    assert lattice.convex_hull([(0, 0), (1, 1), (2, 2)]) == [(0, 0), (2, 2)]
+
+
+def test_random_lattice_polygon_spans_area():
+    rng = random.Random(42)
+    for _ in range(300):
+        # a 3x3 grid makes collinear draws common
+        p = random_lattice_polygon(rng, size=2)
+        assert lattice.area(p) > 0
