@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from operator import add
 from typing import Optional
 
 from . import lattice, toric
@@ -97,6 +97,7 @@ def _section_count(rays, dets, coeffs) -> int:
     return total
 
 
+# the tables of the toric.CACHE_SIZE polygons built last, oldest first
 _TABLES: dict[MomentPolygon, list[tuple[Fraction, tuple[int, ...]]]] = {}
 
 
@@ -106,7 +107,10 @@ def _ensure_table(p: MomentPolygon, k: int) -> list[tuple[Fraction, tuple[int, .
     table = _TABLES.get(p)
     if table is None or k >= len(table):
         table = _compute_table(p, k)
+        _TABLES.pop(p, None)
         _TABLES[p] = table
+        if len(_TABLES) > toric.CACHE_SIZE:
+            del _TABLES[next(iter(_TABLES))]
     return table
 
 
@@ -150,26 +154,22 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     )
     if not all(w > 0 for w in weights):
         raise NotAmple("polarization pairs non-positively with a boundary curve")
-    denom = 1
-    for w in weights:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
+    denom = math.lcm(*(w.denominator for w in weights))
     iweights = tuple(int(w * denom) for w in weights)
 
     # value bound: integral multiples of the polarization are nef with as
     # many sections as needed
-    scale = 1
-    for c in ample.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    base = tuple(scale * c for c in ample.coeffs)
+    scale = math.lcm(*(c.denominator for c in ample.coeffs))
+    base = tuple(int(scale * c) for c in ample.coeffs)
+    cone_dets = y.cone_dets
     m = 1
-    while toric.h0(y, TorusDivisor(tuple(m * c for c in base))) < k_max + 1:
+    while _section_count(y.rays, cone_dets, tuple(m * c for c in base)) < k_max + 1:
         m += 1
-    bound = sum(int(m * base[i]) * iweights[i] for i in range(n))
+    bound = sum(m * base[i] * iweights[i] for i in range(n))
 
     # rotate so that the gauge cone is (v[0], v[1]); d[j] = det(v[j], v[j+1])
     # and e[j] = det(v[j-1], v[j+1]), so that nef row j scaled by
     # d[j-1] * d[j] reads b[j-1] d[j] - b[j] e[j] + b[j+1] d[j-1] >= 0
-    cone_dets = y.cone_dets
     s = cone_dets.index(min(cone_dets))
     v = y.rays[s:] + y.rays[:s]
     w = iweights[s:] + iweights[:s]
@@ -271,23 +271,22 @@ def alg_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
 def ech_ellipsoid(a, b, k: int) -> Fraction:
     """k-th ECH capacity of the ellipsoid with areas a, b: the (k+1)-th
     smallest value of a*m + b*n over nonnegative integers m, n."""
-    a, b = frac(a), frac(b)
-    if a <= 0 or b <= 0 or k < 0:
-        raise ValueError("ellipsoid needs positive areas and k >= 0")
-    # the k+1 smallest values all have m + n <= k: below a value with
-    # m + n > k sit the (m+1)(m+2)/2-ish values of its lower staircase
-    vals = sorted(
-        a * m + b * n_ for m in range(k + 1) for n_ in range(k + 1 - m)
-    )
-    return vals[k]
+    if k < 0:
+        raise ValueError("capacity index must be nonnegative")
+    return ech_ellipsoid_capacities(a, b, k)[k]
 
 
 def ech_ellipsoid_capacities(a, b, k_max: int) -> CapacitySequence:
+    """ECH capacities c_0, ..., c_k_max of the ellipsoid with areas a, b."""
     a, b = frac(a), frac(b)
-    vals = sorted(
-        a * m + b * n for m in range(k_max + 1) for n in range(k_max + 1 - m)
-    )
-    return CapacitySequence(tuple(vals[: k_max + 1]), ECH_ELLIPSOID)
+    if a <= 0 or b <= 0:
+        raise ValueError("ellipsoid needs positive areas")
+    denom = math.lcm(a.denominator, b.denominator)
+    ia, ib = int(a * denom), int(b * denom)
+    # the k+1 smallest values all have m + n <= k: every (m', n') <= (m, n)
+    # gives a value no larger, and there are more than k of those when m + n > k
+    vals = sorted(ia * m + ib * n for m in range(k_max + 1) for n in range(k_max + 1 - m))
+    return CapacitySequence(tuple(Fraction(v, denom) for v in vals[: k_max + 1]), ECH_ELLIPSOID)
 
 
 def is_domain_polygon(p: MomentPolygon) -> bool:
@@ -356,7 +355,6 @@ class ConcaveDomain:
         return cls.ellipsoid(c, c)
 
 
-@lru_cache(maxsize=None)
 def concave_weights(omega: ConcaveDomain) -> tuple[Fraction, ...]:
     """Weight expansion: ball areas of the standard triangle decomposition.
 
@@ -385,26 +383,28 @@ def concave_weights(omega: ConcaveDomain) -> tuple[Fraction, ...]:
 
 
 def ech_concave(omega: ConcaveDomain, k: int) -> Fraction:
-    return ech_concave_capacities(omega, k).values[k]
+    if k < 0:
+        raise ValueError("capacity index must be nonnegative")
+    return ech_concave_capacities(omega, k)[k]
 
 
-@lru_cache(maxsize=None)
 def ech_concave_capacities(omega: ConcaveDomain, k_max: int) -> CapacitySequence:
     """ECH capacities of a concave toric domain.
 
     The domain decomposes into balls with the weight expansion areas, and
     the capacity sequence of a disjoint union is the max-plus convolution
-    of the summands' sequences.
+    of the summands' sequences.  The convolution runs over integers, in
+    units of one over the common denominator of the weights.
     """
-    ball_seq = [ech_ellipsoid(1, 1, k) for k in range(k_max + 1)]
-    acc = [Fraction(0)] * (k_max + 1)
-    for w in concave_weights(omega):
-        scaled = [w * v for v in ball_seq]
-        acc = [
-            max(acc[j] + scaled[k - j] for j in range(k + 1))
-            for k in range(k_max + 1)
-        ]
-    return CapacitySequence(tuple(acc), ECH_CONCAVE)
+    weights = concave_weights(omega)
+    denom = math.lcm(*(w.denominator for w in weights))
+    ball = [int(v) for v in ech_ellipsoid_capacities(1, 1, k_max).values]
+    acc = [0] * (k_max + 1)
+    for w in weights:
+        iw = int(w * denom)
+        scaled = [iw * v for v in ball]
+        acc = [max(map(add, acc[: k + 1], scaled[k::-1])) for k in range(k_max + 1)]
+    return CapacitySequence(tuple(Fraction(v, denom) for v in acc), ECH_CONCAVE)
 
 
 def _require_smooth_vertex(p: MomentPolygon) -> None:

@@ -91,18 +91,13 @@ def handle_errors(f):
 
 
 def _k_max_option(f):
-    return click.option("--k-max", default=100, show_default=True,
+    return click.option("--k-max", default=100, show_default=True, type=click.IntRange(min=0),
                         help="Largest capacity index to compute.")(f)
 
 
 def _decimal_option(f):
     return click.option("--decimal", is_flag=True,
                         help="Append decimal approximations to exact values.")(f)
-
-
-def _threads_option(f):
-    return click.option("--threads", default=1, show_default=True,
-                        help="Accepted for compatibility; computations are single threaded.")(f)
 
 
 @click.group()
@@ -257,12 +252,11 @@ def _exit_verified(checked: int, skipped: int, ok: bool) -> None:
 
 @cli.command("verify-calg")
 @click.argument("polygon", type=str)
-@click.option("--k-max", default=5, show_default=True)
+@click.option("--k-max", default=5, show_default=True, type=click.IntRange(min=0))
 @click.option("--box", default=6, show_default=True,
               help="Brute force coefficient bound.")
-@_threads_option
 @handle_errors
-def verify_calg(polygon, k_max, box, threads):
+def verify_calg(polygon, k_max, box):
     """Cross check capacities against the exhaustive boxed scan."""
     p = parse_polygon(_read(polygon))
     seq = capacities.alg_capacities(p, k_max)
@@ -283,12 +277,11 @@ def verify_calg(polygon, k_max, box, threads):
 
 @cli.command("verify-sw")
 @click.argument("polygon", type=str)
-@click.option("--k-max", default=5, show_default=True)
+@click.option("--k-max", default=5, show_default=True, type=click.IntRange(min=0))
 @click.option("--box", default=6, show_default=True,
               help="Brute force coefficient bound.")
-@_threads_option
 @handle_errors
-def verify_sw(polygon, k_max, box, threads):
+def verify_sw(polygon, k_max, box):
     """Check the index-constrained infimum against the section-constrained one."""
     p = parse_polygon(_read(polygon))
     checked, skipped, ok = 0, 0, True

@@ -162,14 +162,6 @@ def area(p: MomentPolygon) -> Fraction:
     return sum(det2(vs[i], vs[(i + 1) % n]) for i in range(n)) / 2
 
 
-def _ceil(x) -> int:
-    return math.ceil(x)
-
-
-def _floor(x) -> int:
-    return math.floor(x)
-
-
 def count_in_halfplanes(cons: Iterable[tuple[int, int, Fraction]], y_lo: int, y_hi: int) -> int:
     """Count integer points satisfying ux*x + uy*y >= c for all constraints,
     scanning integer rows y in [y_lo, y_hi]."""
@@ -181,11 +173,11 @@ def count_in_halfplanes(cons: Iterable[tuple[int, int, Fraction]], y_lo: int, y_
         for ux, uy, c in cons:
             rhs = c - uy * y
             if ux > 0:
-                b = _ceil(Fraction(rhs, ux))
+                b = math.ceil(Fraction(rhs, ux))
                 if lo is None or b > lo:
                     lo = b
             elif ux < 0:
-                b = _floor(Fraction(rhs, ux))
+                b = math.floor(Fraction(rhs, ux))
                 if hi is None or b < hi:
                     hi = b
             elif rhs > 0:
@@ -245,7 +237,7 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
 def lattice_count(p: MomentPolygon) -> int:
     """Number of integer points in the closed polygon."""
     ys = [v[1] for v in p.vertices]
-    return count_in_halfplanes(p.constraints(), _ceil(min(ys)), _floor(max(ys)))
+    return count_in_halfplanes(p.constraints(), math.ceil(min(ys)), math.floor(max(ys)))
 
 
 def boundary_lattice_count(p: MomentPolygon) -> int:
@@ -326,7 +318,7 @@ def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
     # width(l) >= 2*rho*|l|_2 > best whenever |l|_2^2 > bound_sq, so the
     # enumeration below is exhaustive.
     bound_sq = (best / (2 * rho)) ** 2
-    r = math.isqrt(_floor(bound_sq)) + 1
+    r = math.isqrt(math.floor(bound_sq)) + 1
     cands = []
     for a in range(0, r + 1):
         for b in range(-r, r + 1):

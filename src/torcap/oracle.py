@@ -28,7 +28,7 @@ def _floor_div(p: int, q: int) -> int:
     return p // q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=toric.CACHE_SIZE)
 def _objective(p: MomentPolygon):
     """Integer objective: weights W and denominator L with
     D . A = (sum a_i W_i) / L for the polarization A."""
@@ -93,7 +93,7 @@ def _h0_int(rays, a, ms) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=toric.CACHE_SIZE)
 def _nef_table(p: MomentPolygon, box: int):
     """All nef integral divisors with coefficients in [0, box], as
     (scaled value, coefficient vector, h0), sorted."""
@@ -143,7 +143,7 @@ def brute_calg_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction
     raise BoxTooSmall("every optimal vector touches the box boundary")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=toric.CACHE_SIZE)
 def _index_data(p: MomentPolygon):
     """Integer intersection matrix and anticanonical row sums (smooth only)."""
     y = toric.build_surface(p)
@@ -156,7 +156,7 @@ def _index_data(p: MomentPolygon):
     return tuple(tuple(row) for row in qi), tuple(rowsum)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=toric.CACHE_SIZE)
 def _index_table(p: MomentPolygon, box: int):
     """All coefficient vectors in [0, box] as (scaled value, vector, index),
     sorted by value then vector."""

@@ -33,6 +33,8 @@ from .lattice import (
 )
 
 IP_ITERATION_CAP = 10_000
+# entries kept by each per-surface or per-polygon cache
+CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,7 @@ def ray_self_intersection(y: ToricSurface, i: int) -> Fraction:
     return Fraction(-det2(vp, vn), det2(vp, v) * det2(v, vn))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def intersection_matrix(y: ToricSurface) -> tuple[tuple[Fraction, ...], ...]:
     """Pairings D_i . D_j of the boundary divisors.
 
@@ -199,13 +201,7 @@ def divisor_constraints(y: ToricSurface, d: TorusDivisor) -> list[tuple[int, int
 
 def support_vertices(y: ToricSurface, d: TorusDivisor) -> list[Point]:
     """Corner points of the section polytope (may be 0, 1 or 2 dimensional)."""
-    pts = halfplane_vertices(divisor_constraints(y, d))
-    if len(pts) >= 3:
-        hull = convex_hull(pts)
-        if len(hull) >= 3:
-            return hull
-        return sorted(pts)
-    return sorted(pts)
+    return convex_hull(halfplane_vertices(divisor_constraints(y, d)))
 
 
 def support_polytope(y: ToricSurface, d: TorusDivisor) -> Optional[MomentPolygon]:

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -144,6 +145,23 @@ def test_one_table_build_per_sequence(table_builds):
     assert len(seq) == 66
 
 
+def test_table_build_makes_no_h0_call(monkeypatch):
+    def h0(y, d):
+        raise AssertionError("h0 called")
+
+    monkeypatch.setattr(toric, "h0", h0)
+    for name in ("chopped-square", "singular-triangle", "rect-2x3"):
+        table = capacities._compute_table(corpus.CORPUS[name], 30)
+        assert len(table) == 31
+
+
+def test_table_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(capacities, "_TABLES", {})
+    for i in range(toric.CACHE_SIZE + 1):
+        capacities.calg(lattice.translate(lattice.rectangle(1, 1), (i, 0)), 1)
+    assert len(capacities._TABLES) <= toric.CACHE_SIZE
+
+
 def test_non_positive_weight_raises_typed_error(monkeypatch):
     matrix = toric.intersection_matrix
     monkeypatch.setattr(toric, "intersection_matrix",
@@ -159,6 +177,37 @@ def test_ech_ellipsoid_values():
     assert [capacities.ech_ellipsoid(1, 2, k) for k in range(8)] == [0, 1, 2, 2, 3, 3, 4, 4]
     assert capacities.ech_ellipsoid(2, 3, 1) == 2
     assert capacities.ech_ellipsoid(Fraction(1, 2), Fraction(3, 2), 2) == 1
+
+
+def _heap_staircase(a, b, k_max):
+    """The k_max + 1 smallest a*m + b*n, taken in order from a heap."""
+    heap, seen, out = [(Fraction(0), 0, 0)], {(0, 0)}, []
+    while len(out) <= k_max:
+        value, m, n = heapq.heappop(heap)
+        out.append(value)
+        for mn in ((m + 1, n), (m, n + 1)):
+            if mn not in seen:
+                seen.add(mn)
+                heapq.heappush(heap, (a * mn[0] + b * mn[1], *mn))
+    return out
+
+
+def test_ech_ellipsoid_capacities_match_heap_merge():
+    for a, b, k_max in ((1, 2, 400), (Fraction(3, 4), Fraction(5, 6), 200)):
+        seq = capacities.ech_ellipsoid_capacities(a, b, k_max)
+        assert list(seq.values) == _heap_staircase(a, b, k_max)
+        assert all(isinstance(v, Fraction) for v in seq.values)
+        assert [capacities.ech_ellipsoid(a, b, k) for k in range(41)] == list(seq.values[:41])
+
+
+def test_ech_ellipsoid_needs_positive_areas():
+    for a, b in ((0, 1), (1, 0), (-1, 2), (Fraction(-1, 2), Fraction(-1, 3))):
+        with pytest.raises(ValueError):
+            capacities.ech_ellipsoid(a, b, 3)
+        with pytest.raises(ValueError):
+            capacities.ech_ellipsoid_capacities(a, b, 3)
+    with pytest.raises(ValueError):
+        capacities.ech_ellipsoid(1, 1, -1)
 
 
 def test_ech_ellipsoid_symmetry_and_scaling():
@@ -229,10 +278,23 @@ def test_concave_weights_preserve_area():
 
 
 def test_ech_concave_matches_ellipsoid():
-    for a, b in ((1, 1), (1, 2), (2, 3), (Fraction(3, 2), 1), (5, 3)):
+    for a, b, k_max in ((1, 1, 14), (1, 2, 14), (2, 3, 14), (Fraction(3, 2), 1, 14), (5, 3, 14),
+                        (Fraction(201, 200), 1, 30)):
         omega = ConcaveDomain.ellipsoid(a, b)
-        for k in range(15):
+        for k in range(k_max + 1):
             assert capacities.ech_concave(omega, k) == capacities.ech_ellipsoid(a, b, k)
+
+
+def test_ech_concave_matches_fraction_maxplus():
+    omega = ConcaveDomain(((Fraction(0), Fraction(2)), (Fraction(1), Fraction(1, 2)),
+                           (Fraction(3, 2), Fraction(0))))
+    k_max = 40
+    # ball capacities: d for d(d+1)/2 <= k < (d+1)(d+2)/2
+    ball = [Fraction(d) for d in range(k_max + 1) for _ in range(d + 1)][: k_max + 1]
+    acc = [Fraction(0)] * (k_max + 1)
+    for w in capacities.concave_weights(omega):
+        acc = [max(acc[j] + w * ball[k - j] for j in range(k + 1)) for k in range(k_max + 1)]
+    assert capacities.ech_concave_capacities(omega, k_max).values == tuple(acc)
 
 
 def test_ech_concave_inclusion_monotone():

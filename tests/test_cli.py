@@ -135,7 +135,7 @@ def test_verify_calg_command(runner, tmp_path):
 
 def test_verify_sw_command(runner, tmp_path):
     poly = _write(tmp_path, "p.txt", SQUARE)
-    res = runner.invoke(cli, ["verify-sw", poly, "--k-max", "3", "--box", "6", "--threads", "2"])
+    res = runner.invoke(cli, ["verify-sw", poly, "--k-max", "3", "--box", "6"])
     assert res.exit_code == 0
     assert all(line.endswith("OK") for line in res.output.splitlines())
 
@@ -164,6 +164,17 @@ def test_verify_sw_with_skipped_rows_exits_1(runner, tmp_path):
     assert res.exit_code == 1
     assert len(res.stdout.splitlines()) == 4
     assert res.stderr == "checked 1, skipped 3\n"
+
+
+def test_bad_horizon_or_area_exit_code(runner, tmp_path):
+    poly = _write(tmp_path, "p.txt", SQUARE)
+    for args in (["capacities", poly, "--k-max", "-3"],
+                 ["verify-calg", poly, "--k-max", "-1"],
+                 ["ech", "ellipsoid", "1", "2", "--k-max", "-2"],
+                 ["ech", "ellipsoid", "0", "1"]):
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 2, args
+        assert res.stdout == "", args
 
 
 def test_corpus_listing_round_trip(runner):
