@@ -7,6 +7,8 @@ the Xi-width and the lattice width bound.  All values are exact rationals.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,9 +265,11 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
 
 
 def alg_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
-    if k_max >= 0:
-        calg(p, k_max)  # one table build serves the whole sequence
-    return CapacitySequence(tuple(calg(p, k) for k in range(k_max + 1)), ALG)
+    """c_0, ..., c_k_max, read from the one table that calg(p, k_max) builds."""
+    if k_max < 0:
+        return CapacitySequence((), ALG)
+    calg(p, k_max)  # the build goes through calg, so a wrapper around calg sees it
+    return CapacitySequence(tuple(val for val, _vec in _ensure_table(p, k_max)[: k_max + 1]), ALG)
 
 
 def ech_ellipsoid(a, b, k: int) -> Fraction:
@@ -284,9 +288,11 @@ def ech_ellipsoid_capacities(a, b, k_max: int) -> CapacitySequence:
     denom = math.lcm(a.denominator, b.denominator)
     ia, ib = int(a * denom), int(b * denom)
     # the k+1 smallest values all have m + n <= k: every (m', n') <= (m, n)
-    # gives a value no larger, and there are more than k of those when m + n > k
-    vals = sorted(ia * m + ib * n for m in range(k_max + 1) for n in range(k_max + 1 - m))
-    return CapacitySequence(tuple(Fraction(v, denom) for v in vals[: k_max + 1]), ECH_ELLIPSOID)
+    # gives a value no larger, and there are more than k of those when m + n > k.
+    # One ascending run a*m + b*n, m = 0..k-n, per n, merged lazily.
+    runs = [range(ib * n, ib * n + ia * (k_max - n) + 1, ia) for n in range(k_max + 1)]
+    vals = itertools.islice(heapq.merge(*runs), k_max + 1)
+    return CapacitySequence(tuple(Fraction(v, denom) for v in vals), ECH_ELLIPSOID)
 
 
 def is_domain_polygon(p: MomentPolygon) -> bool:
@@ -437,16 +443,15 @@ def embedding_verdict(omega: ConcaveDomain, p: MomentPolygon, k_max: int) -> Emb
         raise ValueError("k_max must be at least 1")
     _require_smooth_vertex(p)
     dom = ech_concave_capacities(omega, k_max)
-    calg(p, k_max)  # one table build serves every index below
+    target = alg_capacities(p, k_max)
     for k in range(1, k_max + 1):
-        target = calg(p, k)
-        if dom[k] > target:
+        if dom[k] > target[k]:
             return EmbeddingVerdict(
                 compatible=False,
                 k_max=k_max,
                 first_violation=k,
                 domain_capacity=dom[k],
-                target_capacity=target,
+                target_capacity=target[k],
             )
     return EmbeddingVerdict(compatible=True, k_max=k_max)
 
@@ -472,13 +477,13 @@ def xi_width(p: MomentPolygon, omega: ConcaveDomain, k_max: int) -> XiWidth:
         raise ValueError("k_max must be at least 1")
     _require_smooth_vertex(p)
     dom = ech_concave_capacities(omega, k_max)
-    calg(p, k_max)  # one table build serves every index below
+    target = alg_capacities(p, k_max)
     best: Optional[Fraction] = None
     argmin = 0
     for k in range(1, k_max + 1):
         if dom[k] <= 0:
             continue
-        ratio = calg(p, k) / dom[k]
+        ratio = target[k] / dom[k]
         if best is None or ratio < best:
             best, argmin = ratio, k
     if best is None:

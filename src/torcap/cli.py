@@ -6,8 +6,9 @@ lines are ignored.  Numeric output is tab separated and exact; `--decimal`
 appends an approximate column.
 
 Exit codes: 0 success (or compatible), 1 obstructed, or a verification with
-a mismatch or a skipped index, 2 bad input.  A verification that does not
-exit 0 prints `checked N, skipped M` on stderr.
+a mismatch or a skipped index, 2 bad input, 3 an internal iteration limit
+reached on valid input.  A verification that does not exit 0 prints
+`checked N, skipped M` on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import click
 
 from . import capacities, corpus, lattice, oracle, toric
 from .capacities import ConcaveDomain
-from .errors import BoxTooSmall, ParseError, TorcapError
+from .errors import BoxTooSmall, IterationLimit, ParseError, TorcapError
 from .lattice import MomentPolygon
 
 _FRACTION_RE = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
@@ -85,9 +86,15 @@ def handle_errors(f):
             return f(*args, **kwargs)
         except (TorcapError, OSError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+            # an iteration limit is an internal budget, not bad input
+            sys.exit(3 if isinstance(exc, IterationLimit) else 2)
 
     return wrapper
+
+
+def _echo_sequence(seq, k_max: int, decimal: bool) -> None:
+    for k in range(k_max + 1):
+        click.echo(_row((k, seq[k]), decimal))
 
 
 def _k_max_option(f):
@@ -113,9 +120,7 @@ def cli():
 def capacities_cmd(polygon, k_max, decimal):
     """Algebraic capacities of the surface polarized by POLYGON."""
     p = parse_polygon(_read(polygon))
-    seq = capacities.alg_capacities(p, k_max)
-    for k in range(k_max + 1):
-        click.echo(_row((k, seq[k]), decimal))
+    _echo_sequence(capacities.alg_capacities(p, k_max), k_max, decimal)
 
 
 @cli.group()
@@ -134,8 +139,7 @@ def ech_ellipsoid_cmd(a, b, k_max, decimal):
     seq = capacities.ech_ellipsoid_capacities(
         _parse_fraction(a, 0), _parse_fraction(b, 0), k_max
     )
-    for k in range(k_max + 1):
-        click.echo(_row((k, seq[k]), decimal))
+    _echo_sequence(seq, k_max, decimal)
 
 
 @ech.command("convex")
@@ -146,9 +150,7 @@ def ech_ellipsoid_cmd(a, b, k_max, decimal):
 def ech_convex_cmd(polygon, k_max, decimal):
     """Capacities of the convex toric domain over POLYGON."""
     p = parse_polygon(_read(polygon))
-    seq = capacities.ech_convex_capacities(p, k_max)
-    for k in range(k_max + 1):
-        click.echo(_row((k, seq[k]), decimal))
+    _echo_sequence(capacities.ech_convex_capacities(p, k_max), k_max, decimal)
 
 
 @ech.command("concave")
@@ -159,9 +161,7 @@ def ech_convex_cmd(polygon, k_max, decimal):
 def ech_concave_cmd(chain, k_max, decimal):
     """Capacities of the concave toric domain under CHAIN."""
     omega = parse_chain(_read(chain))
-    seq = capacities.ech_concave_capacities(omega, k_max)
-    for k in range(k_max + 1):
-        click.echo(_row((k, seq[k]), decimal))
+    _echo_sequence(capacities.ech_concave_capacities(omega, k_max), k_max, decimal)
 
 
 @cli.command()
@@ -250,6 +250,24 @@ def _exit_verified(checked: int, skipped: int, ok: bool) -> None:
     sys.exit(1)
 
 
+def _verify_rows(k_max: int, pair) -> None:
+    """One row per k comparing the two values pair(k), or a SKIP row when
+    the box is too small for that index; then exit by the outcome."""
+    checked, skipped, ok = 0, 0, True
+    for k in range(k_max + 1):
+        try:
+            left, right = pair(k)
+        except BoxTooSmall as exc:
+            click.echo(f"k={k}\tSKIP\t{exc}")
+            skipped += 1
+            continue
+        checked += 1
+        match = left == right
+        ok = ok and match
+        click.echo(_row((f"k={k}", left, right, "OK" if match else "MISMATCH"), False))
+    _exit_verified(checked, skipped, ok)
+
+
 @cli.command("verify-calg")
 @click.argument("polygon", type=str)
 @click.option("--k-max", default=5, show_default=True, type=click.IntRange(min=0))
@@ -260,19 +278,7 @@ def verify_calg(polygon, k_max, box):
     """Cross check capacities against the exhaustive boxed scan."""
     p = parse_polygon(_read(polygon))
     seq = capacities.alg_capacities(p, k_max)
-    checked, skipped, ok = 0, 0, True
-    for k in range(k_max + 1):
-        try:
-            slow = oracle.brute_calg(p, k, box)
-        except BoxTooSmall as exc:
-            click.echo(f"k={k}\tSKIP\t{exc}")
-            skipped += 1
-            continue
-        checked += 1
-        match = seq[k] == slow
-        ok = ok and match
-        click.echo(_row((f"k={k}", seq[k], slow, "OK" if match else "MISMATCH"), False))
-    _exit_verified(checked, skipped, ok)
+    _verify_rows(k_max, lambda k: (seq[k], oracle.brute_calg(p, k, box)))
 
 
 @cli.command("verify-sw")
@@ -284,18 +290,7 @@ def verify_calg(polygon, k_max, box):
 def verify_sw(polygon, k_max, box):
     """Check the index-constrained infimum against the section-constrained one."""
     p = parse_polygon(_read(polygon))
-    checked, skipped, ok = 0, 0, True
-    for k in range(k_max + 1):
-        try:
-            sw, nef, match = oracle.sw_equals_nef(p, k, box)
-        except BoxTooSmall as exc:
-            click.echo(f"k={k}\tSKIP\t{exc}")
-            skipped += 1
-            continue
-        checked += 1
-        ok = ok and match
-        click.echo(_row((f"k={k}", sw, nef, "OK" if match else "MISMATCH"), False))
-    _exit_verified(checked, skipped, ok)
+    _verify_rows(k_max, lambda k: oracle.sw_equals_nef(p, k, box)[:2])
 
 
 @cli.command("corpus")

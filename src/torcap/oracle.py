@@ -2,46 +2,27 @@
 
 Everything here recomputes quantities from first principles by exhaustive
 scans over boxed coefficient vectors, deliberately sharing as little code as
-possible with the optimized routines it validates.  Scans are integer-only
-on the hot path and cached per (polygon, box).
+possible with the optimized routines it validates.  Every vector of the box
+is ranked once per (polygon, box) by its pairing with the polarization; a
+query walks that ranking from the cheapest vector and tests nefness,
+sections or the index only on the vectors it reaches.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from . import toric
 from .errors import BoxTooSmall
-from .lattice import MomentPolygon, det2
+from .lattice import MomentPolygon
 from .toric import TorusDivisor
 
 
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
-
-
-def _floor_div(p: int, q: int) -> int:
-    return p // q
-
-
-@lru_cache(maxsize=toric.CACHE_SIZE)
-def _objective(p: MomentPolygon):
-    """Integer objective: weights W and denominator L with
-    D . A = (sum a_i W_i) / L for the polarization A."""
-    y = toric.build_surface(p)
-    n = len(y.rays)
-    q = toric.intersection_matrix(y)
-    ample = toric.associated_divisor(p)
-    w = [sum(q[i][j] * ample.coeffs[j] for j in range(n)) for i in range(n)]
-    denom = 1
-    for wi in w:
-        denom = denom * wi.denominator // math.gcd(denom, wi.denominator)
-    scaled = tuple(int(wi * denom) for wi in w)
-    return scaled, denom
 
 
 def _nef_int(rays, dets, a) -> Optional[list[tuple[int, int, int]]]:
@@ -70,7 +51,7 @@ def _h0_int(rays, a, ms) -> int:
     """Lattice points of the section polytope of a nef integral divisor,
     whose vertices are the cone linearizations in ms."""
     y_lo = min(_ceil_div(my, d) for (_mx, my, d) in ms)
-    y_hi = max(_floor_div(my, d) for (_mx, my, d) in ms)
+    y_hi = max(my // d for (_mx, my, d) in ms)
     total = 0
     for yy in range(y_lo, y_hi + 1):
         lo, hi = None, None
@@ -82,7 +63,7 @@ def _h0_int(rays, a, ms) -> int:
                 if lo is None or b > lo:
                     lo = b
             elif vx < 0:
-                b = _floor_div(rhs, vx)
+                b = rhs // vx
                 if hi is None or b < hi:
                     hi = b
             elif rhs > 0:
@@ -94,23 +75,61 @@ def _h0_int(rays, a, ms) -> int:
 
 
 @lru_cache(maxsize=toric.CACHE_SIZE)
-def _nef_table(p: MomentPolygon, box: int):
-    """All nef integral divisors with coefficients in [0, box], as
-    (scaled value, coefficient vector, h0), sorted."""
+def _box_table(p: MomentPolygon, box: int) -> tuple[list[int], int]:
+    """Every coefficient vector in [0, box]^n, sorted by (value, vector).
+
+    The value is the pairing with the polarization in units of 1/denom.
+    Each vector is packed into one integer, value * (box+1)^n + its index
+    in itertools.product order, so sorting the integers sorts the pairs.
+    Returns the packed integers and denom.
+    """
     y = toric.build_surface(p)
-    rays = y.rays
-    n = len(rays)
-    dets = [det2(rays[i], rays[(i + 1) % n]) for i in range(n)]
-    weights, denom = _objective(p)
-    entries = []
-    for a in itertools.product(range(box + 1), repeat=n):
-        ms = _nef_int(rays, dets, a)
-        if ms is None:
+    n = len(y.rays)
+    q = toric.intersection_matrix(y)
+    ample = toric.associated_divisor(p)
+    weights = [sum(q[i][j] * ample.coeffs[j] for j in range(n)) for i in range(n)]
+    denom = math.lcm(*(w.denominator for w in weights))
+    side = box + 1
+    size = side ** n
+    packed = [0]
+    for i, w in enumerate(weights):
+        # one unit of coefficient i: its value and its index place
+        unit = int(w * denom) * size + side ** (n - 1 - i)
+        steps = [c * unit for c in range(side)]
+        packed = [x + s for x in packed for s in steps]
+    packed.sort()
+    return packed, denom
+
+
+def _boxed_min(p: MomentPolygon, box: int, feasible: Callable[[list[int]], bool],
+               empty_msg: str) -> tuple[Fraction, TorusDivisor]:
+    """Least value over the feasible vectors of the box, with the first
+    optimal vector (in lexicographic order) off the box boundary.
+
+    Raises BoxTooSmall with empty_msg when nothing in the box is feasible,
+    and when every optimal vector touches the boundary (a better vector
+    might sit outside).
+    """
+    table, denom = _box_table(p, box)
+    side = box + 1
+    n = len(toric.build_surface(p).rays)
+    size = side ** n
+    best = None
+    for x in table:
+        value, rank = divmod(x, size)
+        if best is not None and value > best:
+            break
+        a = [0] * n
+        for i in range(n - 1, -1, -1):
+            rank, a[i] = divmod(rank, side)
+        if not feasible(a):
             continue
-        value = sum(ai * wi for ai, wi in zip(a, weights))
-        entries.append((value, a, _h0_int(rays, a, ms)))
-    entries.sort()
-    return tuple(entries), denom
+        best = value
+        if all(ai < box for ai in a):
+            return Fraction(value, denom), TorusDivisor(tuple(Fraction(ai) for ai in a))
+    if best is None:
+        raise BoxTooSmall(empty_msg)
+    raise BoxTooSmall("every optimal vector touches the box boundary")
 
 
 def brute_calg(p: MomentPolygon, k: int, box: int = 6) -> Fraction:
@@ -126,55 +145,14 @@ def brute_calg_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction
     """
     if k < 0:
         raise ValueError("capacity index must be nonnegative")
-    entries, denom = _nef_table(p, box)
-    best = None
-    for value, a, h0 in entries:
-        if h0 < k + 1:
-            continue
-        if best is not None and value > best:
-            raise BoxTooSmall("every optimal vector touches the box boundary")
-        best = value
-        # prefer a witness away from the boundary: only when every vector
-        # attaining the optimum touches it is the box declared too small
-        if all(ai < box for ai in a):
-            return Fraction(value, denom), TorusDivisor(tuple(Fraction(ai) for ai in a))
-    if best is None:
-        raise BoxTooSmall("no feasible divisor inside the box")
-    raise BoxTooSmall("every optimal vector touches the box boundary")
-
-
-@lru_cache(maxsize=toric.CACHE_SIZE)
-def _index_data(p: MomentPolygon):
-    """Integer intersection matrix and anticanonical row sums (smooth only)."""
     y = toric.build_surface(p)
-    if not y.smooth:
-        raise ValueError("index scan needs a smooth surface")
-    n = len(y.rays)
-    q = toric.intersection_matrix(y)
-    qi = [[int(q[i][j]) for j in range(n)] for i in range(n)]
-    rowsum = [sum(row) for row in qi]
-    return tuple(tuple(row) for row in qi), tuple(rowsum)
+    rays, dets = y.rays, y.cone_dets
 
+    def feasible(a) -> bool:
+        ms = _nef_int(rays, dets, a)
+        return ms is not None and _h0_int(rays, a, ms) >= k + 1
 
-@lru_cache(maxsize=toric.CACHE_SIZE)
-def _index_table(p: MomentPolygon, box: int):
-    """All coefficient vectors in [0, box] as (scaled value, vector, index),
-    sorted by value then vector."""
-    qi, rowsum = _index_data(p)
-    n = len(qi)
-    weights, denom = _objective(p)
-    entries = []
-    for a in itertools.product(range(box + 1), repeat=n):
-        idx = 0
-        for i in range(n):
-            ai = a[i]
-            if ai:
-                row = qi[i]
-                idx += ai * (sum(row[j] * a[j] for j in range(n)) + rowsum[i])
-        value = sum(ai * wi for ai, wi in zip(a, weights))
-        entries.append((value, a, idx))
-    entries.sort()
-    return tuple(entries), denom
+    return _boxed_min(p, box, feasible, "no feasible divisor inside the box")
 
 
 def sw_infimum(p: MomentPolygon, k: int, box: int = 6) -> Fraction:
@@ -190,19 +168,23 @@ def sw_infimum_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction
     """
     if k < 0:
         raise ValueError("index bound must be nonnegative")
-    entries, denom = _index_table(p, box)
-    best = None
-    for value, a, idx in entries:
-        if idx < 2 * k:
-            continue
-        if best is not None and value > best:
-            raise BoxTooSmall("every optimal vector touches the box boundary")
-        best = value
-        if all(ai < box for ai in a):
-            return Fraction(value, denom), TorusDivisor(tuple(Fraction(ai) for ai in a))
-    if best is None:
-        raise BoxTooSmall("no divisor of sufficient index inside the box")
-    raise BoxTooSmall("every optimal vector touches the box boundary")
+    y = toric.build_surface(p)
+    if not y.smooth:
+        raise ValueError("index scan needs a smooth surface")
+    n = len(y.rays)
+    q = [[int(c) for c in row] for row in toric.intersection_matrix(y)]
+    # D . (D - K) = sum_i a_i (sum_j q_ij a_j + sum_j q_ij), as K = -sum D_j
+    rowsum = [sum(row) for row in q]
+
+    def feasible(a) -> bool:
+        idx = 0
+        for i in range(n):
+            if a[i]:
+                row = q[i]
+                idx += a[i] * (sum(row[j] * a[j] for j in range(n)) + rowsum[i])
+        return idx >= 2 * k
+
+    return _boxed_min(p, box, feasible, "no divisor of sufficient index inside the box")
 
 
 def sw_equals_nef(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction, Fraction, bool]:

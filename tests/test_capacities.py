@@ -1,5 +1,6 @@
 import heapq
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,17 @@ def test_ech_ellipsoid_capacities_match_heap_merge():
         assert [capacities.ech_ellipsoid(a, b, k) for k in range(41)] == list(seq.values[:41])
 
 
+def test_ech_ellipsoid_capacities_memory_is_linear():
+    tracemalloc.start()
+    try:
+        seq = capacities.ech_ellipsoid_capacities(1, 2, 3000)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seq[3000] == _heap_staircase(1, 2, 3000)[3000]
+    assert peak < 10 * 2**20
+
+
 def test_ech_ellipsoid_needs_positive_areas():
     for a, b in ((0, 1), (1, 0), (-1, 2), (Fraction(-1, 2), Fraction(-1, 3))):
         with pytest.raises(ValueError):
@@ -353,6 +365,14 @@ def test_verdict_never_obstructed_for_included_domains():
         done += 1
         v = capacities.embedding_verdict(omega, p, 12)
         assert v.compatible, (p.vertices, a, b, v)
+
+
+def test_verdict_and_width_build_one_table(table_builds):
+    p = corpus.CORPUS["chopped-square"]
+    capacities.embedding_verdict(ConcaveDomain.ball(1), p, 30)
+    assert table_builds == [30]
+    capacities.xi_width(lattice.rectangle(2, 3), ConcaveDomain.ball(1), 25)
+    assert table_builds == [30, 25]
 
 
 def test_xi_width():

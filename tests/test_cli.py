@@ -2,6 +2,7 @@ from click.testing import CliRunner
 
 import pytest
 
+from torcap import capacities
 from torcap.cli import cli, parse_chain, parse_polygon
 from torcap.errors import ParseError
 
@@ -175,6 +176,16 @@ def test_bad_horizon_or_area_exit_code(runner, tmp_path):
         res = runner.invoke(cli, args)
         assert res.exit_code == 2, args
         assert res.stdout == "", args
+
+
+def test_iteration_limit_exit_code(runner, tmp_path, monkeypatch):
+    # E(201/200, 1) expands into 201 weights, past a cap of 3
+    monkeypatch.setattr(capacities, "WEIGHT_EXPANSION_CAP", 3)
+    chain = _write(tmp_path, "c.txt", "0 1\n201/200 0\n")
+    res = runner.invoke(cli, ["ech", "concave", chain, "--k-max", "5"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "error: weight expansion did not terminate\n"
 
 
 def test_corpus_listing_round_trip(runner):

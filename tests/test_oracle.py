@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -68,6 +70,76 @@ def test_sw_witness_has_required_index():
         assert toric.index(y, d) >= 2 * k
         assert toric.h0(y, d) >= 1
         assert toric.intersect(y, d, toric.associated_divisor(p)) == val
+
+
+BOUNDARY = "every optimal vector touches the box boundary"
+
+
+def _reference(p, box):
+    """Every vector in [0, box]^n with its pairing against the polarization,
+    sorted, and its section count (-1 when not nef) and index, computed on
+    first use with toric's Fraction routines."""
+    y = toric.build_surface(p)
+    ample = toric.associated_divisor(p)
+    divisors = {a: TorusDivisor(tuple(Fraction(c) for c in a))
+                for a in itertools.product(range(box + 1), repeat=len(y.rays))}
+    rows = sorted((toric.intersect(y, d, ample), a) for a, d in divisors.items())
+
+    @functools.cache
+    def sections(a):
+        d = divisors[a]
+        return toric.h0(y, d) if toric.is_nef(y, d) else -1
+
+    @functools.cache
+    def index(a):
+        return toric.index(y, divisors[a])
+
+    return rows, sections, index
+
+
+def _reference_min(rows, box, feasible, empty_msg):
+    """Least value over the feasible vectors in [0, box]^n with the first
+    optimal vector off the boundary, or the BoxTooSmall message."""
+    found = ((value, a) for value, a in rows if max(a) <= box and feasible(a))
+    first = next(found, None)
+    if first is None:
+        return empty_msg
+    for value, a in itertools.chain([first], found):
+        if value > first[0]:
+            break
+        if max(a) < box:
+            return value, a
+    return BOUNDARY
+
+
+def _outcome(fn, p, k, box):
+    try:
+        value, d = fn(p, k, box)
+    except BoxTooSmall as exc:
+        return str(exc)
+    return value, tuple(int(c) for c in d.coeffs)
+
+
+def test_boxed_scans_match_fraction_reference():
+    seen = set()
+    for name, p in corpus.CORPUS.items():
+        if len(p.vertices) > 5:
+            continue
+        smooth = toric.build_surface(p).smooth
+        rows, sections, index = _reference(p, 4)
+        for box in range(1, 5):
+            for k in range(9):
+                want = _reference_min(rows, box, lambda a: sections(a) >= k + 1,
+                                      "no feasible divisor inside the box")
+                assert _outcome(oracle.brute_calg_witness, p, k, box) == want, (name, box, k)
+                seen.add(want if isinstance(want, str) else "value")
+                if smooth:
+                    want = _reference_min(rows, box, lambda a: index(a) >= 2 * k,
+                                          "no divisor of sufficient index inside the box")
+                    assert _outcome(oracle.sw_infimum_witness, p, k, box) == want, (name, box, k)
+                    seen.add(want if isinstance(want, str) else "value")
+    assert seen == {"value", BOUNDARY, "no feasible divisor inside the box",
+                    "no divisor of sufficient index inside the box"}
 
 
 def test_preferable_check_on_random_divisors():
