@@ -265,10 +265,9 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
 
 
 def alg_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
-    """c_0, ..., c_k_max, read from the one table that calg(p, k_max) builds."""
+    """c_0, ..., c_k_max, read from one capacity table."""
     if k_max < 0:
         return CapacitySequence((), ALG)
-    calg(p, k_max)  # the build goes through calg, so a wrapper around calg sees it
     return CapacitySequence(tuple(val for val, _vec in _ensure_table(p, k_max)[: k_max + 1]), ALG)
 
 

@@ -2,18 +2,25 @@
 
 Everything here recomputes quantities from first principles by exhaustive
 scans over boxed coefficient vectors, deliberately sharing as little code as
-possible with the optimized routines it validates.  Every vector of the box
-is ranked once per (polygon, box) by its pairing with the polarization; a
-query walks that ranking from the cheapest vector and tests nefness,
-sections or the index only on the vectors it reaches.
+possible with the optimized routines it validates.  One cached table per
+(polygon, box) ranks the vectors of the box by their pairing with the
+polarization, sorting them lazily; a query walks that ranking from the
+cheapest vector.  Nefness with sections, and the index, are computed at
+most once per vector and table, on a prefix of the ranking at most twice
+as long as the longest walk, so a query that repeats or extends an earlier
+walk reads stored counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 from . import toric
 from .errors import BoxTooSmall
@@ -74,61 +81,136 @@ def _h0_int(rays, a, ms) -> int:
     return total
 
 
-@lru_cache(maxsize=toric.CACHE_SIZE)
-def _box_table(p: MomentPolygon, box: int) -> tuple[list[int], int]:
-    """Every coefficient vector in [0, box]^n, sorted by (value, vector).
+class _BoxTable:
+    """Every coefficient vector of [0, box]^n in (value, vector) order, and
+    the measures the walks have asked for so far.
 
     The value is the pairing with the polarization in units of 1/denom.
-    Each vector is packed into one integer, value * (box+1)^n + its index
-    in itertools.product order, so sorting the integers sorts the pairs.
-    Returns the packed integers and denom.
+    A vector is one integer key, value * (box+1)^n + its index in
+    itertools.product order, so sorting the keys sorts the pairs.  The keys
+    of the vectors with last coefficient c are head + c * unit, where head
+    holds the sorted keys of the other coefficients; they are sorted lazily,
+    all keys below a threshold at a time.  Each measure ("sections" or
+    "index") covers a prefix of the keys that doubles whenever a walk runs
+    past it.
     """
-    y = toric.build_surface(p)
-    n = len(y.rays)
-    q = toric.intersection_matrix(y)
-    ample = toric.associated_divisor(p)
-    weights = [sum(q[i][j] * ample.coeffs[j] for j in range(n)) for i in range(n)]
-    denom = math.lcm(*(w.denominator for w in weights))
-    side = box + 1
-    size = side ** n
-    packed = [0]
-    for i, w in enumerate(weights):
-        # one unit of coefficient i: its value and its index place
-        unit = int(w * denom) * size + side ** (n - 1 - i)
-        steps = [c * unit for c in range(side)]
-        packed = [x + s for x in packed for s in steps]
-    packed.sort()
-    return packed, denom
+
+    def __init__(self, p: MomentPolygon, box: int):
+        y = toric.build_surface(p)
+        n = len(y.rays)
+        self.box, self.rays, self.dets, self.smooth = box, y.rays, y.cone_dets, y.smooth
+        q = toric.intersection_matrix(y)
+        ample = toric.associated_divisor(p)
+        weights = [sum(q[i][j] * ample.coeffs[j] for j in range(n)) for i in range(n)]
+        self.denom = math.lcm(*(w.denominator for w in weights))
+        # integral on a smooth surface, where the index is defined
+        self._q = [[int(c) for c in row] for row in q] if y.smooth else None
+        self._rowsum = [sum(row) for row in self._q] if y.smooth else None
+        side = max(box + 1, 0)  # a negative box holds no vector
+        self.size = side ** n
+        # the key of one unit of coefficient i: its value and its index place
+        units = [int(w * self.denom) * self.size + side ** (n - 1 - i) for i, w in enumerate(weights)]
+        head = [0]
+        for unit in units[:-1]:
+            steps = [c * unit for c in range(side)]
+            head = [x + s for x in head for s in steps]
+        head.sort()
+        self._head, self._offsets = head, [c * units[-1] for c in range(side)]
+        # every key below _upto is in keys; the all-box vector has the largest key
+        self._upto, self._end = 0, box * sum(units) + 1
+        self.keys = array("q") if self._end <= 2 ** 63 else []
+        # an index decodes as the first n//2 coefficients and the rest
+        self._low = side ** (n - n // 2)
+        self._digits = (list(itertools.product(range(side), repeat=n // 2)),
+                        list(itertools.product(range(side), repeat=n - n // 2)))
+        # measure name -> (measures, their running maxima) of the first keys
+        self.walked: dict[str, tuple[array, array]] = {}
+
+    def sections(self, a) -> int:
+        """h0 of a nef divisor, -1 for one that is not nef."""
+        ms = _nef_int(self.rays, self.dets, a)
+        return -1 if ms is None else _h0_int(self.rays, a, ms)
+
+    def index(self, a) -> int:
+        """D . (D - K) = sum_i a_i (sum_j q_ij a_j + sum_j q_ij), as K = -sum D_j."""
+        q, rowsum, n = self._q, self._rowsum, len(a)
+        idx = 0
+        for i in range(n):
+            if a[i]:
+                row = q[i]
+                idx += a[i] * (sum(row[j] * a[j] for j in range(n)) + rowsum[i])
+        return idx
+
+    def _read(self, stop: int) -> None:
+        """Sort at least the first stop keys into keys."""
+        head, upto = self._head, self._upto
+        if len(self.keys) >= stop or upto == self._end:
+            return
+        # the run with c = 0 alone holds the missing keys below the next threshold
+        i = bisect_left(head, upto) + stop - len(self.keys)
+        self._upto = head[i] if i < len(head) else self._end
+        self.keys.extend(sorted(itertools.chain.from_iterable(
+            map(off.__add__, head[bisect_left(head, upto - off):bisect_left(head, self._upto - off)])
+            for off in self._offsets)))
+
+    def value(self, pos: int) -> int:
+        return self.keys[pos] // self.size
+
+    def vectors(self, start: int, stop: int) -> Iterator[tuple[int, ...]]:
+        """Coefficient vectors of the keys from position start to stop,
+        decoded by maps: a walk through the whole box spends its time here."""
+        ranks = [key % self.size for key in self.keys[start:stop]]
+        high, low = self._digits
+        his = map(operator.floordiv, ranks, itertools.repeat(self._low))
+        los = map(operator.mod, ranks, itertools.repeat(self._low))
+        return map(operator.add, map(high.__getitem__, his), map(low.__getitem__, los))
+
+    def measure_more(self, name: str) -> bool:
+        """Measure as many keys again by the method name; False when all are."""
+        measures, tops = self.walked[name]
+        done = len(measures)
+        if done == self.size:
+            return False
+        stop = min(2 * done + 1, self.size)
+        self._read(stop)
+        batch = list(map(getattr(self, name), self.vectors(done, stop)))
+        measures.extend(batch)
+        running = itertools.accumulate(batch, max, initial=tops[-1] if tops else batch[0])
+        tops.extend(itertools.islice(running, 1, None))
+        return True
 
 
-def _boxed_min(p: MomentPolygon, box: int, feasible: Callable[[list[int]], bool],
-               empty_msg: str) -> tuple[Fraction, TorusDivisor]:
-    """Least value over the feasible vectors of the box, with the first
-    optimal vector (in lexicographic order) off the box boundary.
+@lru_cache(maxsize=toric.CACHE_SIZE)
+def _box_table(p: MomentPolygon, box: int) -> _BoxTable:
+    return _BoxTable(p, box)
 
-    Raises BoxTooSmall with empty_msg when nothing in the box is feasible,
-    and when every optimal vector touches the boundary (a better vector
-    might sit outside).
+
+def _boxed_min(table: _BoxTable, name: str, need: int, empty_msg: str) -> tuple[Fraction, TorusDivisor]:
+    """Least value over the vectors of the box whose measure by the method
+    name is at least need, with the first optimal vector (in lexicographic
+    order) off the box boundary.
+
+    A vector is measured at most once per table, and only while the
+    measured prefix is at most twice what some walk has read.  Raises
+    BoxTooSmall with empty_msg when no vector of the box is feasible, and
+    when every optimal vector touches the boundary (a better vector might
+    sit outside).
     """
-    table, denom = _box_table(p, box)
-    side = box + 1
-    n = len(toric.build_surface(p).rays)
-    size = side ** n
-    best = None
-    for x in table:
-        value, rank = divmod(x, size)
-        if best is not None and value > best:
+    measures, tops = table.walked.setdefault(name, (array("q"), array("q")))
+    # the first feasible vector is where the running maximum reaches need
+    while (pos := bisect_left(tops, need)) == len(tops):
+        if not table.measure_more(name):
+            raise BoxTooSmall(empty_msg)
+    best = table.value(pos)
+    while table.value(pos) == best:
+        # prefer a witness away from the boundary: only when every vector
+        # attaining the optimum touches it is the box declared too small
+        a = next(table.vectors(pos, pos + 1))
+        if measures[pos] >= need and all(ai < table.box for ai in a):
+            return Fraction(best, table.denom), TorusDivisor(tuple(Fraction(ai) for ai in a))
+        pos += 1
+        if pos == len(measures) and not table.measure_more(name):
             break
-        a = [0] * n
-        for i in range(n - 1, -1, -1):
-            rank, a[i] = divmod(rank, side)
-        if not feasible(a):
-            continue
-        best = value
-        if all(ai < box for ai in a):
-            return Fraction(value, denom), TorusDivisor(tuple(Fraction(ai) for ai in a))
-    if best is None:
-        raise BoxTooSmall(empty_msg)
     raise BoxTooSmall("every optimal vector touches the box boundary")
 
 
@@ -145,14 +227,7 @@ def brute_calg_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction
     """
     if k < 0:
         raise ValueError("capacity index must be nonnegative")
-    y = toric.build_surface(p)
-    rays, dets = y.rays, y.cone_dets
-
-    def feasible(a) -> bool:
-        ms = _nef_int(rays, dets, a)
-        return ms is not None and _h0_int(rays, a, ms) >= k + 1
-
-    return _boxed_min(p, box, feasible, "no feasible divisor inside the box")
+    return _boxed_min(_box_table(p, box), "sections", k + 1, "no feasible divisor inside the box")
 
 
 def sw_infimum(p: MomentPolygon, k: int, box: int = 6) -> Fraction:
@@ -168,23 +243,10 @@ def sw_infimum_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction
     """
     if k < 0:
         raise ValueError("index bound must be nonnegative")
-    y = toric.build_surface(p)
-    if not y.smooth:
+    table = _box_table(p, box)
+    if not table.smooth:
         raise ValueError("index scan needs a smooth surface")
-    n = len(y.rays)
-    q = [[int(c) for c in row] for row in toric.intersection_matrix(y)]
-    # D . (D - K) = sum_i a_i (sum_j q_ij a_j + sum_j q_ij), as K = -sum D_j
-    rowsum = [sum(row) for row in q]
-
-    def feasible(a) -> bool:
-        idx = 0
-        for i in range(n):
-            if a[i]:
-                row = q[i]
-                idx += a[i] * (sum(row[j] * a[j] for j in range(n)) + rowsum[i])
-        return idx >= 2 * k
-
-    return _boxed_min(p, box, feasible, "no divisor of sufficient index inside the box")
+    return _boxed_min(table, "index", 2 * k, "no divisor of sufficient index inside the box")
 
 
 def sw_equals_nef(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction, Fraction, bool]:

@@ -155,3 +155,37 @@ def test_preferable_check_on_random_divisors():
             continue
         done += 1
         assert oracle.preferable_check(p, d)
+
+
+def test_each_vector_is_measured_once_per_box(monkeypatch):
+    # rows that end in SKIP walk most of the box; the queries after them
+    # read the stored measures instead of measuring the same vectors again
+    p, box = corpus.CORPUS["two-chop-square"], 3
+    calls = {"sections": 0, "index": 0}
+    for name in calls:
+        original = getattr(oracle._BoxTable, name)
+
+        def counted(self, a, original=original, name=name):
+            calls[name] += 1
+            return original(self, a)
+
+        monkeypatch.setattr(oracle._BoxTable, name, counted)
+    oracle._box_table.cache_clear()
+    ks = list(range(31))
+    shuffled = random.Random(5).sample(ks, len(ks))
+    runs = [[(_outcome(oracle.brute_calg_witness, p, k, box),
+              _outcome(oracle.sw_infimum_witness, p, k, box)) for k in order]
+            for order in (ks, shuffled)]
+    assert runs[1] == [runs[0][k] for k in shuffled]
+    assert sum(BOUNDARY in row for row in runs[0]) >= 10
+    assert 0 < calls["sections"] <= (box + 1) ** 6 and 0 < calls["index"] <= (box + 1) ** 6
+    oracle._box_table.cache_clear()
+
+
+@pytest.mark.parametrize("box", [-2, -1])
+def test_negative_box_holds_nothing(box):
+    p = corpus.CORPUS["unit-square"]
+    with pytest.raises(BoxTooSmall, match="no feasible divisor"):
+        oracle.brute_calg(p, 0, box)
+    with pytest.raises(BoxTooSmall, match="no divisor of sufficient index"):
+        oracle.sw_infimum(p, 0, box)
