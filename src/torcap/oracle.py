@@ -123,8 +123,9 @@ class _BoxTable:
         self._low = side ** (n - n // 2)
         self._digits = (list(itertools.product(range(side), repeat=n // 2)),
                         list(itertools.product(range(side), repeat=n - n // 2)))
-        # measure name -> (measures, their running maxima) of the first keys
-        self.walked: dict[str, tuple[array, array]] = {}
+        # measure name -> measures of the first keys, each measure larger
+        # than all before it, and the position where it first occurs
+        self.walked: dict[str, tuple[array, array, array]] = {}
 
     def sections(self, a) -> int:
         """h0 of a nef divisor, -1 for one that is not nef."""
@@ -167,7 +168,7 @@ class _BoxTable:
 
     def measure_more(self, name: str) -> bool:
         """Measure as many keys again by the method name; False when all are."""
-        measures, tops = self.walked[name]
+        measures, peaks, firsts = self.walked[name]
         done = len(measures)
         if done == self.size:
             return False
@@ -175,8 +176,10 @@ class _BoxTable:
         self._read(stop)
         batch = list(map(getattr(self, name), self.vectors(done, stop)))
         measures.extend(batch)
-        running = itertools.accumulate(batch, max, initial=tops[-1] if tops else batch[0])
-        tops.extend(itertools.islice(running, 1, None))
+        for pos, m in enumerate(batch, done):
+            if not peaks or m > peaks[-1]:
+                peaks.append(m)
+                firsts.append(pos)
         return True
 
 
@@ -196,18 +199,20 @@ def _boxed_min(table: _BoxTable, name: str, need: int, empty_msg: str) -> tuple[
     when every optimal vector touches the boundary (a better vector might
     sit outside).
     """
-    measures, tops = table.walked.setdefault(name, (array("q"), array("q")))
-    # the first feasible vector is where the running maximum reaches need
-    while (pos := bisect_left(tops, need)) == len(tops):
+    measures, peaks, firsts = table.walked.setdefault(name, (array("q"), array("q"), array("q")))
+    # the first feasible vector is where the first peak of at least need occurs
+    while (i := bisect_left(peaks, need)) == len(peaks):
         if not table.measure_more(name):
             raise BoxTooSmall(empty_msg)
+    pos = firsts[i]
     best = table.value(pos)
     while table.value(pos) == best:
         # prefer a witness away from the boundary: only when every vector
         # attaining the optimum touches it is the box declared too small
-        a = next(table.vectors(pos, pos + 1))
-        if measures[pos] >= need and all(ai < table.box for ai in a):
-            return Fraction(best, table.denom), TorusDivisor(tuple(Fraction(ai) for ai in a))
+        if measures[pos] >= need:
+            a = next(table.vectors(pos, pos + 1))
+            if all(ai < table.box for ai in a):
+                return Fraction(best, table.denom), TorusDivisor(tuple(Fraction(ai) for ai in a))
         pos += 1
         if pos == len(measures) and not table.measure_more(name):
             break

@@ -32,6 +32,12 @@ def test_box_too_small():
         oracle.brute_calg(lattice.unit_triangle(), 20, box=2)
     with pytest.raises(BoxTooSmall):
         oracle.sw_infimum(lattice.unit_triangle(), 20, box=2)
+    # a negative box holds no vector at all
+    for box in (-2, -1):
+        with pytest.raises(BoxTooSmall, match="no feasible divisor"):
+            oracle.brute_calg(lattice.unit_triangle(), 0, box=box)
+        with pytest.raises(BoxTooSmall, match="no divisor of sufficient index"):
+            oracle.sw_infimum(lattice.unit_triangle(), 0, box=box)
 
 
 def test_sw_infimum_known_plane_values():
@@ -181,11 +187,3 @@ def test_each_vector_is_measured_once_per_box(monkeypatch):
     assert 0 < calls["sections"] <= (box + 1) ** 6 and 0 < calls["index"] <= (box + 1) ** 6
     oracle._box_table.cache_clear()
 
-
-@pytest.mark.parametrize("box", [-2, -1])
-def test_negative_box_holds_nothing(box):
-    p = corpus.CORPUS["unit-square"]
-    with pytest.raises(BoxTooSmall, match="no feasible divisor"):
-        oracle.brute_calg(p, 0, box)
-    with pytest.raises(BoxTooSmall, match="no divisor of sufficient index"):
-        oracle.sw_infimum(p, 0, box)
