@@ -285,13 +285,17 @@ def ech_ellipsoid_capacities(a, b, k_max: int) -> CapacitySequence:
     if a <= 0 or b <= 0:
         raise ValueError("ellipsoid needs positive areas")
     denom = math.lcm(a.denominator, b.denominator)
-    ia, ib = int(a * denom), int(b * denom)
+    vals = _ellipsoid_values(int(a * denom), int(b * denom), k_max)
+    return CapacitySequence(tuple(Fraction(v, denom) for v in vals), ECH_ELLIPSOID)
+
+
+def _ellipsoid_values(ia: int, ib: int, k_max: int) -> list[int]:
+    """The k_max + 1 smallest values ia*m + ib*n over nonnegative m, n."""
     # the k+1 smallest values all have m + n <= k: every (m', n') <= (m, n)
     # gives a value no larger, and there are more than k of those when m + n > k.
-    # One ascending run a*m + b*n, m = 0..k-n, per n, merged lazily.
+    # One ascending run ia*m + ib*n, m = 0..k-n, per n, merged lazily.
     runs = [range(ib * n, ib * n + ia * (k_max - n) + 1, ia) for n in range(k_max + 1)]
-    vals = itertools.islice(heapq.merge(*runs), k_max + 1)
-    return CapacitySequence(tuple(Fraction(v, denom) for v in vals), ECH_ELLIPSOID)
+    return list(itertools.islice(heapq.merge(*runs), k_max + 1))
 
 
 def is_domain_polygon(p: MomentPolygon) -> bool:
@@ -403,10 +407,12 @@ def ech_concave_capacities(omega: ConcaveDomain, k_max: int) -> CapacitySequence
     """
     weights = concave_weights(omega)
     denom = math.lcm(*(w.denominator for w in weights))
-    ball = [int(v) for v in ech_ellipsoid_capacities(1, 1, k_max).values]
-    acc = [0] * (k_max + 1)
-    for w in weights:
-        iw = int(w * denom)
+    ball = _ellipsoid_values(1, 1, k_max)
+    # max-plus with the empty domain's zero sequence is the identity on a
+    # nondecreasing sequence, so the first summand starts the accumulator
+    first, *rest = (int(w * denom) for w in weights)
+    acc = [first * v for v in ball]
+    for iw in rest:
         scaled = [iw * v for v in ball]
         acc = [max(map(add, acc[: k + 1], scaled[k::-1])) for k in range(k_max + 1)]
     return CapacitySequence(tuple(Fraction(v, denom) for v in acc), ECH_CONCAVE)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import click
 
-from . import capacities, corpus, lattice, oracle, toric
+from . import capacities, corpus, lattice, toric
 from .capacities import ConcaveDomain
 from .errors import BoxTooSmall, IterationLimit, ParseError, TorcapError
 from .lattice import MomentPolygon
@@ -28,9 +28,10 @@ from .lattice import MomentPolygon
 _FRACTION_RE = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
 
 
-def _parse_fraction(token: str, lineno: int) -> Fraction:
+def _parse_fraction(token: str, where: str) -> Fraction:
+    """The fraction `token`; `where` names its place in the input."""
     if not _FRACTION_RE.match(token):
-        raise ParseError(f"line {lineno}: bad fraction {token!r}")
+        raise ParseError(f"{where}: bad fraction {token!r}")
     return Fraction(token)
 
 
@@ -43,8 +44,8 @@ def parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two coordinates, got {len(tokens)}")
-        x = _parse_fraction(tokens[0], lineno)
-        y = _parse_fraction(tokens[1], lineno)
+        x = _parse_fraction(tokens[0], f"line {lineno}")
+        y = _parse_fraction(tokens[1], f"line {lineno}")
         pts.append((x, y))
     if not pts:
         raise ParseError("no vertices found")
@@ -97,9 +98,9 @@ def _echo_sequence(seq, k_max: int, decimal: bool) -> None:
         click.echo(_row((k, seq[k]), decimal))
 
 
-def _k_max_option(f):
-    return click.option("--k-max", default=100, show_default=True, type=click.IntRange(min=0),
-                        help="Largest capacity index to compute.")(f)
+def _k_max_option(least: int):
+    return click.option("--k-max", default=100, show_default=True, type=click.IntRange(min=least),
+                        help="Largest capacity index to compute.")
 
 
 def _decimal_option(f):
@@ -114,7 +115,7 @@ def cli():
 
 @cli.command("capacities")
 @click.argument("polygon", type=str)
-@_k_max_option
+@_k_max_option(0)
 @_decimal_option
 @handle_errors
 def capacities_cmd(polygon, k_max, decimal):
@@ -131,20 +132,20 @@ def ech():
 @ech.command("ellipsoid")
 @click.argument("a", type=str)
 @click.argument("b", type=str)
-@_k_max_option
+@_k_max_option(0)
 @_decimal_option
 @handle_errors
 def ech_ellipsoid_cmd(a, b, k_max, decimal):
     """Capacities of the ellipsoid with areas A and B."""
     seq = capacities.ech_ellipsoid_capacities(
-        _parse_fraction(a, 0), _parse_fraction(b, 0), k_max
+        _parse_fraction(a, "argument A"), _parse_fraction(b, "argument B"), k_max
     )
     _echo_sequence(seq, k_max, decimal)
 
 
 @ech.command("convex")
 @click.argument("polygon", type=str)
-@_k_max_option
+@_k_max_option(0)
 @_decimal_option
 @handle_errors
 def ech_convex_cmd(polygon, k_max, decimal):
@@ -155,7 +156,7 @@ def ech_convex_cmd(polygon, k_max, decimal):
 
 @ech.command("concave")
 @click.argument("chain", type=str)
-@_k_max_option
+@_k_max_option(0)
 @_decimal_option
 @handle_errors
 def ech_concave_cmd(chain, k_max, decimal):
@@ -167,7 +168,7 @@ def ech_concave_cmd(chain, k_max, decimal):
 @cli.command()
 @click.argument("chain", type=str)
 @click.argument("polygon", type=str)
-@_k_max_option
+@_k_max_option(1)
 @_decimal_option
 @handle_errors
 def embed(chain, polygon, k_max, decimal):
@@ -189,7 +190,7 @@ def embed(chain, polygon, k_max, decimal):
 @cli.command()
 @click.argument("polygon", type=str)
 @click.option("--xi", default=None, help="Chain file for the domain to scale (default: unit ball).")
-@_k_max_option
+@_k_max_option(1)
 @_decimal_option
 @handle_errors
 def width(polygon, xi, k_max, decimal):
@@ -276,6 +277,8 @@ def _verify_rows(k_max: int, pair) -> None:
 @handle_errors
 def verify_calg(polygon, k_max, box):
     """Cross check capacities against the exhaustive boxed scan."""
+    from . import oracle
+
     p = parse_polygon(_read(polygon))
     seq = capacities.alg_capacities(p, k_max)
     _verify_rows(k_max, lambda k: (seq[k], oracle.brute_calg(p, k, box)))
@@ -289,6 +292,8 @@ def verify_calg(polygon, k_max, box):
 @handle_errors
 def verify_sw(polygon, k_max, box):
     """Check the index-constrained infimum against the section-constrained one."""
+    from . import oracle
+
     p = parse_polygon(_read(polygon))
     _verify_rows(k_max, lambda k: oracle.sw_equals_nef(p, k, box)[:2])
 

@@ -1,8 +1,9 @@
 """Exact rational planar lattice geometry.
 
 Polygons with rational vertices, unimodular affine maps, areas, lattice point
-counts and lattice width.  Everything is computed with `fractions.Fraction`;
-no floating point enters anywhere.
+counts and lattice width.  Each polygon keeps its vertices scaled by the lcm
+of their denominators, so its geometry runs on integers; results are returned
+as `fractions.Fraction`, and no floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ def primitive(v: IntVec) -> IntVec:
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return (v[0] // g, v[1] // g)
-
-
-def primitive_direction(v: Point) -> IntVec:
-    """Primitive integer vector parallel (and equal in direction) to v."""
-    d = (frac(v[0]).denominator * frac(v[1]).denominator)
-    ix, iy = int(v[0] * d), int(v[1] * d)
-    return primitive((ix, iy))
 
 
 @dataclass(frozen=True)
@@ -119,20 +113,30 @@ class MomentPolygon:
         pts = tuple((frac(x), frac(y)) for x, y in self.vertices)
         if len(pts) < 3:
             raise ZeroArea("a polygon needs at least 3 vertices")
-        area2 = sum(det2(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))
+        # the integer view: vertices times _scale, and per edge i (from vertex
+        # i to i+1) its inward primitive normal
+        scale = math.lcm(*(c.denominator for pt in pts for c in pt))
+        ipts = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+                for x, y in pts]
+        n = len(pts)
+        area2 = sum(det2(ipts[i], ipts[(i + 1) % n]) for i in range(n))
         if area2 == 0:
             raise ZeroArea("polygon has zero area")
         if area2 < 0:
             raise NotConvex("vertices must be listed counterclockwise")
-        n = len(pts)
         for i in range(n):
-            c = cross(pts[i], pts[(i + 1) % n], pts[(i + 2) % n])
+            c = cross(ipts[i], ipts[(i + 1) % n], ipts[(i + 2) % n])
             if c == 0:
                 raise NotConvex("three consecutive vertices are collinear")
             if c < 0:
                 raise NotConvex("polygon is not convex")
-        start = min(range(n), key=lambda i: pts[i])
+        start = min(range(n), key=lambda i: ipts[i])
+        ipts = ipts[start:] + ipts[:start]
         object.__setattr__(self, "vertices", pts[start:] + pts[:start])
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_ipts", tuple(ipts))
+        object.__setattr__(self, "_normals", tuple(
+            primitive((v[1] - w[1], w[0] - v[0])) for v, w in zip(ipts, ipts[1:] + ipts[:1])))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -140,15 +144,8 @@ class MomentPolygon:
     def edge_data(self) -> list[tuple[IntVec, Fraction]]:
         """Per edge i (from vertex i to i+1): (inward primitive normal u,
         support number a) with <u, x> = -a on the edge."""
-        out = []
-        n = len(self.vertices)
-        for i in range(n):
-            v, w = self.vertices[i], self.vertices[(i + 1) % n]
-            e = (w[0] - v[0], w[1] - v[1])
-            u = primitive_direction((-e[1], e[0]))
-            a = -(u[0] * v[0] + u[1] * v[1])
-            out.append((u, a))
-        return out
+        return [(u, Fraction(-(u[0] * x + u[1] * y), self._scale))
+                for u, (x, y) in zip(self._normals, self._ipts)]
 
     def constraints(self) -> list[tuple[int, int, Fraction]]:
         """Half plane description: (ux, uy, c) meaning ux*x + uy*y >= c."""
@@ -293,9 +290,13 @@ def mixed_area(p: MomentPolygon, q: MomentPolygon) -> Fraction:
     return area(minkowski_sum(p, q)) - area(p) - area(q)
 
 
-def width_along(p: MomentPolygon, l: IntVec) -> Fraction:
-    vals = [l[0] * x + l[1] * y for x, y in p.vertices]
+def _width(ipts, l: IntVec) -> int:
+    vals = [l[0] * x + l[1] * y for x, y in ipts]
     return max(vals) - min(vals)
+
+
+def width_along(p: MomentPolygon, l: IntVec) -> Fraction:
+    return Fraction(_width(p._ipts, l), p._scale)
 
 
 def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
@@ -306,55 +307,47 @@ def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
     rho >= area/perimeter.  The perimeter is over-approximated by the sum of
     l1 edge lengths, which keeps everything rational.
     """
-    vs = p.vertices
+    vs = p._ipts
     n = len(vs)
-    perim_ub = sum(
-        abs(vs[(i + 1) % n][0] - vs[i][0]) + abs(vs[(i + 1) % n][1] - vs[i][1])
-        for i in range(n)
-    )
-    rho = area(p) / perim_ub
-    w1, w2 = width_along(p, (1, 0)), width_along(p, (0, 1))
+    perim = sum(abs(vs[(i + 1) % n][0] - vs[i][0]) + abs(vs[(i + 1) % n][1] - vs[i][1])
+                for i in range(n))
+    area2 = sum(det2(vs[i], vs[(i + 1) % n]) for i in range(n))
+    w1, w2 = _width(vs, (1, 0)), _width(vs, (0, 1))
     best, best_dir = (w1, (1, 0)) if w1 <= w2 else (w2, (0, 1))
-    # width(l) >= 2*rho*|l|_2 > best whenever |l|_2^2 > bound_sq, so the
+    # width(l) >= 2*rho*|l|_2 > best whenever |l|_2 > best / (2*rho), which in
+    # the scaled view reads (a^2 + b^2) * area2^2 > (best * perim)^2, so the
     # enumeration below is exhaustive.
-    bound_sq = (best / (2 * rho)) ** 2
-    r = math.isqrt(math.floor(bound_sq)) + 1
+    bound = best * perim
+    r = bound // area2 + 1
     cands = []
     for a in range(0, r + 1):
         for b in range(-r, r + 1):
             if (a, b) == (0, 0) or (a == 0 and b < 0):
                 continue
-            if math.gcd(a, abs(b)) != 1 or a * a + b * b > bound_sq:
+            if math.gcd(a, abs(b)) != 1 or (a * a + b * b) * area2 * area2 > bound * bound:
                 continue
             cands.append((a, b))
     cands.sort(key=lambda l: (l[0] ** 2 + l[1] ** 2, abs(l[1]), l[1], l[0]))
     for l in cands:
-        w = width_along(p, l)
+        w = _width(vs, l)
         if w < best:
             best, best_dir = w, l
-    return best, best_dir
+    return Fraction(best, p._scale), best_dir
 
 
 def vertex_directions(p: MomentPolygon, i: int) -> tuple[IntVec, IntVec]:
     """Primitive directions of the two edges leaving vertex i:
     (toward next vertex, toward previous vertex)."""
-    n = len(p.vertices)
-    v = p.vertices[i]
-    nxt = p.vertices[(i + 1) % n]
-    prv = p.vertices[(i - 1) % n]
-    d_next = primitive_direction((nxt[0] - v[0], nxt[1] - v[1]))
-    d_prev = primitive_direction((prv[0] - v[0], prv[1] - v[1]))
-    return d_next, d_prev
+    u = p._normals
+    (ax, ay), (bx, by) = u[i], u[(i - 1) % len(u)]
+    # the inward normal of an edge is its direction turned by +90 degrees
+    return (ay, -ax), (-by, bx)
 
 
 def smooth_vertices(p: MomentPolygon) -> list[int]:
     """Indices of vertices whose primitive edge directions span the lattice."""
-    out = []
-    for i in range(len(p.vertices)):
-        d_next, d_prev = vertex_directions(p, i)
-        if abs(det2(d_next, d_prev)) == 1:
-            out.append(i)
-    return out
+    u = p._normals
+    return [i for i in range(len(u)) if det2(u[i - 1], u[i]) == 1]
 
 
 def normalize(p: MomentPolygon) -> tuple[MomentPolygon, UnimodularAffineMap]:

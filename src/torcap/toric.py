@@ -110,8 +110,7 @@ class DivisorClass:
 
 def build_surface(p: MomentPolygon) -> ToricSurface:
     """Surface of the inner normal fan of p."""
-    rays = tuple(u for (u, _a) in p.edge_data())
-    return ToricSurface(rays, polygon=p)
+    return ToricSurface(p._normals, polygon=p)
 
 
 def associated_divisor(p: MomentPolygon) -> TorusDivisor:

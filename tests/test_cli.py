@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 from click.testing import CliRunner
 
 import pytest
 
+import torcap
 from torcap import capacities
 from torcap.cli import cli, parse_chain, parse_polygon
 from torcap.errors import ParseError
@@ -211,3 +216,31 @@ def test_nonconvex_input_exit_code(runner, tmp_path):
     poly = _write(tmp_path, "p.txt", "0 0\n0 1\n1 0\n")
     res = runner.invoke(cli, ["capacities", poly, "--k-max", "1"])
     assert res.exit_code == 2
+
+
+def test_ech_ellipsoid_bad_argument_names_it(runner):
+    for args, message in ((["1.5", "2"], "argument A: bad fraction '1.5'"),
+                          (["1", "2/0"], "argument B: bad fraction '2/0'")):
+        res = runner.invoke(cli, ["ech", "ellipsoid", *args])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
+
+def test_embed_and_width_reject_k_max_zero(runner, tmp_path):
+    poly = _write(tmp_path, "p.txt", SQUARE)
+    ball = _write(tmp_path, "b.txt", BALL_11_10)
+    for args in (["embed", ball, poly, "--k-max", "0"], ["width", poly, "--k-max", "0"]):
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 2, args
+        assert res.stdout == "", args
+        assert "--k-max" in res.stderr, args
+
+
+def test_cli_import_leaves_oracle_unloaded():
+    src = os.path.dirname(os.path.dirname(torcap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, torcap.cli; print('torcap.oracle' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "False\n"

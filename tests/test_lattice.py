@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -234,3 +235,109 @@ def test_random_lattice_polygon_spans_area():
         # a 3x3 grid makes collinear draws common
         p = random_lattice_polygon(rng, size=2)
         assert lattice.area(p) > 0
+
+
+# --- the integer view against Fraction formulas ---------------------------
+
+RATIONAL_SCALES = (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(3))
+
+
+def _random_rational_vertices(rng):
+    """Counterclockwise vertices of a rational polygon with 3-8 edges: a
+    lattice hull under a random shear, rescaled and translated by a rational
+    vector."""
+    while True:
+        pts = [(Fraction(rng.randint(0, 6)), Fraction(rng.randint(0, 6)))
+               for _ in range(rng.randint(3, 12))]
+        hull = lattice.convex_hull(pts)
+        if 3 <= len(hull) <= 8:
+            break
+    shear = random_unimodular(rng)
+    hull = [shear(v) for v in hull]
+    s = rng.choice(RATIONAL_SCALES)
+    t = (Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+    return [(s * x + t[0], s * y + t[1]) for x, y in hull]
+
+
+def _ref_primitive(v):
+    d = math.lcm(v[0].denominator, v[1].denominator)
+    x, y = int(v[0] * d), int(v[1] * d)
+    g = math.gcd(x, y)
+    return (x // g, y // g)
+
+
+def _ref_edge_data(vs):
+    out = []
+    for v, w in zip(vs, vs[1:] + vs[:1]):
+        u = _ref_primitive((v[1] - w[1], w[0] - v[0]))
+        out.append((u, -(u[0] * v[0] + u[1] * v[1])))
+    return out
+
+
+def _ref_vertex_directions(vs, i):
+    v, nxt, prv = vs[i], vs[(i + 1) % len(vs)], vs[i - 1]
+    return (_ref_primitive((nxt[0] - v[0], nxt[1] - v[1])),
+            _ref_primitive((prv[0] - v[0], prv[1] - v[1])))
+
+
+def _ref_width(vs, l):
+    vals = [l[0] * x + l[1] * y for x, y in vs]
+    return max(vals) - min(vals)
+
+
+def _ref_lattice_width(vs):
+    """Minimal width and the first minimizing direction in the order
+    (|l|^2, |b|, b, a) over l = (a, b) with a > 0, or a = 0 and b > 0."""
+    n = len(vs)
+    area = sum(vs[i][0] * vs[(i + 1) % n][1] - vs[(i + 1) % n][0] * vs[i][1]
+               for i in range(n)) / 2
+    xs, ys = [x for x, _ in vs], [y for _, y in vs]
+    diam_sq = (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2
+    # area <= diameter * Euclidean width, and width(l) >= |l| * Euclidean width,
+    # so a direction with |l|^2 * area^2 > best^2 * diam_sq is never narrower
+    best = min(_ref_width(vs, (1, 0)), _ref_width(vs, (0, 1)))
+    r = math.isqrt(math.floor(best ** 2 * diam_sq / area ** 2)) + 1
+    cands = sorted(((a, b) for a in range(0, r + 1) for b in range(-r, r + 1)
+                    if (a > 0 or b > 0) and math.gcd(a, b) == 1),
+                   key=lambda l: (l[0] ** 2 + l[1] ** 2, abs(l[1]), l[1], l[0]))
+    best = None
+    for l in cands:
+        if best is not None and (l[0] ** 2 + l[1] ** 2) * area ** 2 > best[0] ** 2 * diam_sq:
+            break
+        w = _ref_width(vs, l)
+        if best is None or w < best[0]:
+            best = (w, l)
+    return best
+
+
+def test_integer_view_matches_fraction_formulas():
+    rng = random.Random(61)
+    for _ in range(200):
+        vs = _random_rational_vertices(rng)
+        k = rng.randrange(len(vs))
+        p = MomentPolygon(tuple(vs[k:] + vs[:k]))
+        start = vs.index(min(vs))
+        canonical = vs[start:] + vs[:start]
+        assert list(p.vertices) == canonical
+        assert p == MomentPolygon(tuple(vs))
+        edges = _ref_edge_data(canonical)
+        assert p.edge_data() == edges
+        assert p.constraints() == [(u[0], u[1], -a) for u, a in edges]
+        dirs = [_ref_vertex_directions(canonical, i) for i in range(len(vs))]
+        assert [lattice.vertex_directions(p, i) for i in range(len(vs))] == dirs
+        assert lattice.smooth_vertices(p) == [
+            i for i, (d_next, d_prev) in enumerate(dirs) if abs(lattice.det2(d_next, d_prev)) == 1]
+        assert lattice.lattice_width(p) == _ref_lattice_width(canonical)
+
+
+@pytest.mark.parametrize("s", RATIONAL_SCALES[1:])
+@pytest.mark.parametrize("vertices, error, message", [
+    (((0, 0), (1, 1), (2, 2)), ZeroArea, "polygon has zero area"),
+    (((0, 0), (1, 0), (2, 0), (0, 1)), NotConvex, "three consecutive vertices are collinear"),
+    (((0, 0), (0, 1), (1, 0)), NotConvex, "vertices must be listed counterclockwise"),
+    (((0, 0), (3, 0), (1, 1), (3, 3), (0, 3)), NotConvex, "polygon is not convex"),
+])
+def test_rejects_rational_bad_polygons(vertices, error, message, s):
+    t = (Fraction(1, 3), Fraction(-5, 7))
+    with pytest.raises(error, match=message):
+        MomentPolygon(tuple((s * x + t[0], s * y + t[1]) for x, y in vertices))
