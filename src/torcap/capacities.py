@@ -68,12 +68,12 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _section_count(rays, dets, coeffs) -> int:
-    """Lattice points of the section polytope of a nef integral divisor.
+    """Lattice points of the section polytope of an integral divisor.
 
-    Integer-only row scan.  The polytope's vertices are the per-cone
-    linearizations, which bound the rows; every row between them has a
-    nonempty real slice, so only the constraints with a left or right side
-    matter, and each row holds hi - lo + 1 >= 0 lattice points.
+    Integer-only row scan.  The fan is complete, so the cone around (0, -1)
+    puts the polytope below its linearization, and likewise upward: the
+    rows lie between the per-cone linearizations, and the rays (0, 1) and
+    (0, -1) read y >= -a and y <= a.  For a nef divisor no row is empty.
     """
     n = len(rays)
     # y coordinates of the cone linearizations, times the cone determinants
@@ -81,6 +81,8 @@ def _section_count(rays, dets, coeffs) -> int:
           for i in range(n)]
     y_lo = min(_ceil_div(my, d) for my, d in ms)
     y_hi = max(my // d for my, d in ms)
+    y_lo = max([y_lo] + [-a for v, a in zip(rays, coeffs) if v == (0, 1)])
+    y_hi = min([y_hi] + [a for v, a in zip(rays, coeffs) if v == (0, -1)])
     # <m, v> >= -a reads x >= (-a - vy*y)/vx for vx > 0, x <= it for vx < 0
     left = [(vx, vy, a) for (vx, vy), a in zip(rays, coeffs) if vx > 0]
     right = [(vx, vy, a) for (vx, vy), a in zip(rays, coeffs) if vx < 0]
@@ -95,8 +97,35 @@ def _section_count(rays, dets, coeffs) -> int:
             t = (-a - vy * yy) // vx
             if hi is None or t < hi:
                 hi = t
-        total += hi - lo + 1
+        total += max(hi - lo + 1, 0)
     return total
+
+
+def _line_cuts(rays, j: int, others) -> list[tuple[int, int, int]]:
+    """(i, <(p, q), v_i>, det(v_j, v_i)) for i in others; <(p, q), v_j> = 1."""
+    _g, p, q = toric._egcd(*rays[j])
+    return [(i, p * rays[i][0] + q * rays[i][1], toric.det2(rays[j], rays[i])) for i in others]
+
+
+def _line_count(cuts, coeffs, c: int) -> int:
+    """Lattice points m = -c (p, q) + lam (-v_j[1], v_j[0]) of the line
+    <m, v_j> = -c with lam det(v_j, v_i) >= c <(p, q), v_i> - coeffs[i] for
+    the rays i of cuts.  With every other ray in cuts this is h(a) - h(a - e_j)
+    for a = coeffs, a_j = c, nef or not."""
+    lo = hi = None
+    for i, g, dt in cuts:
+        r = c * g - coeffs[i]
+        if dt > 0:
+            t = -(-r // dt)
+            if lo is None or t > lo:
+                lo = t
+        elif dt < 0:
+            t = r // dt
+            if hi is None or t < hi:
+                hi = t
+        elif r > 0:
+            return 0
+    return max(hi - lo + 1, 0)
 
 
 # the tables of the toric.CACHE_SIZE polygons built last, oldest first
@@ -143,7 +172,9 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     in cyclic order s+2, ..., s-1.  Nefness is local on a complete simplicial
     surface (D nef iff D.D_i >= 0 for every boundary curve), so each row is
     checked as soon as its three coefficients are set.  Each feasible vector
-    updates all indices its section count covers.
+    updates all indices its section count covers.  That count is carried:
+    the row scan runs once per gauge class, and a unit move of one
+    coefficient adds or removes the lattice points of one line.
     """
     y = toric.build_surface(p)
     n = len(y.rays)
@@ -180,22 +211,18 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     best: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * (k_max + 1)
     b = [0] * n
     last = n - 1
-    # lattice points on the line <m, v[last]> = -c: m = -c (p_, q_) + lam u
-    # with p_ v[last][0] + q_ v[last][1] = 1 and u = (-v[last][1], v[last][0]),
-    # where <u, v[0]> = d[last] and <u, v[last-1]> = -d[last-1]
-    _g, p_, q_ = toric._egcd(*v[last])
-    g0 = p_ * v[0][0] + q_ * v[0][1]
-    g1 = p_ * v[last - 1][0] + q_ * v[last - 1][1]
+    lines = [_line_cuts(v, j, [i for i in range(n) if i != j]) for j in range(n)]
+    # on a nef vector rays n-2 and 0 end the new edge n-1
+    edge = _line_cuts(v, last, (last - 1, 0))
 
     def leaves(c: int, partial: int) -> None:
         """Every nef completion by the last coefficient, c upward.
 
-        Rows n-1 and 0 bound c, so every vector reached here is nef.  Raising
-        c by one moves edge n-1 of the section polytope out by one lattice
-        line, which adds the lattice points of the new edge; only the first
-        vector needs a full count.
+        Rows n-1 and 0 bound c, so every vector reached here is nef.  The
+        first vector's count is carried over from hb; raising c by one adds
+        the lattice points of the new edge n-1.
         """
-        nonlocal bound
+        nonlocal bound, h
         wl = w[last]
         c = max(c, _ceil_div(b[0] * e[0] - b[1] * d[last], d[0]))
         r = b[last - 1] * d[last] + b[0] * d[last - 1]
@@ -209,10 +236,17 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
         if c > c_hi:
             return
         b[last] = c
-        h = _section_count(v, d, b)
+        for i in range(2, n):
+            while hb[i] < b[i]:
+                hb[i] += 1
+                h += _line_count(lines[i], hb, hb[i])
+            while hb[i] > b[i]:
+                h -= _line_count(lines[i], hb, hb[i])
+                hb[i] -= 1
+        count = h
         value = partial + c * wl
         while True:
-            if h > k_max and value < bound:
+            if count > k_max and value < bound:
                 # feasible at the top index: nothing more expensive can
                 # improve any entry of the table
                 bound = value
@@ -220,7 +254,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
             # only with a strictly smaller value, so stop at the first index
             # this candidate does not improve
             entry = (value, tuple(b))
-            for k in range(min(h - 1, k_max), -1, -1):
+            for k in range(min(count - 1, k_max), -1, -1):
                 if best[k] is None or value < best[k][0]:
                     best[k] = entry
                 else:
@@ -230,7 +264,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
             if c > c_hi or value > bound:
                 return
             b[last] = c
-            h += (b[last - 1] - c * g1) // d[last - 1] - _ceil_div(c * g0 - b[0], d[last]) + 1
+            count += _line_count(edge, b, c)
 
     def search(j: int, partial: int) -> None:
         # least b[j] that keeps row j-1 nonnegative
@@ -251,6 +285,9 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
         x0 = v[1][1] * r0 - v[0][1] * r1
         x1 = v[0][0] * r1 - v[1][0] * r0
         lows = [_ceil_div(x0 * vx + x1 * vy, d[0]) for vx, vy in v]
+        # h counts the section polytope of hb, which is moved one unit of one
+        # coefficient at a time to the first vector of each leaf run
+        hb, h = b[:], _section_count(v, d, b)
         # least possible contribution of the coefficients from index j on
         rest_min = [0] * (n + 1)
         for j in range(last, 1, -1):
@@ -398,7 +435,14 @@ def ech_concave(omega: ConcaveDomain, k: int) -> Fraction:
 
 
 def ech_concave_capacities(omega: ConcaveDomain, k_max: int) -> CapacitySequence:
-    """ECH capacities of a concave toric domain.
+    """ECH capacities of a concave toric domain."""
+    values, denom = _concave_values(omega, k_max)
+    return CapacitySequence(tuple(Fraction(v, denom) for v in values), ECH_CONCAVE)
+
+
+def _concave_values(omega: ConcaveDomain, k_max: int) -> tuple[list[int], int]:
+    """ECH capacities c_0, ..., c_k_max of a concave toric domain, as
+    integers over one denominator: (values, denom).
 
     The domain decomposes into balls with the weight expansion areas, and
     the capacity sequence of a disjoint union is the max-plus convolution
@@ -415,7 +459,7 @@ def ech_concave_capacities(omega: ConcaveDomain, k_max: int) -> CapacitySequence
     for iw in rest:
         scaled = [iw * v for v in ball]
         acc = [max(map(add, acc[: k + 1], scaled[k::-1])) for k in range(k_max + 1)]
-    return CapacitySequence(tuple(Fraction(v, denom) for v in acc), ECH_CONCAVE)
+    return acc, denom
 
 
 def _require_smooth_vertex(p: MomentPolygon) -> None:
@@ -447,15 +491,15 @@ def embedding_verdict(omega: ConcaveDomain, p: MomentPolygon, k_max: int) -> Emb
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     _require_smooth_vertex(p)
-    dom = ech_concave_capacities(omega, k_max)
+    dom, denom = _concave_values(omega, k_max)
     target = alg_capacities(p, k_max)
     for k in range(1, k_max + 1):
-        if dom[k] > target[k]:
+        if dom[k] * target[k].denominator > target[k].numerator * denom:
             return EmbeddingVerdict(
                 compatible=False,
                 k_max=k_max,
                 first_violation=k,
-                domain_capacity=dom[k],
+                domain_capacity=Fraction(dom[k], denom),
                 target_capacity=target[k],
             )
     return EmbeddingVerdict(compatible=True, k_max=k_max)
@@ -481,20 +525,21 @@ def xi_width(p: MomentPolygon, omega: ConcaveDomain, k_max: int) -> XiWidth:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     _require_smooth_vertex(p)
-    dom = ech_concave_capacities(omega, k_max)
+    dom, denom = _concave_values(omega, k_max)
     target = alg_capacities(p, k_max)
-    best: Optional[Fraction] = None
+    # the ratio target[k] / dom[k] as num / den, compared by cross-multiplying
+    best: Optional[tuple[int, int]] = None
     argmin = 0
     for k in range(1, k_max + 1):
         if dom[k] <= 0:
             continue
-        ratio = target[k] / dom[k]
-        if best is None or ratio < best:
-            best, argmin = ratio, k
+        num, den = target[k].numerator * denom, target[k].denominator * dom[k]
+        if best is None or num * best[1] < best[0] * den:
+            best, argmin = (num, den), k
     if best is None:
         raise ValueError("domain has no positive capacity up to k_max")
     stable = argmin <= max(1, k_max // 2)
-    return XiWidth(value=best, argmin_k=argmin, k_max=k_max, stable=stable)
+    return XiWidth(value=Fraction(*best), argmin_k=argmin, k_max=k_max, stable=stable)
 
 
 def gromov_width_bound(p: MomentPolygon, k_max: int) -> XiWidth:

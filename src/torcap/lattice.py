@@ -8,6 +8,7 @@ as `fractions.Fraction`, and no floating point enters anywhere.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,36 +303,30 @@ def width_along(p: MomentPolygon, l: IntVec) -> Fraction:
 def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
     """Minimal directional lattice extent and a minimizing primitive direction.
 
-    The search over primitive directions l is cut off using the inradius
-    bound: the width in direction l is at least 2*rho*|l|, where
-    rho >= area/perimeter.  The perimeter is over-approximated by the sum of
-    l1 edge lengths, which keeps everything rational.
+    Directions l = (a, b), a > 0 or a = 0 < b, are walked in the order
+    (|l|^2, |b|, b, a); the first narrowest wins.  The width along l is at
+    least 2*rho*|l| with rho >= area / (l1 perimeter), so the walk stops once
+    |l| passes best / (2*rho), best the narrowest width so far.
     """
     vs = p._ipts
     n = len(vs)
     perim = sum(abs(vs[(i + 1) % n][0] - vs[i][0]) + abs(vs[(i + 1) % n][1] - vs[i][1])
                 for i in range(n))
     area2 = sum(det2(vs[i], vs[(i + 1) % n]) for i in range(n))
-    w1, w2 = _width(vs, (1, 0)), _width(vs, (0, 1))
-    best, best_dir = (w1, (1, 0)) if w1 <= w2 else (w2, (0, 1))
-    # width(l) >= 2*rho*|l|_2 > best whenever |l|_2 > best / (2*rho), which in
-    # the scaled view reads (a^2 + b^2) * area2^2 > (best * perim)^2, so the
-    # enumeration below is exhaustive.
-    bound = best * perim
-    r = bound // area2 + 1
-    cands = []
-    for a in range(0, r + 1):
-        for b in range(-r, r + 1):
-            if (a, b) == (0, 0) or (a == 0 and b < 0):
-                continue
-            if math.gcd(a, abs(b)) != 1 or (a * a + b * b) * area2 * area2 > bound * bound:
-                continue
-            cands.append((a, b))
-    cands.sort(key=lambda l: (l[0] ** 2 + l[1] ** 2, abs(l[1]), l[1], l[0]))
-    for l in cands:
-        w = _width(vs, l)
-        if w < best:
-            best, best_dir = w, l
+    best, best_dir = _width(vs, (1, 0)), (1, 0)
+    # one stream b = 0, -1, 1, -2, 2, ... per a (b = 1, 2, ... for a = 0), merged;
+    # popping (a, 0) opens stream a + 1.  The stop reads |l|^2 area2^2 > (best perim)^2
+    heap = [(1, 0, 0, 1), (1, 1, 1, 0)]
+    while heap[0][0] * area2 * area2 <= (best * perim) ** 2:
+        _norm, _abs, b, a = heapq.heappop(heap)
+        nb = b + 1 if a == 0 else -b if b < 0 else -b - 1
+        heapq.heappush(heap, (a * a + nb * nb, abs(nb), nb, a))
+        if a and not b:
+            heapq.heappush(heap, ((a + 1) ** 2, 0, 0, a + 1))
+        if math.gcd(a, b) == 1:
+            w = _width(vs, (a, b))
+            if w < best:
+                best, best_dir = w, (a, b)
     return Fraction(best, p._scale), best_dir
 
 

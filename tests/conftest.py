@@ -11,6 +11,18 @@ from torcap import capacities
 from torcap.lattice import MomentPolygon, UnimodularAffineMap, convex_hull
 
 
+def _polygon(*vertices) -> MomentPolygon:
+    return MomentPolygon(tuple((Fraction(x), Fraction(y)) for x, y in vertices))
+
+
+# many-edge polygons, where the capacity search is slowest: the 3x3 square
+# with its corners chopped by 1 (8 edges, area 7), and the 12-gon with edges
+# +-(1, 0), +-(2, 1), +-(1, 1), +-(1, 2), +-(0, 1), +-(1, -1) (area 24)
+OCTAGON = _polygon((1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1))
+TWELVE_GON = _polygon((0, 0), (1, -1), (2, -1), (4, 0), (5, 1), (6, 3), (6, 4), (5, 5),
+                      (4, 5), (2, 4), (1, 3), (0, 1))
+
+
 @pytest.fixture
 def table_builds(monkeypatch):
     """Horizons of the capacity tables built during a test, which starts

@@ -1,15 +1,17 @@
 import heapq
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_domain_polygon, random_unimodular
+from conftest import OCTAGON, TWELVE_GON, random_domain_polygon, random_unimodular
 from torcap import capacities, corpus, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
 from torcap.errors import NoSmoothVertex, NotAmple, NotConcave, NotDomainPolygon, TorcapError
 from torcap.lattice import MomentPolygon
+from torcap.toric import TorusDivisor
 
 
 def test_calg_zero_index():
@@ -138,6 +140,53 @@ def test_calg_large_horizon_closed_forms():
         polydisk = min(2 * m + 3 * (-(-(k + 1) // (m + 1)) - 1) for m in range(k + 1))
         assert rect[k] == polydisk, k
         assert tri[k] == staircase[k], k
+
+
+def _random_fan(rng: random.Random) -> toric.ToricSurface:
+    """Complete fan of 3-9 random primitive rays with entries in [-4, 4]."""
+    while True:
+        vectors = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 9))]
+        rays = {lattice.primitive(v) for v in vectors if v != (0, 0)}
+        rays = sorted(rays, key=lambda v: math.atan2(v[1], v[0]))
+        try:
+            return toric.ToricSurface(tuple(rays))
+        except ValueError:
+            continue
+
+
+def test_line_count_is_a_section_count_difference():
+    rng = random.Random(37)
+    fans = [toric.build_surface(p) for p in corpus.CORPUS.values()]
+    fans += [toric.build_surface(p) for p in (OCTAGON, TWELVE_GON)]
+    fans += [_random_fan(rng) for _ in range(20)]
+    seen = {"not nef": 0, "empty": 0}
+    for y in fans:
+        n = len(y.rays)
+        for _ in range(25):
+            a = [rng.randint(-3, 5) for _ in range(n)]
+            j = rng.randrange(n)
+            h = capacities._section_count(y.rays, y.cone_dets, a)
+            assert h == toric.h0(y, TorusDivisor(tuple(a))), (y.rays, a)
+            seen["not nef"] += not toric.is_nef(y, TorusDivisor(tuple(a)))
+            seen["empty"] += h == 0
+            below = a[:j] + [a[j] - 1] + a[j + 1:]
+            cuts = capacities._line_cuts(y.rays, j, [i for i in range(n) if i != j])
+            assert capacities._line_count(cuts, a, a[j]) == \
+                h - capacities._section_count(y.rays, y.cone_dets, below), (y.rays, a, j)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("p, k_max", [(OCTAGON, 100), (TWELVE_GON, 20)])
+def test_many_edge_witnesses_are_feasible_and_attain_the_value(p, k_max):
+    y = toric.build_surface(p)
+    ample = toric.associated_divisor(p)
+    table = capacities._compute_table(p, k_max)
+    assert len(table) == k_max + 1
+    for k, (val, vec) in enumerate(table):
+        d = TorusDivisor(vec)
+        assert toric.is_nef(y, d), k
+        assert capacities._section_count(y.rays, y.cone_dets, vec) >= k + 1, k
+        assert toric.intersect(y, d, ample) == val, k
 
 
 def test_one_table_build_per_sequence(table_builds):

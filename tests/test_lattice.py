@@ -163,6 +163,22 @@ def test_lattice_width_is_attained_and_minimal_nearby():
                     assert lattice.width_along(p, (a, b)) >= w
 
 
+def test_lattice_width_walk_stops_at_the_best_width(monkeypatch):
+    # lattice width 1 in direction (8, -5); a cutoff fixed by the axis widths
+    # (58 and 93) would test 732,450 directions
+    thin = lattice.apply(UnimodularAffineMap(((5, 8), (8, 13)), (0, 0)), lattice.rectangle(10, 1))
+    calls = []
+    width = lattice._width
+
+    def spy(ipts, l):
+        calls.append(l)
+        return width(ipts, l)
+
+    monkeypatch.setattr(lattice, "_width", spy)
+    assert lattice.lattice_width(thin) == (1, (8, -5))
+    assert len(calls) < 300
+
+
 def test_smooth_vertices():
     assert lattice.smooth_vertices(lattice.unit_triangle()) == [0, 1, 2]
     assert lattice.smooth_vertices(lattice.rectangle(1, 1)) == [0, 1, 2, 3]

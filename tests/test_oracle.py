@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import OCTAGON
 from torcap import capacities, corpus, lattice, oracle, toric
 from torcap.errors import BoxTooSmall
 from torcap.toric import TorusDivisor
@@ -25,6 +26,15 @@ def test_brute_witness_is_feasible():
         assert toric.is_nef(y, d)
         assert toric.h0(y, d) >= k + 1
         assert toric.intersect(y, d, toric.associated_divisor(p)) == val
+
+
+def test_brute_matches_fast_on_octagon():
+    # box 3 is the smallest box that holds an optimal vector off its boundary
+    # for every k <= 8
+    with pytest.raises(BoxTooSmall):
+        oracle.brute_calg(OCTAGON, 8, box=2)
+    for k in range(9):
+        assert oracle.brute_calg(OCTAGON, k, box=3) == capacities.calg(OCTAGON, k), k
 
 
 def test_box_too_small():
