@@ -162,6 +162,16 @@ def _gauge_classes(v0, v1) -> list[tuple[int, int]]:
     return reps
 
 
+def _polarization_weights(y: toric.ToricSurface, a: TorusDivisor) -> tuple[Fraction, ...]:
+    """The pairings D_i . A.  D_i meets only D_{i-1}, itself and D_{i+1},
+    so each is a sum of three terms."""
+    q = toric.intersection_matrix(y)
+    n = len(y.rays)
+    c = a.coeffs
+    return tuple(q[i][i - 1] * c[i - 1] + q[i][i] * c[i] + q[i][(i + 1) % n] * c[(i + 1) % n]
+                 for i in range(n))
+
+
 def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[int, ...]]]:
     """(value, witness vector) for every capacity index up to k_max.
 
@@ -179,12 +189,9 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     y = toric.build_surface(p)
     n = len(y.rays)
     ample = toric.associated_divisor(p)
-    q = toric.intersection_matrix(y)
     # pairing of each boundary divisor with the polarization; positive by
     # ampleness, so the objective is a positive linear form
-    weights = tuple(
-        sum(q[i][j] * ample.coeffs[j] for j in range(n)) for i in range(n)
-    )
+    weights = _polarization_weights(y, ample)
     if not all(w > 0 for w in weights):
         raise NotAmple("polarization pairs non-positively with a boundary curve")
     denom = math.lcm(*(w.denominator for w in weights))

@@ -13,12 +13,10 @@ reached on valid input.  A verification that does not exit 0 prints
 
 from __future__ import annotations
 
-import functools
+import argparse
 import re
 import sys
 from fractions import Fraction
-
-import click
 
 from . import capacities, corpus, lattice, toric
 from .capacities import ConcaveDomain
@@ -80,237 +78,225 @@ def _row(items, decimal: bool) -> str:
     return "\t".join(cells)
 
 
-def handle_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except (TorcapError, OSError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            # an iteration limit is an internal budget, not bad input
-            sys.exit(3 if isinstance(exc, IterationLimit) else 2)
-
-    return wrapper
-
-
 def _echo_sequence(seq, k_max: int, decimal: bool) -> None:
     for k in range(k_max + 1):
-        click.echo(_row((k, seq[k]), decimal))
+        print(_row((k, seq[k]), decimal))
 
 
-def _k_max_option(least: int):
-    return click.option("--k-max", default=100, show_default=True, type=click.IntRange(min=least),
-                        help="Largest capacity index to compute.")
+# Each command takes the parsed arguments and returns its exit code, or None
+# for 0.
 
 
-def _decimal_option(f):
-    return click.option("--decimal", is_flag=True,
-                        help="Append decimal approximations to exact values.")(f)
-
-
-@click.group()
-def cli():
-    """Exact capacities of toric surfaces and embedding obstructions."""
-
-
-@cli.command("capacities")
-@click.argument("polygon", type=str)
-@_k_max_option(0)
-@_decimal_option
-@handle_errors
-def capacities_cmd(polygon, k_max, decimal):
+def capacities_cmd(args) -> None:
     """Algebraic capacities of the surface polarized by POLYGON."""
-    p = parse_polygon(_read(polygon))
-    _echo_sequence(capacities.alg_capacities(p, k_max), k_max, decimal)
+    p = parse_polygon(_read(args.polygon))
+    _echo_sequence(capacities.alg_capacities(p, args.k_max), args.k_max, args.decimal)
 
 
-@cli.group()
-def ech():
-    """ECH capacity sequences of toric domains."""
-
-
-@ech.command("ellipsoid")
-@click.argument("a", type=str)
-@click.argument("b", type=str)
-@_k_max_option(0)
-@_decimal_option
-@handle_errors
-def ech_ellipsoid_cmd(a, b, k_max, decimal):
+def ech_ellipsoid_cmd(args) -> None:
     """Capacities of the ellipsoid with areas A and B."""
     seq = capacities.ech_ellipsoid_capacities(
-        _parse_fraction(a, "argument A"), _parse_fraction(b, "argument B"), k_max
+        _parse_fraction(args.a, "argument A"), _parse_fraction(args.b, "argument B"), args.k_max
     )
-    _echo_sequence(seq, k_max, decimal)
+    _echo_sequence(seq, args.k_max, args.decimal)
 
 
-@ech.command("convex")
-@click.argument("polygon", type=str)
-@_k_max_option(0)
-@_decimal_option
-@handle_errors
-def ech_convex_cmd(polygon, k_max, decimal):
+def ech_convex_cmd(args) -> None:
     """Capacities of the convex toric domain over POLYGON."""
-    p = parse_polygon(_read(polygon))
-    _echo_sequence(capacities.ech_convex_capacities(p, k_max), k_max, decimal)
+    p = parse_polygon(_read(args.polygon))
+    _echo_sequence(capacities.ech_convex_capacities(p, args.k_max), args.k_max, args.decimal)
 
 
-@ech.command("concave")
-@click.argument("chain", type=str)
-@_k_max_option(0)
-@_decimal_option
-@handle_errors
-def ech_concave_cmd(chain, k_max, decimal):
+def ech_concave_cmd(args) -> None:
     """Capacities of the concave toric domain under CHAIN."""
-    omega = parse_chain(_read(chain))
-    _echo_sequence(capacities.ech_concave_capacities(omega, k_max), k_max, decimal)
+    omega = parse_chain(_read(args.chain))
+    _echo_sequence(capacities.ech_concave_capacities(omega, args.k_max), args.k_max, args.decimal)
 
 
-@cli.command()
-@click.argument("chain", type=str)
-@click.argument("polygon", type=str)
-@_k_max_option(1)
-@_decimal_option
-@handle_errors
-def embed(chain, polygon, k_max, decimal):
+def embed(args) -> int:
     """Capacity test for embedding the domain under CHAIN into POLYGON's surface."""
-    omega = parse_chain(_read(chain))
-    p = parse_polygon(_read(polygon))
-    verdict = capacities.embedding_verdict(omega, p, k_max)
+    omega = parse_chain(_read(args.chain))
+    p = parse_polygon(_read(args.polygon))
+    verdict = capacities.embedding_verdict(omega, p, args.k_max)
     if verdict.compatible:
-        click.echo(f"COMPATIBLE\tk_max={k_max}")
-        sys.exit(0)
-    click.echo(_row((
+        print(f"COMPATIBLE\tk_max={args.k_max}")
+        return 0
+    print(_row((
         f"OBSTRUCTED\tk={verdict.first_violation}",
         verdict.domain_capacity,
         verdict.target_capacity,
-    ), decimal))
-    sys.exit(1)
+    ), args.decimal))
+    return 1
 
 
-@cli.command()
-@click.argument("polygon", type=str)
-@click.option("--xi", default=None, help="Chain file for the domain to scale (default: unit ball).")
-@_k_max_option(1)
-@_decimal_option
-@handle_errors
-def width(polygon, xi, k_max, decimal):
+def width(args) -> None:
     """Best capacity ratio for scaling a concave domain into POLYGON's surface."""
-    p = parse_polygon(_read(polygon))
-    omega = parse_chain(_read(xi)) if xi else ConcaveDomain.ball(1)
-    res = capacities.xi_width(p, omega, k_max)
-    click.echo(_row((res.value, f"k={res.argmin_k}",
-                     "stable" if res.stable else "unstable"), decimal))
+    p = parse_polygon(_read(args.polygon))
+    omega = parse_chain(_read(args.xi)) if args.xi else ConcaveDomain.ball(1)
+    res = capacities.xi_width(p, omega, args.k_max)
+    print(_row((res.value, f"k={res.argmin_k}",
+                "stable" if res.stable else "unstable"), args.decimal))
 
 
-@cli.command("lattice-width")
-@click.argument("polygon", type=str)
-@_decimal_option
-@handle_errors
-def lattice_width_cmd(polygon, decimal):
+def lattice_width_cmd(args) -> None:
     """Lattice width of POLYGON and a minimizing direction."""
-    p = parse_polygon(_read(polygon))
+    p = parse_polygon(_read(args.polygon))
     w, direction = lattice.lattice_width(p)
-    click.echo(_row((w, f"{direction[0]},{direction[1]}"), decimal))
+    print(_row((w, f"{direction[0]},{direction[1]}"), args.decimal))
 
 
-@cli.command("transform-ip")
-@click.argument("polygon", type=str)
-@click.option("--coeffs", required=True,
-              help="Comma separated integer divisor coefficients, one per edge.")
-@handle_errors
-def transform_ip(polygon, coeffs):
+def transform_ip(args) -> None:
     """Iterate the isoparametric transform of a divisor until it is nef."""
-    p = parse_polygon(_read(polygon))
+    p = parse_polygon(_read(args.polygon))
     y = toric.build_surface(p)
     try:
-        values = tuple(Fraction(int(c)) for c in coeffs.split(","))
+        values = tuple(Fraction(int(c)) for c in args.coeffs.split(","))
     except ValueError:
-        raise ParseError(f"bad coefficient list {coeffs!r}")
+        raise ParseError(f"bad coefficient list {args.coeffs!r}")
     d = toric.divisor(y, values)
     out = toric.iterate_ip(y, d)
-    click.echo("\t".join(_fmt(c) for c in out.coeffs))
+    print("\t".join(_fmt(c) for c in out.coeffs))
 
 
-@cli.command()
-@click.argument("polygon", type=str)
-@handle_errors
-def resolve(polygon):
+def resolve(args) -> None:
     """Rays of the smooth refinement of POLYGON's normal fan."""
-    p = parse_polygon(_read(polygon))
+    p = parse_polygon(_read(args.polygon))
     y = toric.resolve(toric.build_surface(p))
     for vx, vy in y.rays:
-        click.echo(f"{vx}\t{vy}")
+        print(f"{vx}\t{vy}")
 
 
-def _exit_verified(checked: int, skipped: int, ok: bool) -> None:
-    """Exit 0 only when every index was checked and matched; otherwise
-    report the counts on stderr, leaving the rows on stdout as they are."""
-    if ok and skipped == 0:
-        sys.exit(0)
-    click.echo(f"checked {checked}, skipped {skipped}", err=True)
-    sys.exit(1)
-
-
-def _verify_rows(k_max: int, pair) -> None:
+def _verify_rows(k_max: int, pair) -> int:
     """One row per k comparing the two values pair(k), or a SKIP row when
-    the box is too small for that index; then exit by the outcome."""
+    the box is too small for that index.  Exit code 0 only when every index
+    was checked and matched; otherwise report the counts on stderr, leaving
+    the rows on stdout as they are."""
     checked, skipped, ok = 0, 0, True
     for k in range(k_max + 1):
         try:
             left, right = pair(k)
         except BoxTooSmall as exc:
-            click.echo(f"k={k}\tSKIP\t{exc}")
+            print(f"k={k}\tSKIP\t{exc}")
             skipped += 1
             continue
         checked += 1
         match = left == right
         ok = ok and match
-        click.echo(_row((f"k={k}", left, right, "OK" if match else "MISMATCH"), False))
-    _exit_verified(checked, skipped, ok)
+        print(_row((f"k={k}", left, right, "OK" if match else "MISMATCH"), False))
+    if ok and skipped == 0:
+        return 0
+    print(f"checked {checked}, skipped {skipped}", file=sys.stderr)
+    return 1
 
 
-@cli.command("verify-calg")
-@click.argument("polygon", type=str)
-@click.option("--k-max", default=5, show_default=True, type=click.IntRange(min=0))
-@click.option("--box", default=6, show_default=True,
-              help="Brute force coefficient bound.")
-@handle_errors
-def verify_calg(polygon, k_max, box):
+def verify_calg(args) -> int:
     """Cross check capacities against the exhaustive boxed scan."""
     from . import oracle
 
-    p = parse_polygon(_read(polygon))
-    seq = capacities.alg_capacities(p, k_max)
-    _verify_rows(k_max, lambda k: (seq[k], oracle.brute_calg(p, k, box)))
+    p = parse_polygon(_read(args.polygon))
+    seq = capacities.alg_capacities(p, args.k_max)
+    return _verify_rows(args.k_max, lambda k: (seq[k], oracle.brute_calg(p, k, args.box)))
 
 
-@cli.command("verify-sw")
-@click.argument("polygon", type=str)
-@click.option("--k-max", default=5, show_default=True, type=click.IntRange(min=0))
-@click.option("--box", default=6, show_default=True,
-              help="Brute force coefficient bound.")
-@handle_errors
-def verify_sw(polygon, k_max, box):
+def verify_sw(args) -> int:
     """Check the index-constrained infimum against the section-constrained one."""
     from . import oracle
 
-    p = parse_polygon(_read(polygon))
-    _verify_rows(k_max, lambda k: oracle.sw_equals_nef(p, k, box)[:2])
+    p = parse_polygon(_read(args.polygon))
+    return _verify_rows(args.k_max, lambda k: oracle.sw_equals_nef(p, k, args.box)[:2])
 
 
-@cli.command("corpus")
-@click.argument("name", required=False)
-@handle_errors
-def corpus_cmd(name):
+def corpus_cmd(args) -> None:
     """List the built-in polygons, or print one as polygon text."""
-    if name is None:
+    if args.name is None:
         for key in corpus.CORPUS:
-            click.echo(key)
+            print(key)
         return
-    if name not in corpus.CORPUS:
-        raise ParseError(f"unknown corpus polygon {name!r}")
-    for x, y in corpus.CORPUS[name].vertices:
-        click.echo(f"{_fmt(x)} {_fmt(y)}")
+    if args.name not in corpus.CORPUS:
+        raise ParseError(f"unknown corpus polygon {args.name!r}")
+    for x, y in corpus.CORPUS[args.name].vertices:
+        print(f"{_fmt(x)} {_fmt(y)}")
+
+
+def _at_least(least: int):
+    """Integer argument type bounded below; a violation is a parse error."""
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={least}")
+        return value
+
+    return integer
+
+
+def _command(commands, name: str, run, *positionals: str, min_k_max: int | None = None,
+             decimal: bool = False) -> argparse.ArgumentParser:
+    """Subcommand `name` calling run(args), with run's docstring as its help;
+    min_k_max is the least `--k-max` allowed, None for no such option."""
+    cmd = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                              allow_abbrev=False)
+    cmd.set_defaults(run=run)
+    for metavar in positionals:
+        cmd.add_argument(metavar.lower(), metavar=metavar)
+    if min_k_max is not None:
+        cmd.add_argument("--k-max", type=_at_least(min_k_max), default=100,
+                         help="Largest capacity index to compute (default: %(default)s).")
+    if decimal:
+        cmd.add_argument("--decimal", action="store_true",
+                         help="Append decimal approximations to exact values.")
+    return cmd
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Exact capacities of toric surfaces and embedding obstructions.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    _command(commands, "capacities", capacities_cmd, "POLYGON", min_k_max=0, decimal=True)
+
+    ech_doc = "ECH capacity sequences of toric domains."
+    ech = commands.add_parser("ech", help=ech_doc, description=ech_doc, allow_abbrev=False)
+    ech_commands = ech.add_subparsers(metavar="COMMAND", required=True)
+    _command(ech_commands, "ellipsoid", ech_ellipsoid_cmd, "A", "B", min_k_max=0, decimal=True)
+    _command(ech_commands, "convex", ech_convex_cmd, "POLYGON", min_k_max=0, decimal=True)
+    _command(ech_commands, "concave", ech_concave_cmd, "CHAIN", min_k_max=0, decimal=True)
+
+    _command(commands, "embed", embed, "CHAIN", "POLYGON", min_k_max=1, decimal=True)
+    cmd = _command(commands, "width", width, "POLYGON", min_k_max=1, decimal=True)
+    cmd.add_argument("--xi", help="Chain file for the domain to scale (default: unit ball).")
+    _command(commands, "lattice-width", lattice_width_cmd, "POLYGON", decimal=True)
+    cmd = _command(commands, "transform-ip", transform_ip, "POLYGON")
+    cmd.add_argument("--coeffs", required=True,
+                     help="Comma separated integer divisor coefficients, one per edge.")
+    _command(commands, "resolve", resolve, "POLYGON")
+    for name, run in (("verify-calg", verify_calg), ("verify-sw", verify_sw)):
+        cmd = _command(commands, name, run, "POLYGON")
+        cmd.add_argument("--k-max", type=_at_least(0), default=5,
+                         help="Largest capacity index to check (default: %(default)s).")
+        cmd.add_argument("--box", type=_at_least(0), default=6,
+                         help="Brute force coefficient bound (default: %(default)s).")
+    cmd = _command(commands, "corpus", corpus_cmd)
+    cmd.add_argument("name", metavar="NAME", nargs="?")
+    return parser
+
+
+def cli(args=None, prog_name: str = "torcap") -> None:
+    """Run the command line `args` (default: sys.argv[1:]).  Always ends in
+    SystemExit with the exit code of the module docstring; a command line
+    that does not parse exits 2."""
+    parsed = _parser(prog_name).parse_args(args)
+    try:
+        code = parsed.run(parsed)
+        # a failed write, say to a closed pipe, is reported here too
+        sys.stdout.flush()
+    except (TorcapError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # an iteration limit is an internal budget, not bad input
+        code = 3 if isinstance(exc, IterationLimit) else 2
+    sys.exit(code or 0)
 
 
 def main():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import OCTAGON, TWELVE_GON, random_domain_polygon, random_unimodular
+from conftest import (OCTAGON, TWELVE_GON, random_domain_polygon, random_lattice_polygon,
+                      random_unimodular)
 from torcap import capacities, corpus, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
 from torcap.errors import NoSmoothVertex, NotAmple, NotConcave, NotDomainPolygon, TorcapError
@@ -174,6 +175,21 @@ def test_line_count_is_a_section_count_difference():
             assert capacities._line_count(cuts, a, a[j]) == \
                 h - capacities._section_count(y.rays, y.cone_dets, below), (y.rays, a, j)
     assert min(seen.values()) >= 50, seen
+
+
+def test_polarization_weights_are_intersection_numbers():
+    rng = random.Random(41)
+    polygons = list(corpus.CORPUS.values())
+    for _ in range(30):
+        scale = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        hull = random_lattice_polygon(rng, size=5)
+        polygons.append(MomentPolygon(tuple((scale * x, scale * y) for x, y in hull.vertices)))
+    for p in polygons:
+        y = toric.build_surface(p)
+        ample = toric.associated_divisor(p)
+        expected = tuple(toric.intersect(y, toric.prime_divisor(y, i), ample)
+                         for i in range(len(y.rays)))
+        assert capacities._polarization_weights(y, ample) == expected, p.vertices
 
 
 @pytest.mark.parametrize("p, k_max", [(OCTAGON, 100), (TWELVE_GON, 20)])

@@ -1,8 +1,9 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
-
-from click.testing import CliRunner
+from dataclasses import dataclass
 
 import pytest
 
@@ -12,9 +13,45 @@ from torcap.cli import cli, parse_chain, parse_polygon
 from torcap.errors import ParseError
 
 
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved, as on a terminal
+
+
+class _Tee(io.StringIO):
+    """A stream that also copies what it is given to `both`."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, s):
+        self.both.write(s)
+        return super().write(s)
+
+
+class Runner:
+    """Runs a command line in this process, capturing its streams."""
+
+    def invoke(self, command, args):
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                command(args=args, prog_name="torcap")
+            except SystemExit as exc:
+                code = exc.code
+            else:
+                raise AssertionError("the command line ended without SystemExit")
+        return Result(code, out.getvalue(), err.getvalue(), both.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def _write(tmp_path, name, text):
@@ -240,7 +277,55 @@ def test_embed_and_width_reject_k_max_zero(runner, tmp_path):
 def test_cli_import_leaves_oracle_unloaded():
     src = os.path.dirname(os.path.dirname(torcap.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, torcap.cli; print('torcap.oracle' in sys.modules)"
+    code = "import sys, torcap.cli; print('torcap.oracle' in sys.modules, 'click' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
-    assert out == "False\n"
+    assert out == "False False\n"
+
+
+def test_help_exits_0_on_stdout(runner, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per help text, whatever the terminal
+    pages = {
+        "": "Exact capacities of toric surfaces and embedding obstructions.",
+        "ech": "ECH capacity sequences of toric domains.",
+        "capacities": "Algebraic capacities of the surface polarized by POLYGON.",
+        "ech ellipsoid": "Capacities of the ellipsoid with areas A and B.",
+        "ech convex": "Capacities of the convex toric domain over POLYGON.",
+        "ech concave": "Capacities of the concave toric domain under CHAIN.",
+        "embed": "Capacity test for embedding the domain under CHAIN into POLYGON's surface.",
+        "width": "Best capacity ratio for scaling a concave domain into POLYGON's surface.",
+        "lattice-width": "Lattice width of POLYGON and a minimizing direction.",
+        "transform-ip": "Iterate the isoparametric transform of a divisor until it is nef.",
+        "resolve": "Rays of the smooth refinement of POLYGON's normal fan.",
+        "verify-calg": "Cross check capacities against the exhaustive boxed scan.",
+        "verify-sw": "Check the index-constrained infimum against the section-constrained one.",
+        "corpus": "List the built-in polygons, or print one as polygon text.",
+    }
+    for command, text in pages.items():
+        res = runner.invoke(cli, [*command.split(), "--help"])
+        assert res.exit_code == 0, command
+        assert res.stderr == "", command
+        assert text in " ".join(res.stdout.split()), command
+
+
+def test_missing_or_unknown_command_exit_code(runner, tmp_path):
+    poly = _write(tmp_path, "p.txt", SQUARE)
+    for args in ([], ["ech"], ["frobnicate"], ["ech", "frobnicate", "1", "2"],
+                 ["transform-ip", poly]):
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 2, args
+        assert res.stdout == "", args
+        assert res.stderr != "", args
+
+
+def test_negative_box_is_a_parse_error(runner, tmp_path):
+    poly = _write(tmp_path, "p.txt", SQUARE)
+    for command in ("verify-calg", "verify-sw"):
+        res = runner.invoke(cli, [command, poly, "--k-max", "2", "--box", "-1"])
+        assert res.exit_code == 2, command
+        assert res.stdout == "", command
+        assert "--box" in res.stderr, command
+        # a zero box stays valid; on the square it can only skip
+        res = runner.invoke(cli, [command, poly, "--k-max", "0", "--box", "0"])
+        assert res.exit_code == 1, command
+        assert res.stdout.startswith("k=0\tSKIP\t"), command
