@@ -10,14 +10,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Optional
 
 from . import lattice, toric
 from .errors import IterationLimit, NoSmoothVertex, NotAmple, NotConcave, NotDomainPolygon
-from .lattice import MomentPolygon, frac
+from .lattice import MomentPolygon, _Record, frac
 from .toric import TorusDivisor
 
 ALG = "alg"
@@ -28,12 +27,13 @@ ECH_CONCAVE = "ech-concave"
 WEIGHT_EXPANSION_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class CapacitySequence:
+class CapacitySequence(_Record):
     """Capacities c_0, c_1, ..., tagged with how they were computed."""
 
-    values: tuple[Fraction, ...]
-    kind: str
+    _fields = ("values", "kind")
+
+    def __init__(self, values: tuple[Fraction, ...], kind: str):
+        self.__dict__.update(values=values, kind=kind)
 
     def __getitem__(self, k: int) -> Fraction:
         return self.values[k]
@@ -163,12 +163,15 @@ def _gauge_classes(v0, v1) -> list[tuple[int, int]]:
 
 
 def _polarization_weights(y: toric.ToricSurface, a: TorusDivisor) -> tuple[Fraction, ...]:
-    """The pairings D_i . A.  D_i meets only D_{i-1}, itself and D_{i+1},
-    so each is a sum of three terms."""
-    q = toric.intersection_matrix(y)
-    n = len(y.rays)
-    c = a.coeffs
-    return tuple(q[i][i - 1] * c[i - 1] + q[i][i] * c[i] + q[i][(i + 1) % n] * c[(i + 1) % n]
+    """The pairings D_i . A.  D_i meets only D_{i-1}, itself and D_{i+1}, so
+    with d[i] = det(v[i], v[i+1]), e[i] = det(v[i-1], v[i+1]) and b the
+    coefficients of A times the lcm L of their denominators,
+    D_i . A = (b[i-1] d[i] - b[i] e[i] + b[i+1] d[i-1]) / (L d[i-1] d[i])."""
+    v, d, n = y.rays, y.cone_dets, len(y.rays)
+    scale = math.lcm(*(c.denominator for c in a.coeffs))
+    b = [c.numerator * (scale // c.denominator) for c in a.coeffs]
+    return tuple(Fraction(b[i - 1] * d[i] - b[i] * toric.det2(v[i - 1], v[(i + 1) % n])
+                          + b[(i + 1) % n] * d[i - 1], scale * d[i - 1] * d[i])
                  for i in range(n))
 
 
@@ -369,8 +372,7 @@ def ech_convex_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
     return CapacitySequence(alg_capacities(p, k_max).values, ECH_CONVEX)
 
 
-@dataclass(frozen=True)
-class ConcaveDomain:
+class ConcaveDomain(_Record):
     """Toric domain under a convex decreasing piecewise linear graph.
 
     The chain runs from (0, b) on the y axis to (a, 0) on the x axis with
@@ -378,10 +380,10 @@ class ConcaveDomain:
     slopes; the domain is the region between the chain and the axes.
     """
 
-    chain: tuple[lattice.Point, ...]
+    _fields = ("chain",)
 
-    def __post_init__(self):
-        pts = tuple((frac(x), frac(y)) for x, y in self.chain)
+    def __init__(self, chain: tuple[lattice.Point, ...]):
+        pts = tuple((frac(x), frac(y)) for x, y in chain)
         if len(pts) < 2:
             raise NotConcave("chain needs at least two vertices")
         if pts[0][0] != 0 or pts[0][1] <= 0:
@@ -396,7 +398,7 @@ class ConcaveDomain:
             e2 = (pts[i + 2][0] - pts[i + 1][0], pts[i + 2][1] - pts[i + 1][1])
             if lattice.det2(e1, e2) <= 0:
                 raise NotConcave("chain slopes must strictly increase")
-        object.__setattr__(self, "chain", pts)
+        self.__dict__["chain"] = pts
 
     @classmethod
     def ellipsoid(cls, a, b) -> "ConcaveDomain":
@@ -475,16 +477,17 @@ def _require_smooth_vertex(p: MomentPolygon) -> None:
         raise NoSmoothVertex("target polygon has no smooth vertex")
 
 
-@dataclass(frozen=True)
-class EmbeddingVerdict:
+class EmbeddingVerdict(_Record):
     """Outcome of the capacity comparison for embedding a concave domain
     into a polarized toric surface."""
 
-    compatible: bool
-    k_max: int
-    first_violation: Optional[int] = None
-    domain_capacity: Optional[Fraction] = None
-    target_capacity: Optional[Fraction] = None
+    _fields = ("compatible", "k_max", "first_violation", "domain_capacity", "target_capacity")
+
+    def __init__(self, compatible: bool, k_max: int, first_violation: Optional[int] = None,
+                 domain_capacity: Optional[Fraction] = None,
+                 target_capacity: Optional[Fraction] = None):
+        self.__dict__.update(compatible=compatible, k_max=k_max, first_violation=first_violation,
+                             domain_capacity=domain_capacity, target_capacity=target_capacity)
 
 
 def embedding_verdict(omega: ConcaveDomain, p: MomentPolygon, k_max: int) -> EmbeddingVerdict:
@@ -512,14 +515,13 @@ def embedding_verdict(omega: ConcaveDomain, p: MomentPolygon, k_max: int) -> Emb
     return EmbeddingVerdict(compatible=True, k_max=k_max)
 
 
-@dataclass(frozen=True)
-class XiWidth:
+class XiWidth(_Record):
     """Best capacity ratio bound for scaling a concave domain into a target."""
 
-    value: Fraction
-    argmin_k: int
-    k_max: int
-    stable: bool
+    _fields = ("value", "argmin_k", "k_max", "stable")
+
+    def __init__(self, value: Fraction, argmin_k: int, k_max: int, stable: bool):
+        self.__dict__.update(value=value, argmin_k=argmin_k, k_max=k_max, stable=stable)
 
 
 def xi_width(p: MomentPolygon, omega: ConcaveDomain, k_max: int) -> XiWidth:

@@ -232,54 +232,86 @@ def _at_least(least: int):
     return integer
 
 
-def _command(commands, name: str, run, *positionals: str, min_k_max: int | None = None,
-             decimal: bool = False) -> argparse.ArgumentParser:
-    """Subcommand `name` calling run(args), with run's docstring as its help;
-    min_k_max is the least `--k-max` allowed, None for no such option."""
-    cmd = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
-                              allow_abbrev=False)
-    cmd.set_defaults(run=run)
-    for metavar in positionals:
-        cmd.add_argument(metavar.lower(), metavar=metavar)
-    if min_k_max is not None:
-        cmd.add_argument("--k-max", type=_at_least(min_k_max), default=100,
-                         help="Largest capacity index to compute (default: %(default)s).")
-    if decimal:
-        cmd.add_argument("--decimal", action="store_true",
-                         help="Append decimal approximations to exact values.")
-    return cmd
+def _command(run, *positionals: str, min_k_max: int | None = None, decimal: bool = False,
+             options=()):
+    """Builder of a subcommand calling run(args), with run's docstring as its
+    help; min_k_max is the least `--k-max` allowed, None for no such option,
+    and `options` holds (name, add_argument keywords) pairs added last."""
+    def build(commands, name: str, argv) -> None:
+        cmd = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        cmd.set_defaults(run=run)
+        for metavar in positionals:
+            cmd.add_argument(metavar.lower(), metavar=metavar)
+        if min_k_max is not None:
+            cmd.add_argument("--k-max", type=_at_least(min_k_max), default=100,
+                             help="Largest capacity index to compute (default: %(default)s).")
+        if decimal:
+            cmd.add_argument("--decimal", action="store_true",
+                             help="Append decimal approximations to exact values.")
+        for option, keywords in options:
+            cmd.add_argument(option, **keywords)
+
+    return build
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
+def _group(doc: str, table):
+    """Builder of a command group whose subcommands are built by `table`."""
+    def build(commands, name: str, argv) -> None:
+        _add_commands(commands.add_parser(name, help=doc, description=doc, allow_abbrev=False),
+                      table, argv)
+
+    return build
+
+
+def _add_commands(parser, table, argv) -> None:
+    """Give `parser` the subcommands of `table`: only the one that argv[0]
+    names, for the arguments after it, or all of them when argv[0] names
+    none (help, an unknown command, no command).  Help and parse errors read
+    the same either way."""
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    if argv and argv[0] in table:
+        table[argv[0]](commands, argv[0], argv[1:])
+    else:
+        for name, build in table.items():
+            build(commands, name, [])
+
+
+_VERIFY_OPTIONS = (
+    ("--k-max", dict(type=_at_least(0), default=5,
+                     help="Largest capacity index to check (default: %(default)s).")),
+    ("--box", dict(type=_at_least(0), default=6,
+                   help="Brute force coefficient bound (default: %(default)s).")),
+)
+
+# the subcommand builders, in help order
+_COMMANDS = {
+    "capacities": _command(capacities_cmd, "POLYGON", min_k_max=0, decimal=True),
+    "ech": _group("ECH capacity sequences of toric domains.", {
+        "ellipsoid": _command(ech_ellipsoid_cmd, "A", "B", min_k_max=0, decimal=True),
+        "convex": _command(ech_convex_cmd, "POLYGON", min_k_max=0, decimal=True),
+        "concave": _command(ech_concave_cmd, "CHAIN", min_k_max=0, decimal=True),
+    }),
+    "embed": _command(embed, "CHAIN", "POLYGON", min_k_max=1, decimal=True),
+    "width": _command(width, "POLYGON", min_k_max=1, decimal=True, options=(
+        ("--xi", dict(help="Chain file for the domain to scale (default: unit ball).")),)),
+    "lattice-width": _command(lattice_width_cmd, "POLYGON", decimal=True),
+    "transform-ip": _command(transform_ip, "POLYGON", options=(
+        ("--coeffs", dict(required=True,
+                          help="Comma separated integer divisor coefficients, one per edge.")),)),
+    "resolve": _command(resolve, "POLYGON"),
+    "verify-calg": _command(verify_calg, "POLYGON", options=_VERIFY_OPTIONS),
+    "verify-sw": _command(verify_sw, "POLYGON", options=_VERIFY_OPTIONS),
+    "corpus": _command(corpus_cmd, options=(("name", dict(metavar="NAME", nargs="?")),)),
+}
+
+
+def _parser(prog: str, argv) -> argparse.ArgumentParser:
+    """The parser of the command line argv."""
     parser = argparse.ArgumentParser(
         prog=prog, allow_abbrev=False,
         description="Exact capacities of toric surfaces and embedding obstructions.")
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
-    _command(commands, "capacities", capacities_cmd, "POLYGON", min_k_max=0, decimal=True)
-
-    ech_doc = "ECH capacity sequences of toric domains."
-    ech = commands.add_parser("ech", help=ech_doc, description=ech_doc, allow_abbrev=False)
-    ech_commands = ech.add_subparsers(metavar="COMMAND", required=True)
-    _command(ech_commands, "ellipsoid", ech_ellipsoid_cmd, "A", "B", min_k_max=0, decimal=True)
-    _command(ech_commands, "convex", ech_convex_cmd, "POLYGON", min_k_max=0, decimal=True)
-    _command(ech_commands, "concave", ech_concave_cmd, "CHAIN", min_k_max=0, decimal=True)
-
-    _command(commands, "embed", embed, "CHAIN", "POLYGON", min_k_max=1, decimal=True)
-    cmd = _command(commands, "width", width, "POLYGON", min_k_max=1, decimal=True)
-    cmd.add_argument("--xi", help="Chain file for the domain to scale (default: unit ball).")
-    _command(commands, "lattice-width", lattice_width_cmd, "POLYGON", decimal=True)
-    cmd = _command(commands, "transform-ip", transform_ip, "POLYGON")
-    cmd.add_argument("--coeffs", required=True,
-                     help="Comma separated integer divisor coefficients, one per edge.")
-    _command(commands, "resolve", resolve, "POLYGON")
-    for name, run in (("verify-calg", verify_calg), ("verify-sw", verify_sw)):
-        cmd = _command(commands, name, run, "POLYGON")
-        cmd.add_argument("--k-max", type=_at_least(0), default=5,
-                         help="Largest capacity index to check (default: %(default)s).")
-        cmd.add_argument("--box", type=_at_least(0), default=6,
-                         help="Brute force coefficient bound (default: %(default)s).")
-    cmd = _command(commands, "corpus", corpus_cmd)
-    cmd.add_argument("name", metavar="NAME", nargs="?")
+    _add_commands(parser, _COMMANDS, argv)
     return parser
 
 
@@ -287,7 +319,8 @@ def cli(args=None, prog_name: str = "torcap") -> None:
     """Run the command line `args` (default: sys.argv[1:]).  Always ends in
     SystemExit with the exit code of the module docstring; a command line
     that does not parse exits 2."""
-    parsed = _parser(prog_name).parse_args(args)
+    args = sys.argv[1:] if args is None else list(args)
+    parsed = _parser(prog_name, args).parse_args(args)
     try:
         code = parsed.run(parsed)
         # a failed write, say to a closed pipe, is reported here too

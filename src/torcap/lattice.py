@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import ChopTooLarge, NoSmoothVertex, NotConvex, ZeroArea
@@ -46,18 +46,48 @@ def primitive(v: IntVec) -> IntVec:
     return (v[0] // g, v[1] // g)
 
 
-@dataclass(frozen=True)
-class UnimodularAffineMap:
+class _Record:
+    """Immutable value with equality, hash and repr over the attributes
+    named in the class's `_fields`, as a frozen dataclass has them.  An
+    `__init__` fills `self.__dict__`; after it no attribute can be set or
+    deleted."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)
+        # the field values as one tuple, even for a single field
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class UnimodularAffineMap(_Record):
     """x -> M x + t with M an integer matrix of determinant +-1."""
 
-    m: tuple[IntVec, IntVec]  # rows
-    t: Point
+    _fields = ("m", "t")
 
-    def __post_init__(self):
-        d = self.m[0][0] * self.m[1][1] - self.m[0][1] * self.m[1][0]
+    def __init__(self, m: tuple[IntVec, IntVec], t: Point):  # m by rows
+        d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         if d not in (1, -1):
             raise ValueError("matrix determinant must be +-1")
-        object.__setattr__(self, "t", (frac(self.t[0]), frac(self.t[1])))
+        self.__dict__.update(m=m, t=(frac(t[0]), frac(t[1])))
 
     @classmethod
     def identity(cls) -> "UnimodularAffineMap":
@@ -100,18 +130,17 @@ class UnimodularAffineMap:
         return UnimodularAffineMap(inv, ti)
 
 
-@dataclass(frozen=True)
-class MomentPolygon:
+class MomentPolygon(_Record):
     """Strictly convex polygon with rational vertices, counterclockwise.
 
     The vertex tuple is canonicalized to start at the lexicographically
     smallest vertex so that equality is structural.
     """
 
-    vertices: tuple[Point, ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        pts = tuple((frac(x), frac(y)) for x, y in self.vertices)
+    def __init__(self, vertices: tuple[Point, ...]):
+        pts = tuple((frac(x), frac(y)) for x, y in vertices)
         if len(pts) < 3:
             raise ZeroArea("a polygon needs at least 3 vertices")
         # the integer view: vertices times _scale, and per edge i (from vertex
@@ -132,12 +161,11 @@ class MomentPolygon:
             if c < 0:
                 raise NotConvex("polygon is not convex")
         start = min(range(n), key=lambda i: ipts[i])
-        ipts = ipts[start:] + ipts[:start]
-        object.__setattr__(self, "vertices", pts[start:] + pts[:start])
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_ipts", tuple(ipts))
-        object.__setattr__(self, "_normals", tuple(
-            primitive((v[1] - w[1], w[0] - v[0])) for v, w in zip(ipts, ipts[1:] + ipts[:1])))
+        ipts = tuple(ipts[start:] + ipts[:start])
+        self.__dict__.update(
+            vertices=pts[start:] + pts[:start], _scale=scale, _ipts=ipts,
+            _normals=tuple(primitive((v[1] - w[1], w[0] - v[0]))
+                           for v, w in zip(ipts, ipts[1:] + ipts[:1])))
 
     def __len__(self) -> int:
         return len(self.vertices)

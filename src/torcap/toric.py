@@ -9,7 +9,6 @@ resolution by ray insertion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -24,6 +23,7 @@ from .errors import (
 from .lattice import (
     MomentPolygon,
     Point,
+    _Record,
     convex_hull,
     count_in_halfplanes,
     det2,
@@ -37,28 +37,27 @@ IP_ITERATION_CAP = 10_000
 CACHE_SIZE = 128
 
 
-@dataclass(frozen=True)
-class ToricSurface:
+class ToricSurface(_Record):
     """Complete simplicial fan in the plane, given by its rays.
 
     Rays are primitive integer vectors in strictly counterclockwise cyclic
     order; each adjacent pair spans a cone with positive determinant.
     """
 
-    rays: tuple[tuple[int, int], ...]
-    polygon: Optional[MomentPolygon] = None
+    _fields = ("rays", "polygon")
 
-    def __post_init__(self):
-        if len(self.rays) < 3:
+    def __init__(self, rays: tuple[tuple[int, int], ...], polygon: Optional[MomentPolygon] = None):
+        if len(rays) < 3:
             raise ValueError("a complete fan needs at least 3 rays")
-        for v in self.rays:
+        for v in rays:
             if primitive(v) != v:
                 raise ValueError(f"ray {v} is not primitive")
-        if len(set(self.rays)) != len(self.rays):
+        if len(set(rays)) != len(rays):
             raise ValueError("duplicate rays")
-        for i in range(len(self.rays)):
-            if det2(self.rays[i], self.rays[(i + 1) % len(self.rays)]) <= 0:
+        for i in range(len(rays)):
+            if det2(rays[i], rays[(i + 1) % len(rays)]) <= 0:
                 raise ValueError("rays must be strictly counterclockwise and complete")
+        self.__dict__.update(rays=rays, polygon=polygon)
 
     def __len__(self) -> int:
         return len(self.rays)
@@ -73,14 +72,13 @@ class ToricSurface:
         return all(d == 1 for d in self.cone_dets)
 
 
-@dataclass(frozen=True)
-class TorusDivisor:
+class TorusDivisor(_Record):
     """Torus-invariant divisor, one rational coefficient per ray."""
 
-    coeffs: tuple[Fraction, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(frac(c) for c in self.coeffs))
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        self.__dict__["coeffs"] = tuple(frac(c) for c in coeffs)
 
     @property
     def is_integral(self) -> bool:
@@ -100,12 +98,14 @@ class TorusDivisor:
         return TorusDivisor(tuple(-c for c in self.coeffs))
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Record):
     """Divisor modulo linear functions, as a canonical coset representative
     (the unique representative vanishing on the first two rays)."""
 
-    rep: tuple[Fraction, ...]
+    _fields = ("rep",)
+
+    def __init__(self, rep: tuple[Fraction, ...]):
+        self.__dict__["rep"] = rep
 
 
 def build_surface(p: MomentPolygon) -> ToricSurface:

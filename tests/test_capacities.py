@@ -229,9 +229,9 @@ def test_table_cache_is_bounded(monkeypatch):
 
 
 def test_non_positive_weight_raises_typed_error(monkeypatch):
-    matrix = toric.intersection_matrix
-    monkeypatch.setattr(toric, "intersection_matrix",
-                        lambda y: tuple(tuple(-x for x in row) for row in matrix(y)))
+    weights = capacities._polarization_weights
+    monkeypatch.setattr(capacities, "_polarization_weights",
+                        lambda y, a: tuple(-w for w in weights(y, a)))
     monkeypatch.setattr(capacities, "_TABLES", {})
     with pytest.raises(NotAmple) as info:
         capacities.calg(lattice.rectangle(1, 1), 1)

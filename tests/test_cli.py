@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -9,6 +10,7 @@ import pytest
 
 import torcap
 from torcap import capacities
+from torcap import cli as cli_module
 from torcap.cli import cli, parse_chain, parse_polygon
 from torcap.errors import ParseError
 
@@ -281,6 +283,63 @@ def test_cli_import_leaves_oracle_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out == "False False\n"
+
+
+@pytest.mark.parametrize("module", ["torcap", "torcap.cli"])
+def test_import_leaves_dataclasses_and_inspect_unloaded(module):
+    src = os.path.dirname(os.path.dirname(torcap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (f"import sys; before = set(sys.modules); import {module}; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "[]\n"
+
+
+def _parse(parser, args):
+    """(exit code, stdout, stderr) of parsing args, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(args)
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
+def _subcommands(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+COMMANDS = ["capacities", "ech", "ech ellipsoid", "ech convex", "ech concave", "embed", "width",
+            "lattice-width", "transform-ip", "resolve", "verify-calg", "verify-sw", "corpus"]
+TOP_COMMANDS = [command for command in COMMANDS if " " not in command]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_subparser_reads_like_all(command):
+    """A parser built for one command line holds only the subcommand it
+    names, and prints the same help and parse errors as the full parser."""
+    words = command.split()
+    parser = cli_module._parser("torcap", [*words, "--help"])
+    assert list(_subcommands(parser)) == words[:1]
+    if words[1:]:
+        assert list(_subcommands(_subcommands(parser)["ech"])) == words[1:]
+    full = cli_module._parser("torcap", [])
+    assert list(_subcommands(full)) == TOP_COMMANDS
+    for args in ([*words, "--help"], [*words, "--no-such-option"]):
+        one = cli_module._parser("torcap", args)
+        assert _parse(one, args) == _parse(full, args), args
+    code, out, err = _parse(full, [*words, "--no-such-option"])
+    assert code == 2 and out == "" and err.startswith("usage: torcap "), err
+
+
+def test_unknown_command_lists_every_command():
+    for args, names in ((["frobnicate"], TOP_COMMANDS),
+                        (["ech", "frobnicate"], ("ellipsoid", "convex", "concave"))):
+        code, out, err = _parse(cli_module._parser("torcap", args), args)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'frobnicate'" in err
+        assert all(f"'{name}'" in err for name in names), err
 
 
 def test_help_exits_0_on_stdout(runner, monkeypatch):
