@@ -1,56 +1,37 @@
-"""Exact capacities of toric surfaces and symplectic embedding obstructions."""
+"""Exact capacities of toric surfaces and symplectic embedding obstructions.
 
-from .capacities import (
-    CapacitySequence,
-    ConcaveDomain,
-    EmbeddingVerdict,
-    XiWidth,
-    alg_capacities,
-    calg,
-    calg_witness,
-    concave_weights,
-    ech_concave,
-    ech_concave_capacities,
-    ech_convex,
-    ech_convex_capacities,
-    ech_ellipsoid,
-    ech_ellipsoid_capacities,
-    embedding_verdict,
-    gromov_width_bound,
-    width_bound_check,
-    xi_width,
-)
-from .errors import TorcapError
-from .lattice import MomentPolygon, UnimodularAffineMap, lattice_width
-from .toric import DivisorClass, ToricSurface, TorusDivisor, build_surface
+The names of `__all__` are imported from their submodules on first access,
+so `import torcap` loads none of them.
+"""
 
-__all__ = [
-    "CapacitySequence",
-    "ConcaveDomain",
-    "DivisorClass",
-    "EmbeddingVerdict",
-    "MomentPolygon",
-    "ToricSurface",
-    "TorcapError",
-    "TorusDivisor",
-    "UnimodularAffineMap",
-    "XiWidth",
-    "alg_capacities",
-    "build_surface",
-    "calg",
-    "calg_witness",
-    "concave_weights",
-    "ech_concave",
-    "ech_concave_capacities",
-    "ech_convex",
-    "ech_convex_capacities",
-    "ech_ellipsoid",
-    "ech_ellipsoid_capacities",
-    "embedding_verdict",
-    "gromov_width_bound",
-    "lattice_width",
-    "width_bound_check",
-    "xi_width",
-]
+from importlib import import_module
+
+# the submodule that defines each public name
+_HOMES = {
+    "ech": ("CapacitySequence", "ConcaveDomain", "concave_weights", "ech_concave",
+            "ech_concave_capacities", "ech_ellipsoid", "ech_ellipsoid_capacities"),
+    "capacities": ("EmbeddingVerdict", "XiWidth", "alg_capacities", "calg", "calg_witness",
+                   "ech_convex", "ech_convex_capacities", "embedding_verdict",
+                   "gromov_width_bound", "width_bound_check", "xi_width"),
+    "errors": ("TorcapError",),
+    "lattice": ("MomentPolygon", "UnimodularAffineMap", "lattice_width"),
+    "toric": ("DivisorClass", "ToricSurface", "TorusDivisor", "build_surface"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -13,15 +13,13 @@ reached on valid input.  A verification that does not exit 0 prints
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from fractions import Fraction
+from importlib import import_module
 
-from . import capacities, corpus, lattice, toric
-from .capacities import ConcaveDomain
+from . import corpus
 from .errors import BoxTooSmall, IterationLimit, ParseError, TorcapError
-from .lattice import MomentPolygon
 
 _FRACTION_RE = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
 
@@ -50,11 +48,17 @@ def parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
     return pts
 
 
-def parse_polygon(text: str) -> MomentPolygon:
+def parse_polygon(text: str):
+    """The `lattice.MomentPolygon` with the vertices of `text`."""
+    from .lattice import MomentPolygon
+
     return MomentPolygon(tuple(parse_points(text)))
 
 
-def parse_chain(text: str) -> ConcaveDomain:
+def parse_chain(text: str):
+    """The `ech.ConcaveDomain` under the chain of `text`."""
+    from .ech import ConcaveDomain
+
     return ConcaveDomain(tuple(parse_points(text)))
 
 
@@ -84,18 +88,22 @@ def _echo_sequence(seq, k_max: int, decimal: bool) -> None:
 
 
 # Each command takes the parsed arguments and returns its exit code, or None
-# for 0.
+# for 0.  It imports the torcap modules it runs, which `_MODULES` lists.
 
 
 def capacities_cmd(args) -> None:
     """Algebraic capacities of the surface polarized by POLYGON."""
+    from . import capacities
+
     p = parse_polygon(_read(args.polygon))
     _echo_sequence(capacities.alg_capacities(p, args.k_max), args.k_max, args.decimal)
 
 
 def ech_ellipsoid_cmd(args) -> None:
     """Capacities of the ellipsoid with areas A and B."""
-    seq = capacities.ech_ellipsoid_capacities(
+    from . import ech
+
+    seq = ech.ech_ellipsoid_capacities(
         _parse_fraction(args.a, "argument A"), _parse_fraction(args.b, "argument B"), args.k_max
     )
     _echo_sequence(seq, args.k_max, args.decimal)
@@ -103,18 +111,24 @@ def ech_ellipsoid_cmd(args) -> None:
 
 def ech_convex_cmd(args) -> None:
     """Capacities of the convex toric domain over POLYGON."""
+    from . import capacities
+
     p = parse_polygon(_read(args.polygon))
     _echo_sequence(capacities.ech_convex_capacities(p, args.k_max), args.k_max, args.decimal)
 
 
 def ech_concave_cmd(args) -> None:
     """Capacities of the concave toric domain under CHAIN."""
+    from . import ech
+
     omega = parse_chain(_read(args.chain))
-    _echo_sequence(capacities.ech_concave_capacities(omega, args.k_max), args.k_max, args.decimal)
+    _echo_sequence(ech.ech_concave_capacities(omega, args.k_max), args.k_max, args.decimal)
 
 
 def embed(args) -> int:
     """Capacity test for embedding the domain under CHAIN into POLYGON's surface."""
+    from . import capacities
+
     omega = parse_chain(_read(args.chain))
     p = parse_polygon(_read(args.polygon))
     verdict = capacities.embedding_verdict(omega, p, args.k_max)
@@ -131,8 +145,10 @@ def embed(args) -> int:
 
 def width(args) -> None:
     """Best capacity ratio for scaling a concave domain into POLYGON's surface."""
+    from . import capacities
+
     p = parse_polygon(_read(args.polygon))
-    omega = parse_chain(_read(args.xi)) if args.xi else ConcaveDomain.ball(1)
+    omega = parse_chain(_read(args.xi)) if args.xi else capacities.ConcaveDomain.ball(1)
     res = capacities.xi_width(p, omega, args.k_max)
     print(_row((res.value, f"k={res.argmin_k}",
                 "stable" if res.stable else "unstable"), args.decimal))
@@ -140,6 +156,8 @@ def width(args) -> None:
 
 def lattice_width_cmd(args) -> None:
     """Lattice width of POLYGON and a minimizing direction."""
+    from . import lattice
+
     p = parse_polygon(_read(args.polygon))
     w, direction = lattice.lattice_width(p)
     print(_row((w, f"{direction[0]},{direction[1]}"), args.decimal))
@@ -147,6 +165,8 @@ def lattice_width_cmd(args) -> None:
 
 def transform_ip(args) -> None:
     """Iterate the isoparametric transform of a divisor until it is nef."""
+    from . import toric
+
     p = parse_polygon(_read(args.polygon))
     y = toric.build_surface(p)
     try:
@@ -160,6 +180,8 @@ def transform_ip(args) -> None:
 
 def resolve(args) -> None:
     """Rays of the smooth refinement of POLYGON's normal fan."""
+    from . import toric
+
     p = parse_polygon(_read(args.polygon))
     y = toric.resolve(toric.build_surface(p))
     for vx, vy in y.rays:
@@ -191,7 +213,7 @@ def _verify_rows(k_max: int, pair) -> int:
 
 def verify_calg(args) -> int:
     """Cross check capacities against the exhaustive boxed scan."""
-    from . import oracle
+    from . import capacities, oracle
 
     p = parse_polygon(_read(args.polygon))
     seq = capacities.alg_capacities(p, args.k_max)
@@ -221,6 +243,8 @@ def corpus_cmd(args) -> None:
 def _at_least(least: int):
     """Integer argument type bounded below; a violation is a parse error."""
     def integer(text: str) -> int:
+        import argparse
+
         try:
             value = int(text)
         except ValueError:
@@ -306,8 +330,37 @@ _COMMANDS = {
 }
 
 
+# the torcap modules each command runs, by the words that name it
+_MODULES = {
+    "capacities": ("capacities",),
+    "ech ellipsoid": ("ech",),
+    "ech convex": ("capacities",),
+    "ech concave": ("ech",),
+    "embed": ("capacities",),
+    "width": ("capacities",),
+    "lattice-width": ("lattice",),
+    "transform-ip": ("toric",),
+    "resolve": ("toric",),
+    "verify-calg": ("capacities", "oracle"),
+    "verify-sw": ("oracle",),
+    "corpus": ("lattice",),
+}
+
+
+def _import_modules(argv) -> None:
+    """Import the torcap modules of the command that argv names, if any.
+    This runs before argparse is imported and the parser built, so that the
+    transient memory of compiling the modules does not add to theirs at the
+    peak."""
+    names = _MODULES.get(" ".join(argv[:2])) or _MODULES.get(" ".join(argv[:1]), ())
+    for name in names:
+        import_module(f".{name}", __package__)
+
+
 def _parser(prog: str, argv) -> argparse.ArgumentParser:
     """The parser of the command line argv."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog=prog, allow_abbrev=False,
         description="Exact capacities of toric surfaces and embedding obstructions.")
@@ -320,6 +373,7 @@ def cli(args=None, prog_name: str = "torcap") -> None:
     SystemExit with the exit code of the module docstring; a command line
     that does not parse exits 2."""
     args = sys.argv[1:] if args is None else list(args)
+    _import_modules(args)
     parsed = _parser(prog_name, args).parse_args(args)
     try:
         code = parsed.run(parsed)

@@ -11,26 +11,17 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, Sequence
 
+from ._base import _Record, det2, frac
 from .errors import ChopTooLarge, NoSmoothVertex, NotConvex, ZeroArea
 
 Point = tuple[Fraction, Fraction]
 IntVec = tuple[int, int]
 
 
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def point(x, y) -> Point:
     return (frac(x), frac(y))
-
-
-def det2(u: Sequence, v: Sequence):
-    """Determinant of the 2x2 matrix with rows (or columns) u, v."""
-    return u[0] * v[1] - u[1] * v[0]
 
 
 def cross(o: Point, a: Point, b: Point):
@@ -44,38 +35,6 @@ def primitive(v: IntVec) -> IntVec:
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return (v[0] // g, v[1] // g)
-
-
-class _Record:
-    """Immutable value with equality, hash and repr over the attributes
-    named in the class's `_fields`, as a frozen dataclass has them.  An
-    `__init__` fills `self.__dict__`; after it no attribute can be set or
-    deleted."""
-
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        get = attrgetter(*cls._fields)
-        # the field values as one tuple, even for a single field
-        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == other._key(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class UnimodularAffineMap(_Record):

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from ._base import _Record, det2, frac
 from .errors import (
     IterationLimit,
     NotContractible,
@@ -23,11 +24,8 @@ from .errors import (
 from .lattice import (
     MomentPolygon,
     Point,
-    _Record,
     convex_hull,
     count_in_halfplanes,
-    det2,
-    frac,
     halfplane_vertices,
     primitive,
 )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import pytest
 
 import torcap
-from torcap import capacities
+from torcap import ech
 from torcap import cli as cli_module
 from torcap.cli import cli, parse_chain, parse_polygon
 from torcap.errors import ParseError
@@ -224,7 +224,7 @@ def test_bad_horizon_or_area_exit_code(runner, tmp_path):
 
 def test_iteration_limit_exit_code(runner, tmp_path, monkeypatch):
     # E(201/200, 1) expands into 201 weights, past a cap of 3
-    monkeypatch.setattr(capacities, "WEIGHT_EXPANSION_CAP", 3)
+    monkeypatch.setattr(ech, "WEIGHT_EXPANSION_CAP", 3)
     chain = _write(tmp_path, "c.txt", "0 1\n201/200 0\n")
     res = runner.invoke(cli, ["ech", "concave", chain, "--k-max", "5"])
     assert res.exit_code == 3
