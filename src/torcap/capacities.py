@@ -60,40 +60,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _section_count(rays, dets, coeffs) -> int:
-    """Lattice points of the section polytope of an integral divisor.
-
-    Integer-only row scan.  The fan is complete, so the cone around (0, -1)
-    puts the polytope below its linearization, and likewise upward: the
-    rows lie between the per-cone linearizations, and the rays (0, 1) and
-    (0, -1) read y >= -a and y <= a.  For a nef divisor no row is empty.
-    """
-    n = len(rays)
-    # y coordinates of the cone linearizations, times the cone determinants
-    ms = [(-coeffs[(i + 1) % n] * rays[i][0] + coeffs[i] * rays[(i + 1) % n][0], dets[i])
-          for i in range(n)]
-    y_lo = min(_ceil_div(my, d) for my, d in ms)
-    y_hi = max(my // d for my, d in ms)
-    y_lo = max([y_lo] + [-a for v, a in zip(rays, coeffs) if v == (0, 1)])
-    y_hi = min([y_hi] + [a for v, a in zip(rays, coeffs) if v == (0, -1)])
-    # <m, v> >= -a reads x >= (-a - vy*y)/vx for vx > 0, x <= it for vx < 0
-    left = [(vx, vy, a) for (vx, vy), a in zip(rays, coeffs) if vx > 0]
-    right = [(vx, vy, a) for (vx, vy), a in zip(rays, coeffs) if vx < 0]
-    total = 0
-    for yy in range(y_lo, y_hi + 1):
-        lo = hi = None
-        for vx, vy, a in left:
-            t = -((a + vy * yy) // vx)
-            if lo is None or t > lo:
-                lo = t
-        for vx, vy, a in right:
-            t = (-a - vy * yy) // vx
-            if hi is None or t < hi:
-                hi = t
-        total += max(hi - lo + 1, 0)
-    return total
-
-
 def _line_cuts(rays, j: int, others) -> list[tuple[int, int, int]]:
     """(i, <(p, q), v_i>, det(v_j, v_i)) for i in others; <(p, q), v_j> = 1."""
     _g, p, q = toric._egcd(*rays[j])
@@ -155,19 +121,6 @@ def _gauge_classes(v0, v1) -> list[tuple[int, int]]:
     return reps
 
 
-def _polarization_weights(y: toric.ToricSurface, a: TorusDivisor) -> tuple[Fraction, ...]:
-    """The pairings D_i . A.  D_i meets only D_{i-1}, itself and D_{i+1}, so
-    with d[i] = det(v[i], v[i+1]), e[i] = det(v[i-1], v[i+1]) and b the
-    coefficients of A times the lcm L of their denominators,
-    D_i . A = (b[i-1] d[i] - b[i] e[i] + b[i+1] d[i-1]) / (L d[i-1] d[i])."""
-    v, d, n = y.rays, y.cone_dets, len(y.rays)
-    scale = math.lcm(*(c.denominator for c in a.coeffs))
-    b = [c.numerator * (scale // c.denominator) for c in a.coeffs]
-    return tuple(Fraction(b[i - 1] * d[i] - b[i] * toric.det2(v[i - 1], v[(i + 1) % n])
-                          + b[(i + 1) % n] * d[i - 1], scale * d[i - 1] * d[i])
-                 for i in range(n))
-
-
 def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[int, ...]]]:
     """(value, witness vector) for every capacity index up to k_max.
 
@@ -187,7 +140,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     ample = toric.associated_divisor(p)
     # pairing of each boundary divisor with the polarization; positive by
     # ampleness, so the objective is a positive linear form
-    weights = _polarization_weights(y, ample)
+    weights = toric.pairings(y, ample)
     if not all(w > 0 for w in weights):
         raise NotAmple("polarization pairs non-positively with a boundary curve")
     denom = math.lcm(*(w.denominator for w in weights))
@@ -199,7 +152,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     base = tuple(int(scale * c) for c in ample.coeffs)
     cone_dets = y.cone_dets
     m = 1
-    while _section_count(y.rays, cone_dets, tuple(m * c for c in base)) < k_max + 1:
+    while lattice.count_points(y.rays, tuple(m * c for c in base)) < k_max + 1:
         m += 1
     bound = sum(m * base[i] * iweights[i] for i in range(n))
 
@@ -290,7 +243,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
         lows = [_ceil_div(x0 * vx + x1 * vy, d[0]) for vx, vy in v]
         # h counts the section polytope of hb, which is moved one unit of one
         # coefficient at a time to the first vector of each leaf run
-        hb, h = b[:], _section_count(v, d, b)
+        hb, h = b[:], lattice.count_points(v, b)
         # least possible contribution of the coefficients from index j on
         rest_min = [0] * (n + 1)
         for j in range(last, 1, -1):

@@ -147,33 +147,39 @@ def area(p: MomentPolygon) -> Fraction:
     return sum(det2(vs[i], vs[(i + 1) % n]) for i in range(n)) / 2
 
 
-def count_in_halfplanes(cons: Iterable[tuple[int, int, Fraction]], y_lo: int, y_hi: int) -> int:
-    """Count integer points satisfying ux*x + uy*y >= c for all constraints,
-    scanning integer rows y in [y_lo, y_hi]."""
-    cons = list(cons)
+def count_points(rays: Sequence[IntVec], coeffs: Sequence[int]) -> int:
+    """Integer points m with <m, v_i> >= -a_i for the rays v_i of a complete
+    fan, in counterclockwise order, and integers a_i: the lattice points of
+    a polygon from its inward edge normals, or of a section polytope.
+
+    Integer-only row scan.  The fan is complete, so the cone around (0, -1)
+    puts the polytope below its linearization, and likewise upward: the
+    rows lie between the per-cone linearizations, and the rays (0, 1) and
+    (0, -1) read y >= -a and y <= a.  For a nef divisor no row is empty.
+    """
+    n = len(rays)
+    # y coordinates of the cone linearizations, times the cone determinants
+    ms = [(-coeffs[(i + 1) % n] * rays[i][0] + coeffs[i] * rays[(i + 1) % n][0],
+           det2(rays[i], rays[(i + 1) % n])) for i in range(n)]
+    y_lo = min(-(-my // d) for my, d in ms)
+    y_hi = max(my // d for my, d in ms)
+    y_lo = max([y_lo] + [-a for v, a in zip(rays, coeffs) if v == (0, 1)])
+    y_hi = min([y_hi] + [a for v, a in zip(rays, coeffs) if v == (0, -1)])
+    # <m, v> >= -a reads x >= (-a - vy*y)/vx for vx > 0, x <= it for vx < 0
+    left = [(vx, vy, a) for (vx, vy), a in zip(rays, coeffs) if vx > 0]
+    right = [(vx, vy, a) for (vx, vy), a in zip(rays, coeffs) if vx < 0]
     total = 0
-    for y in range(y_lo, y_hi + 1):
-        lo, hi = None, None
-        empty = False
-        for ux, uy, c in cons:
-            rhs = c - uy * y
-            if ux > 0:
-                b = math.ceil(Fraction(rhs, ux))
-                if lo is None or b > lo:
-                    lo = b
-            elif ux < 0:
-                b = math.floor(Fraction(rhs, ux))
-                if hi is None or b < hi:
-                    hi = b
-            elif rhs > 0:
-                empty = True
-                break
-        if empty:
-            continue
-        if lo is None or hi is None:
-            raise ValueError("unbounded row in lattice point count")
-        if hi >= lo:
-            total += hi - lo + 1
+    for yy in range(y_lo, y_hi + 1):
+        lo = hi = None
+        for vx, vy, a in left:
+            t = -((a + vy * yy) // vx)
+            if lo is None or t > lo:
+                lo = t
+        for vx, vy, a in right:
+            t = (-a - vy * yy) // vx
+            if hi is None or t < hi:
+                hi = t
+        total += max(hi - lo + 1, 0)
     return total
 
 
@@ -221,8 +227,9 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
 
 def lattice_count(p: MomentPolygon) -> int:
     """Number of integer points in the closed polygon."""
-    ys = [v[1] for v in p.vertices]
-    return count_in_halfplanes(p.constraints(), math.ceil(min(ys)), math.floor(max(ys)))
+    # <u, x> >= -a on the polygon, a = -<u, v> / scale at the edge's first vertex v
+    return count_points(p._normals, [-(u[0] * x + u[1] * y) // p._scale
+                                     for u, (x, y) in zip(p._normals, p._ipts)])
 
 
 def boundary_lattice_count(p: MomentPolygon) -> int:

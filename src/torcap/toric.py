@@ -25,7 +25,7 @@ from .lattice import (
     MomentPolygon,
     Point,
     convex_hull,
-    count_in_halfplanes,
+    count_points,
     halfplane_vertices,
     primitive,
 )
@@ -52,9 +52,12 @@ class ToricSurface(_Record):
                 raise ValueError(f"ray {v} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValueError("duplicate rays")
-        for i in range(len(rays)):
-            if det2(rays[i], rays[(i + 1) % len(rays)]) <= 0:
-                raise ValueError("rays must be strictly counterclockwise and complete")
+        # each step turns by less than a half turn, so the rays wind around
+        # the origin once exactly when one step leaves the lower half plane
+        lower = [v[1] < 0 or (v[1] == 0 and v[0] < 0) for v in rays]
+        if (any(det2(rays[i - 1], rays[i]) <= 0 for i in range(len(rays)))
+                or sum(lower[i - 1] and not lower[i] for i in range(len(rays))) != 1):
+            raise ValueError("rays must be strictly counterclockwise and complete")
         self.__dict__.update(rays=rays, polygon=polygon)
 
     def __len__(self) -> int:
@@ -156,20 +159,22 @@ def intersection_matrix(y: ToricSurface) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in q)
 
 
+def pairings(y: ToricSurface, d: TorusDivisor) -> tuple[Fraction, ...]:
+    """The pairings D_i . D.  D_i meets only D_{i-1}, itself and D_{i+1}, so
+    with d[i] = det(v[i], v[i+1]), e[i] = det(v[i-1], v[i+1]) and b the
+    coefficients of D times the lcm L of their denominators,
+    D_i . D = (b[i-1] d[i] - b[i] e[i] + b[i+1] d[i-1]) / (L d[i-1] d[i])."""
+    v, dets, n = y.rays, y.cone_dets, len(y.rays)
+    scale = math.lcm(*(c.denominator for c in d.coeffs))
+    b = [c.numerator * (scale // c.denominator) for c in d.coeffs]
+    return tuple(Fraction(b[i - 1] * dets[i] - b[i] * det2(v[i - 1], v[(i + 1) % n])
+                          + b[(i + 1) % n] * dets[i - 1], scale * dets[i - 1] * dets[i])
+                 for i in range(n))
+
+
 def intersect(y: ToricSurface, d1: TorusDivisor, d2: TorusDivisor) -> Fraction:
-    q = intersection_matrix(y)
-    n = len(y.rays)
-    total = Fraction(0)
-    for i in range(n):
-        a = d1.coeffs[i]
-        if a == 0:
-            continue
-        row = q[i]
-        for j in range(n):
-            b = d2.coeffs[j]
-            if b != 0 and row[j] != 0:
-                total += a * b * row[j]
-    return total
+    """D1 . D2 = sum_i a_i (D_i . D2), a the coefficients of D1."""
+    return sum((a * w for a, w in zip(d1.coeffs, pairings(y, d2))), Fraction(0))
 
 
 def index(y: ToricSurface, d: TorusDivisor) -> Fraction:
@@ -210,50 +215,20 @@ def support_polytope(y: ToricSurface, d: TorusDivisor) -> Optional[MomentPolygon
 
 
 def h0(y: ToricSurface, d: TorusDivisor) -> int:
-    """Number of lattice points in the section polytope."""
-    pts = support_vertices(y, d)
-    if not pts:
-        return 0
-    ys = [p[1] for p in pts]
-    return count_in_halfplanes(
-        divisor_constraints(y, d), math.ceil(min(ys)), math.floor(max(ys))
-    )
-
-
-def nef_certificate(y: ToricSurface, d: TorusDivisor) -> Optional[list[Point]]:
-    """Per-cone linearizations of the support function, or None if not nef.
-
-    For each adjacent ray pair the unique m with <m, v_i> = -a_i,
-    <m, v_{i+1}> = -a_{i+1} must satisfy every other support inequality;
-    this is exactly convexity of the piecewise-linear support function.
-    """
-    n = len(y.rays)
-    cons = divisor_constraints(y, d)
-    ms: list[Point] = []
-    for i in range(n):
-        vi, vj = y.rays[i], y.rays[(i + 1) % n]
-        ai, aj = d.coeffs[i], d.coeffs[(i + 1) % n]
-        det = det2(vi, vj)
-        mx = Fraction(-ai * vj[1] + aj * vi[1], det)
-        my = Fraction(-aj * vi[0] + ai * vj[0], det)
-        for ux, uy, c in cons:
-            if ux * mx + uy * my < c:
-                return None
-        ms.append((mx, my))
-    return ms
+    """Number of lattice points in the section polytope.  An integer point m
+    has <m, v> >= -a exactly when <m, v> >= -floor(a)."""
+    return count_points(y.rays, [math.floor(c) for c in d.coeffs])
 
 
 def is_nef(y: ToricSurface, d: TorusDivisor) -> bool:
-    return nef_certificate(y, d) is not None
+    """D . D_i >= 0 for every boundary curve: nefness is local on a complete
+    simplicial surface."""
+    return all(w >= 0 for w in pairings(y, d))
 
 
 def is_ample(y: ToricSurface, d: TorusDivisor) -> bool:
-    """Nef with strictly convex support function (normal fan equals the fan)."""
-    ms = nef_certificate(y, d)
-    if ms is None:
-        return False
-    n = len(ms)
-    return all(ms[i] != ms[(i + 1) % n] for i in range(n))
+    """D . D_i > 0 for every boundary curve (the toric Kleiman criterion)."""
+    return all(w > 0 for w in pairings(y, d))
 
 
 def is_effective(y: ToricSurface, d: TorusDivisor) -> bool:
@@ -309,9 +284,7 @@ def ip_transform(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
     if not is_effective(y, d):
         raise NotEffective("divisor has no sections")
     out = list(d.coeffs)
-    for i in range(len(y.rays)):
-        di = prime_divisor(y, i)
-        pairing = intersect(y, d, di)
+    for i, pairing in enumerate(pairings(y, d)):
         if pairing < 0:
             self_int = ray_self_intersection(y, i)
             if self_int >= 0:
@@ -350,13 +323,10 @@ def preferable_nef(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
 
 def _preferable_nef(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
     for _ in range(IP_ITERATION_CAP):
-        if is_nef(y, d):
+        w = pairings(y, d)
+        if all(x >= 0 for x in w):
             return d
-        neg = None
-        for i in _minus_one_rays(y):
-            if intersect(y, d, prime_divisor(y, i)) <= 0:
-                neg = i
-                break
+        neg = next((i for i in _minus_one_rays(y) if w[i] <= 0), None)
         if neg is not None:
             yb = blow_down(y, neg)
             db = TorusDivisor(tuple(c for j, c in enumerate(d.coeffs) if j != neg))

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from torcap import capacities
-from torcap.lattice import MomentPolygon, UnimodularAffineMap, convex_hull
+from torcap.lattice import MomentPolygon, UnimodularAffineMap, convex_hull, primitive
+from torcap.toric import ToricSurface
 
 
 def _polygon(*vertices) -> MomentPolygon:
@@ -47,6 +49,18 @@ def random_lattice_polygon(rng: random.Random, size: int = 4) -> MomentPolygon:
         hull = convex_hull(pts)
         if len(hull) >= 3:
             return MomentPolygon(tuple(hull))
+
+
+def random_fan(rng: random.Random) -> ToricSurface:
+    """Complete fan of 3-9 random primitive rays with entries in [-4, 4]."""
+    while True:
+        vectors = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 9))]
+        rays = {primitive(v) for v in vectors if v != (0, 0)}
+        rays = sorted(rays, key=lambda v: math.atan2(v[1], v[0]))
+        try:
+            return ToricSurface(tuple(rays))
+        except ValueError:
+            continue
 
 
 def random_domain_polygon(rng: random.Random, size: int = 4) -> MomentPolygon:

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (OCTAGON, TWELVE_GON, random_domain_polygon, random_lattice_polygon,
-                      random_unimodular)
+from conftest import (OCTAGON, TWELVE_GON, random_domain_polygon, random_fan,
+                      random_lattice_polygon, random_unimodular)
 from torcap import capacities, corpus, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
 from torcap.errors import NoSmoothVertex, NotAmple, NotConcave, NotDomainPolygon, TorcapError
@@ -143,37 +143,37 @@ def test_calg_large_horizon_closed_forms():
         assert tri[k] == staircase[k], k
 
 
-def _random_fan(rng: random.Random) -> toric.ToricSurface:
-    """Complete fan of 3-9 random primitive rays with entries in [-4, 4]."""
-    while True:
-        vectors = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 9))]
-        rays = {lattice.primitive(v) for v in vectors if v != (0, 0)}
-        rays = sorted(rays, key=lambda v: math.atan2(v[1], v[0]))
-        try:
-            return toric.ToricSurface(tuple(rays))
-        except ValueError:
-            continue
+def _pointwise_count(y: toric.ToricSurface, a) -> int:
+    """Lattice points of the section polytope, tested one by one over the
+    bounding box of its corners."""
+    corners = toric.support_vertices(y, TorusDivisor(tuple(a)))
+    if not corners:
+        return 0
+    xs, ys = [c[0] for c in corners], [c[1] for c in corners]
+    return sum(all(vx * x + vy * yy >= -ai for (vx, vy), ai in zip(y.rays, a))
+               for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1)
+               for yy in range(math.ceil(min(ys)), math.floor(max(ys)) + 1))
 
 
 def test_line_count_is_a_section_count_difference():
     rng = random.Random(37)
     fans = [toric.build_surface(p) for p in corpus.CORPUS.values()]
     fans += [toric.build_surface(p) for p in (OCTAGON, TWELVE_GON)]
-    fans += [_random_fan(rng) for _ in range(20)]
+    fans += [random_fan(rng) for _ in range(20)]
     seen = {"not nef": 0, "empty": 0}
     for y in fans:
         n = len(y.rays)
         for _ in range(25):
             a = [rng.randint(-3, 5) for _ in range(n)]
             j = rng.randrange(n)
-            h = capacities._section_count(y.rays, y.cone_dets, a)
-            assert h == toric.h0(y, TorusDivisor(tuple(a))), (y.rays, a)
+            h = lattice.count_points(y.rays, a)
+            assert h == _pointwise_count(y, a), (y.rays, a)
             seen["not nef"] += not toric.is_nef(y, TorusDivisor(tuple(a)))
             seen["empty"] += h == 0
             below = a[:j] + [a[j] - 1] + a[j + 1:]
             cuts = capacities._line_cuts(y.rays, j, [i for i in range(n) if i != j])
             assert capacities._line_count(cuts, a, a[j]) == \
-                h - capacities._section_count(y.rays, y.cone_dets, below), (y.rays, a, j)
+                h - lattice.count_points(y.rays, below), (y.rays, a, j)
     assert min(seen.values()) >= 50, seen
 
 
@@ -187,9 +187,9 @@ def test_polarization_weights_are_intersection_numbers():
     for p in polygons:
         y = toric.build_surface(p)
         ample = toric.associated_divisor(p)
-        expected = tuple(toric.intersect(y, toric.prime_divisor(y, i), ample)
-                         for i in range(len(y.rays)))
-        assert capacities._polarization_weights(y, ample) == expected, p.vertices
+        expected = tuple(sum(row[j] * c for j, c in enumerate(ample.coeffs))
+                         for row in toric.intersection_matrix(y))
+        assert toric.pairings(y, ample) == expected, p.vertices
 
 
 @pytest.mark.parametrize("p, k_max", [(OCTAGON, 100), (TWELVE_GON, 20)])
@@ -201,7 +201,7 @@ def test_many_edge_witnesses_are_feasible_and_attain_the_value(p, k_max):
     for k, (val, vec) in enumerate(table):
         d = TorusDivisor(vec)
         assert toric.is_nef(y, d), k
-        assert capacities._section_count(y.rays, y.cone_dets, vec) >= k + 1, k
+        assert lattice.count_points(y.rays, vec) >= k + 1, k
         assert toric.intersect(y, d, ample) == val, k
 
 
@@ -229,9 +229,8 @@ def test_table_cache_is_bounded(monkeypatch):
 
 
 def test_non_positive_weight_raises_typed_error(monkeypatch):
-    weights = capacities._polarization_weights
-    monkeypatch.setattr(capacities, "_polarization_weights",
-                        lambda y, a: tuple(-w for w in weights(y, a)))
+    weights = toric.pairings
+    monkeypatch.setattr(toric, "pairings", lambda y, a: tuple(-w for w in weights(y, a)))
     monkeypatch.setattr(capacities, "_TABLES", {})
     with pytest.raises(NotAmple) as info:
         capacities.calg(lattice.rectangle(1, 1), 1)

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_lattice_polygon
-from torcap import corpus, lattice, toric
+from conftest import OCTAGON, TWELVE_GON, random_fan, random_lattice_polygon
+from torcap import corpus, lattice, oracle, toric
 from torcap.errors import NotContractible, NotEffective, SingularSurfaceChi
 from torcap.lattice import MomentPolygon
 from torcap.toric import TorusDivisor
@@ -30,6 +31,9 @@ def test_rejects_bad_fans():
         toric.ToricSurface(((1, 0), (0, 1), (0, -1)))
     with pytest.raises(ValueError):
         toric.ToricSurface(((2, 0), (0, 1), (-1, -1)))
+    # distinct primitive rays, each step counterclockwise, winding twice
+    with pytest.raises(ValueError, match="strictly counterclockwise and complete"):
+        toric.ToricSurface(((1, 0), (-1, 5), (-5, -2), (1, -3), (4, 3), (-3, 4), (-2, -5), (5, -1)))
 
 
 def test_plane_intersection_numbers():
@@ -79,6 +83,34 @@ def test_nef_but_not_ample():
     h = toric.polytope_divisor(y, lattice.unit_triangle())
     assert toric.is_nef(y, h)
     assert not toric.is_ample(y, h)
+
+
+def test_nef_and_ample_agree_with_oracle_certificate():
+    """The pairing tests against the global certificate: every cone
+    linearization satisfies every support inequality (nef), and no two
+    adjacent ones coincide (ample)."""
+    rng = random.Random(29)
+    fans = [toric.build_surface(p) for p in list(corpus.CORPUS.values()) + [OCTAGON, TWELVE_GON]]
+    fans += [random_fan(rng) for _ in range(40)]
+    seen = {"nef": 0, "not nef": 0, "nef, not ample": 0}
+    for y in fans:
+        n = len(y.rays)
+        divisors = [toric.polytope_divisor(y, random_lattice_polygon(rng, size=3))]
+        divisors += [TorusDivisor(tuple(rng.randint(-2, 4) for _ in range(n))) for _ in range(6)]
+        divisors += [TorusDivisor(tuple(Fraction(rng.randint(-4, 8), rng.randint(1, 3))
+                                        for _ in range(n))) for _ in range(6)]
+        for d in divisors:
+            scale = math.lcm(*(c.denominator for c in d.coeffs))
+            ms = oracle._nef_int(y.rays, y.cone_dets, [int(scale * c) for c in d.coeffs])
+            nef = ms is not None
+            vertices = [(Fraction(mx, dt), Fraction(my, dt)) for mx, my, dt in ms or ()]
+            ample = nef and all(vertices[i - 1] != vertices[i] for i in range(n))
+            assert toric.is_nef(y, d) == nef, (y.rays, d)
+            assert toric.is_ample(y, d) == ample, (y.rays, d)
+            seen["nef"] += nef
+            seen["not nef"] += not nef
+            seen["nef, not ample"] += nef and not ample
+    assert seen["nef"] >= 50 and seen["not nef"] >= 50 and seen["nef, not ample"] >= 20, seen
 
 
 def test_h0_matches_polytope_count():
