@@ -32,7 +32,7 @@ from .ech import (  # noqa: F401  (re-exported)
     ech_ellipsoid_capacities,
 )
 from .errors import IterationLimit, NoSmoothVertex, NotAmple, NotDomainPolygon
-from .lattice import MomentPolygon
+from .lattice import MomentPolygon, line_count, line_cuts
 from .toric import TorusDivisor
 
 def calg(p: MomentPolygon, k: int) -> Fraction:
@@ -58,33 +58,6 @@ def calg_witness(p: MomentPolygon, k: int) -> tuple[Fraction, TorusDivisor]:
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _line_cuts(rays, j: int, others) -> list[tuple[int, int, int]]:
-    """(i, <(p, q), v_i>, det(v_j, v_i)) for i in others; <(p, q), v_j> = 1."""
-    _g, p, q = toric._egcd(*rays[j])
-    return [(i, p * rays[i][0] + q * rays[i][1], toric.det2(rays[j], rays[i])) for i in others]
-
-
-def _line_count(cuts, coeffs, c: int) -> int:
-    """Lattice points m = -c (p, q) + lam (-v_j[1], v_j[0]) of the line
-    <m, v_j> = -c with lam det(v_j, v_i) >= c <(p, q), v_i> - coeffs[i] for
-    the rays i of cuts.  With every other ray in cuts this is h(a) - h(a - e_j)
-    for a = coeffs, a_j = c, nef or not."""
-    lo = hi = None
-    for i, g, dt in cuts:
-        r = c * g - coeffs[i]
-        if dt > 0:
-            t = -(-r // dt)
-            if lo is None or t > lo:
-                lo = t
-        elif dt < 0:
-            t = r // dt
-            if hi is None or t < hi:
-                hi = t
-        elif r > 0:
-            return 0
-    return max(hi - lo + 1, 0)
 
 
 # the tables of the toric.CACHE_SIZE polygons built last, oldest first
@@ -167,9 +140,9 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     best: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * (k_max + 1)
     b = [0] * n
     last = n - 1
-    lines = [_line_cuts(v, j, [i for i in range(n) if i != j]) for j in range(n)]
+    lines = [line_cuts(v[j], v, [i for i in range(n) if i != j]) for j in range(n)]
     # on a nef vector rays n-2 and 0 end the new edge n-1
-    edge = _line_cuts(v, last, (last - 1, 0))
+    edge = line_cuts(v[last], v, (last - 1, 0))
 
     def leaves(c: int, partial: int) -> None:
         """Every nef completion by the last coefficient, c upward.
@@ -195,9 +168,9 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
         for i in range(2, n):
             while hb[i] < b[i]:
                 hb[i] += 1
-                h += _line_count(lines[i], hb, hb[i])
+                h += line_count(lines[i], hb, hb[i])
             while hb[i] > b[i]:
-                h -= _line_count(lines[i], hb, hb[i])
+                h -= line_count(lines[i], hb, hb[i])
                 hb[i] -= 1
         count = h
         value = partial + c * wl
@@ -220,7 +193,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
             if c > c_hi or value > bound:
                 return
             b[last] = c
-            count += _line_count(edge, b, c)
+            count += line_count(edge, b, c)
 
     def search(j: int, partial: int) -> None:
         # least b[j] that keeps row j-1 nonnegative

@@ -147,39 +147,63 @@ def area(p: MomentPolygon) -> Fraction:
     return sum(det2(vs[i], vs[(i + 1) % n]) for i in range(n)) / 2
 
 
+def egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a x + b y = g = gcd(a, b) >= 0."""
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, x, y = egcd(b, a % b)
+    return (g, y, x - (a // b) * y)
+
+
+def line_cuts(u: IntVec, rays: Sequence[IntVec], others) -> list[tuple[int, int, int]]:
+    """(i, <(p, q), v_i>, det(u, v_i)) for the rays v_i, i in others, with
+    (p, q) fixed by <(p, q), u> = 1; u is primitive, a ray or not."""
+    _g, p, q = egcd(*u)
+    return [(i, p * rays[i][0] + q * rays[i][1], det2(u, rays[i])) for i in others]
+
+
+def line_count(cuts, coeffs: Sequence[int], c: int) -> int:
+    """Lattice points m of the line <m, u> = -c with <m, v_i> >= -coeffs[i]
+    for the rays i of cuts = line_cuts(u, rays, others), which must bound the
+    line on both sides: m = -c (p, q) + lam (-u[1], u[0]) with lam det(u, v_i)
+    >= c <(p, q), v_i> - coeffs[i].  With u = v_j, c = a_j and every other
+    ray this is h(a) - h(a - e_j), nef or not."""
+    lo = hi = None
+    for i, g, dt in cuts:
+        r = c * g - coeffs[i]
+        if dt > 0:
+            t = -(-r // dt)
+            if lo is None or t > lo:
+                lo = t
+        elif dt < 0:
+            t = r // dt
+            if hi is None or t < hi:
+                hi = t
+        elif r > 0:
+            return 0
+    count = hi - lo + 1
+    return count if count > 0 else 0
+
+
 def count_points(rays: Sequence[IntVec], coeffs: Sequence[int]) -> int:
     """Integer points m with <m, v_i> >= -a_i for the rays v_i of a complete
     fan, in counterclockwise order, and integers a_i: the lattice points of
     a polygon from its inward edge normals, or of a section polytope.
 
-    Integer-only row scan.  The fan is complete, so the cone around (0, -1)
-    puts the polytope below its linearization, and likewise upward: the
-    rows lie between the per-cone linearizations, and the rays (0, 1) and
-    (0, -1) read y >= -a and y <= a.  For a nef divisor no row is empty.
+    The sum of `line_count` over the rows m_y = y.  The fan is complete, so
+    the cone around (0, -1) puts the polytope below its linearization, and
+    likewise upward: the rows lie between the per-cone linearizations.  For
+    a nef divisor no row is empty.
     """
     n = len(rays)
     # y coordinates of the cone linearizations, times the cone determinants
     ms = [(-coeffs[(i + 1) % n] * rays[i][0] + coeffs[i] * rays[(i + 1) % n][0],
            det2(rays[i], rays[(i + 1) % n])) for i in range(n)]
-    y_lo = min(-(-my // d) for my, d in ms)
-    y_hi = max(my // d for my, d in ms)
-    y_lo = max([y_lo] + [-a for v, a in zip(rays, coeffs) if v == (0, 1)])
-    y_hi = min([y_hi] + [a for v, a in zip(rays, coeffs) if v == (0, -1)])
-    # <m, v> >= -a reads x >= (-a - vy*y)/vx for vx > 0, x <= it for vx < 0
-    left = [(vx, vy, a) for (vx, vy), a in zip(rays, coeffs) if vx > 0]
-    right = [(vx, vy, a) for (vx, vy), a in zip(rays, coeffs) if vx < 0]
+    # the row m_y = y is the line <m, (0, -1)> = -y
+    cuts = line_cuts((0, -1), rays, range(n))
     total = 0
-    for yy in range(y_lo, y_hi + 1):
-        lo = hi = None
-        for vx, vy, a in left:
-            t = -((a + vy * yy) // vx)
-            if lo is None or t > lo:
-                lo = t
-        for vx, vy, a in right:
-            t = (-a - vy * yy) // vx
-            if hi is None or t < hi:
-                hi = t
-        total += max(hi - lo + 1, 0)
+    for y in range(min(-(-my // d) for my, d in ms), max(my // d for my, d in ms) + 1):
+        total += line_count(cuts, coeffs, y)
     return total
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from ._base import _Record, det2, frac
@@ -26,12 +25,15 @@ from .lattice import (
     Point,
     convex_hull,
     count_points,
+    egcd,
     halfplane_vertices,
+    line_count,
+    line_cuts,
     primitive,
 )
 
 IP_ITERATION_CAP = 10_000
-# entries kept by each per-surface or per-polygon cache
+# entries kept by each per-polygon cache
 CACHE_SIZE = 128
 
 
@@ -123,9 +125,13 @@ def canonical_divisor(y: ToricSurface) -> TorusDivisor:
     return TorusDivisor(tuple(Fraction(-1) for _ in y.rays))
 
 
-def divisor(y: ToricSurface, coeffs: Sequence) -> TorusDivisor:
+def _check_count(y: ToricSurface, coeffs: Sequence) -> None:
     if len(coeffs) != len(y.rays):
         raise ValueError("coefficient count must match ray count")
+
+
+def divisor(y: ToricSurface, coeffs: Sequence) -> TorusDivisor:
+    _check_count(y, coeffs)
     return TorusDivisor(tuple(frac(c) for c in coeffs))
 
 
@@ -140,7 +146,6 @@ def ray_self_intersection(y: ToricSurface, i: int) -> Fraction:
     return Fraction(-det2(vp, vn), det2(vp, v) * det2(v, vn))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def intersection_matrix(y: ToricSurface) -> tuple[tuple[Fraction, ...], ...]:
     """Pairings D_i . D_j of the boundary divisors.
 
@@ -164,6 +169,7 @@ def pairings(y: ToricSurface, d: TorusDivisor) -> tuple[Fraction, ...]:
     with d[i] = det(v[i], v[i+1]), e[i] = det(v[i-1], v[i+1]) and b the
     coefficients of D times the lcm L of their denominators,
     D_i . D = (b[i-1] d[i] - b[i] e[i] + b[i+1] d[i-1]) / (L d[i-1] d[i])."""
+    _check_count(y, d.coeffs)
     v, dets, n = y.rays, y.cone_dets, len(y.rays)
     scale = math.lcm(*(c.denominator for c in d.coeffs))
     b = [c.numerator * (scale // c.denominator) for c in d.coeffs]
@@ -174,6 +180,7 @@ def pairings(y: ToricSurface, d: TorusDivisor) -> tuple[Fraction, ...]:
 
 def intersect(y: ToricSurface, d1: TorusDivisor, d2: TorusDivisor) -> Fraction:
     """D1 . D2 = sum_i a_i (D_i . D2), a the coefficients of D1."""
+    _check_count(y, d1.coeffs)
     return sum((a * w for a, w in zip(d1.coeffs, pairings(y, d2))), Fraction(0))
 
 
@@ -217,6 +224,7 @@ def support_polytope(y: ToricSurface, d: TorusDivisor) -> Optional[MomentPolygon
 def h0(y: ToricSurface, d: TorusDivisor) -> int:
     """Number of lattice points in the section polytope.  An integer point m
     has <m, v> >= -a exactly when <m, v> >= -floor(a)."""
+    _check_count(y, d.coeffs)
     return count_points(y.rays, [math.floor(c) for c in d.coeffs])
 
 
@@ -367,33 +375,20 @@ def round_down_nef(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
     pairing against any ample divisor.
 
     Floors the coefficients, then pushes every slack hyperplane inward until
-    it meets a lattice point of the section polytope.
+    it meets a lattice point of the section polytope: the new coefficient of
+    ray j is the largest c <= floor(a_j) whose line <m, v_j> = -c does.
     """
     if not is_nef(y, d):
         raise ValueError("round-down expects a nef divisor")
-    floored = TorusDivisor(tuple(Fraction(math.floor(c)) for c in d.coeffs))
-    pts = _lattice_points(y, floored)
-    if not pts:
+    a = [math.floor(c) for c in d.coeffs]
+    if not count_points(y.rays, a):
         raise ValueError("section polytope contains no lattice point")
-    coeffs = tuple(
-        Fraction(-min(v[0] * x + v[1] * yy for (x, yy) in pts)) for v in y.rays
-    )
-    return TorusDivisor(coeffs)
-
-
-def _lattice_points(y: ToricSurface, d: TorusDivisor) -> list[tuple[int, int]]:
-    pts = support_vertices(y, d)
-    if not pts:
-        return []
-    cons = divisor_constraints(y, d)
-    ys = [p[1] for p in pts]
-    xs = [p[0] for p in pts]
-    out = []
-    for yy in range(math.ceil(min(ys)), math.floor(max(ys)) + 1):
-        for xx in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
-            if all(ux * xx + uy * yy >= c for ux, uy, c in cons):
-                out.append((xx, yy))
-    return out
+    for j in range(len(a)):
+        # moving the line of ray j in drops no lattice point of the polytope
+        cuts = line_cuts(y.rays[j], y.rays, [i for i in range(len(a)) if i != j])
+        while not line_count(cuts, a, a[j]):
+            a[j] -= 1
+    return TorusDivisor(tuple(a))
 
 
 def resolve(y: ToricSurface) -> ToricSurface:
@@ -424,7 +419,7 @@ def resolve(y: ToricSurface) -> ToricSurface:
 def _hj_insert(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     """Primitive w inside cone(u, v) with det(u, w) = 1 and det(w, v) minimal."""
     # solve det(u, w0) = u0*wy - u1*wx = 1
-    _g, s, t = _egcd(u[0], -u[1])
+    _g, s, t = egcd(u[0], -u[1])
     # u0*s + (-u1)*t = 1, so w0 = (t, s) has det(u, w0) = 1
     w0 = (t, s)
     d = det2(u, v)
@@ -434,10 +429,3 @@ def _hj_insert(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     k = math.ceil(Fraction(1 - c, d))
     w = (w0[0] + k * u[0], w0[1] + k * u[1])
     return primitive(w)
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _egcd(b, a % b)
-    return (g, y, x - (a // b) * y)

@@ -10,7 +10,7 @@ import pytest
 
 from torcap import capacities
 from torcap.lattice import MomentPolygon, UnimodularAffineMap, convex_hull, primitive
-from torcap.toric import ToricSurface
+from torcap.toric import ToricSurface, TorusDivisor, support_vertices
 
 
 def _polygon(*vertices) -> MomentPolygon:
@@ -39,6 +39,18 @@ def table_builds(monkeypatch):
     monkeypatch.setattr(capacities, "_compute_table", spy)
     monkeypatch.setattr(capacities, "_TABLES", {})
     return builds
+
+
+def section_points(y: ToricSurface, a) -> list:
+    """Lattice points of the section polytope of the coefficients a, tested
+    one by one over the bounding box of its corners."""
+    corners = support_vertices(y, TorusDivisor(tuple(a)))
+    if not corners:
+        return []
+    xs, ys = [c[0] for c in corners], [c[1] for c in corners]
+    return [(x, yy) for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1)
+            for yy in range(math.ceil(min(ys)), math.floor(max(ys)) + 1)
+            if all(vx * x + vy * yy >= -ai for (vx, vy), ai in zip(y.rays, a))]
 
 
 def random_lattice_polygon(rng: random.Random, size: int = 4) -> MomentPolygon:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (OCTAGON, TWELVE_GON, random_domain_polygon, random_fan,
-                      random_lattice_polygon, random_unimodular)
+                      random_lattice_polygon, random_unimodular, section_points)
 from torcap import capacities, corpus, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
 from torcap.errors import NoSmoothVertex, NotAmple, NotConcave, NotDomainPolygon, TorcapError
@@ -143,37 +143,36 @@ def test_calg_large_horizon_closed_forms():
         assert tri[k] == staircase[k], k
 
 
-def _pointwise_count(y: toric.ToricSurface, a) -> int:
-    """Lattice points of the section polytope, tested one by one over the
-    bounding box of its corners."""
-    corners = toric.support_vertices(y, TorusDivisor(tuple(a)))
-    if not corners:
-        return 0
-    xs, ys = [c[0] for c in corners], [c[1] for c in corners]
-    return sum(all(vx * x + vy * yy >= -ai for (vx, vy), ai in zip(y.rays, a))
-               for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1)
-               for yy in range(math.ceil(min(ys)), math.floor(max(ys)) + 1))
-
-
 def test_line_count_is_a_section_count_difference():
     rng = random.Random(37)
     fans = [toric.build_surface(p) for p in corpus.CORPUS.values()]
     fans += [toric.build_surface(p) for p in (OCTAGON, TWELVE_GON)]
     fans += [random_fan(rng) for _ in range(20)]
-    seen = {"not nef": 0, "empty": 0}
+    seen = {"not nef": 0, "empty": 0, "not a ray": 0}
     for y in fans:
         n = len(y.rays)
         for _ in range(25):
             a = [rng.randint(-3, 5) for _ in range(n)]
             j = rng.randrange(n)
             h = lattice.count_points(y.rays, a)
-            assert h == _pointwise_count(y, a), (y.rays, a)
+            assert h == len(section_points(y, a)), (y.rays, a)
             seen["not nef"] += not toric.is_nef(y, TorusDivisor(tuple(a)))
             seen["empty"] += h == 0
             below = a[:j] + [a[j] - 1] + a[j + 1:]
-            cuts = capacities._line_cuts(y.rays, j, [i for i in range(n) if i != j])
-            assert capacities._line_count(cuts, a, a[j]) == \
+            cuts = lattice.line_cuts(y.rays[j], y.rays, [i for i in range(n) if i != j])
+            assert lattice.line_count(cuts, a, a[j]) == \
                 h - lattice.count_points(y.rays, below), (y.rays, a, j)
+            # along a direction u that is no ray, the lines <m, u> = -c
+            # through the corners cover the polytope
+            corners = toric.support_vertices(y, TorusDivisor(tuple(a)))
+            for u in ((0, -1), (1, 1), (2, -3)):
+                if u in y.rays:
+                    continue
+                cs = [-(u[0] * x + u[1] * yy) for x, yy in corners] or [0]
+                cuts = lattice.line_cuts(u, y.rays, range(n))
+                assert sum(lattice.line_count(cuts, a, c)
+                           for c in range(math.floor(min(cs)) - 1, math.ceil(max(cs)) + 2)) == h
+                seen["not a ray"] += h > 0
     assert min(seen.values()) >= 50, seen
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import OCTAGON, TWELVE_GON, random_fan, random_lattice_polygon
+from conftest import OCTAGON, TWELVE_GON, random_fan, random_lattice_polygon, section_points
 from torcap import corpus, lattice, oracle, toric
 from torcap.errors import NotContractible, NotEffective, SingularSurfaceChi
 from torcap.lattice import MomentPolygon
@@ -258,6 +258,46 @@ def test_round_down_nef_random():
             assert out.is_integral and toric.is_nef(y, out)
             assert toric.h0(y, out) == toric.h0(y, d)
             assert toric.intersect(y, out, a) <= toric.intersect(y, d, a)
+
+
+def test_round_down_nef_singular_fans():
+    """The coefficient of ray v is -min <v, m> over the lattice points m of
+    the floored section polytope, found by a pointwise scan."""
+    rng = random.Random(27)
+    polygons = [corpus.CORPUS["singular-triangle"], OCTAGON, TWELVE_GON]
+    polygons += [random_lattice_polygon(rng, size=5) for _ in range(15)]
+    seen = {"singular": 0, "pushed": 0, "empty": 0}
+    for p in polygons:
+        y = toric.build_surface(p)
+        a = toric.associated_divisor(p)
+        seen["singular"] += not y.smooth
+        for _ in range(8):
+            d = Fraction(rng.randint(1, 8), rng.randint(2, 7)) * a
+            if rng.random() < 0.5:
+                # the same class moved off the lattice
+                d = d + toric.linear_shift(y, (Fraction(rng.randint(0, 5), rng.randint(2, 5)),
+                                               Fraction(rng.randint(0, 5), rng.randint(2, 5))))
+            floored = [math.floor(c) for c in d.coeffs]
+            pts = section_points(y, floored)
+            if not pts:
+                seen["empty"] += 1
+                with pytest.raises(ValueError, match="section polytope contains no lattice point"):
+                    toric.round_down_nef(y, d)
+                continue
+            expected = tuple(-min(vx * x + vy * yy for x, yy in pts) for vx, vy in y.rays)
+            assert toric.round_down_nef(y, d).coeffs == expected, (y.rays, d.coeffs)
+            seen["pushed"] += list(expected) != floored
+    assert seen["singular"] >= 8 and seen["pushed"] >= 20 and seen["empty"] >= 5, seen
+
+
+def test_coefficient_count_must_match_ray_count():
+    p = lattice.rectangle(2, 3)
+    y, a = toric.build_surface(p), toric.associated_divisor(p)
+    short, long = TorusDivisor((1, 1, 1)), TorusDivisor((1, 1, 1, 1, 5))
+    for call in (lambda: toric.intersect(y, short, a), lambda: toric.is_nef(y, long),
+                 lambda: toric.h0(y, long), lambda: toric.h0(y, short)):
+        with pytest.raises(ValueError, match="coefficient count must match ray count"):
+            call()
 
 
 def test_blow_down():
