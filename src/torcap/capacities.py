@@ -103,7 +103,10 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     classes modulo linear functions, and the remaining coefficients are set
     in cyclic order s+2, ..., s-1.  Nefness is local on a complete simplicial
     surface (D nef iff D.D_i >= 0 for every boundary curve), so each row is
-    checked as soon as its three coefficients are set.  Each feasible vector
+    checked as soon as its three coefficients are set, and it floors the next
+    coefficient: a level stops once its value, the next floor's and the least
+    rest pass the value bound.  A leaf run starts only when rows s-2, s-1, s
+    and the bound leave the last coefficient a range.  Each feasible vector
     updates all indices its section count covers.  That count is carried:
     the row scan runs once per gauge class, and a unit move of one
     coefficient adds or removes the lattice points of one line.
@@ -117,14 +120,18 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     if not all(w > 0 for w in weights):
         raise NotAmple("polarization pairs non-positively with a boundary curve")
     denom = math.lcm(*(w.denominator for w in weights))
-    iweights = tuple(int(w * denom) for w in weights)
+    iweights = tuple(w.numerator * (denom // w.denominator) for w in weights)
 
     # value bound: integral multiples of the polarization are nef with as
-    # many sections as needed
+    # many sections as needed.  t p has at most area + l1-perimeter / 2 + 1
+    # lattice points (Pick's formula on the hull of those points), so the
+    # counts start at the first multiple where that reaches k_max + 1
     scale = math.lcm(*(c.denominator for c in ample.coeffs))
-    base = tuple(int(scale * c) for c in ample.coeffs)
-    cone_dets = y.cone_dets
+    base = tuple(c.numerator * (scale // c.denominator) for c in ample.coeffs)
+    area2, perim = lattice._area2_perimeter(p)
     m = 1
+    while m * scale * (m * scale * area2 + p._scale * perim) < 2 * p._scale ** 2 * k_max:
+        m += 1
     while lattice.count_points(y.rays, tuple(m * c for c in base)) < k_max + 1:
         m += 1
     bound = sum(m * base[i] * iweights[i] for i in range(n))
@@ -132,14 +139,18 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     # rotate so that the gauge cone is (v[0], v[1]); d[j] = det(v[j], v[j+1])
     # and e[j] = det(v[j-1], v[j+1]), so that nef row j scaled by
     # d[j-1] * d[j] reads b[j-1] d[j] - b[j] e[j] + b[j+1] d[j-1] >= 0
+    cone_dets = y.cone_dets
     s = cone_dets.index(min(cone_dets))
     v = y.rays[s:] + y.rays[:s]
     w = iweights[s:] + iweights[:s]
     d = cone_dets[s:] + cone_dets[:s]
     e = tuple(toric.det2(v[j - 1], v[(j + 1) % n]) for j in range(n))
-    best: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * (k_max + 1)
+    # the optimum per index; every vector searched has value at most bound
+    vals = [bound + 1] * (k_max + 1)
+    vecs: list[Optional[tuple[int, ...]]] = [None] * (k_max + 1)
     b = [0] * n
     last = n - 1
+    wl = w[last]
     lines = [line_cuts(v[j], v, [i for i in range(n) if i != j]) for j in range(n)]
     # on a nef vector rays n-2 and 0 end the new edge n-1
     edge = line_cuts(v[last], v, (last - 1, 0))
@@ -147,21 +158,19 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     def leaves(c: int, partial: int) -> None:
         """Every nef completion by the last coefficient, c upward.
 
-        Rows n-1 and 0 bound c, so every vector reached here is nef.  The
-        first vector's count is carried over from hb; raising c by one adds
-        the lattice points of the new edge n-1.
+        c keeps rows n-2 and 0 nonnegative, and the run starts only when row
+        n-1 and the value bound leave c a range.  The first vector's count is
+        carried over from hb; raising c by one adds the points of edge n-1.
         """
         nonlocal bound, h
-        wl = w[last]
-        c = max(c, _ceil_div(b[0] * e[0] - b[1] * d[last], d[0]))
         r = b[last - 1] * d[last] + b[0] * d[last - 1]
-        if e[last] == 0 and r < 0:
-            return
-        if e[last] < 0:
-            c = max(c, _ceil_div(r, e[last]))
         c_hi = (bound - partial) // wl
         if e[last] > 0:
             c_hi = min(c_hi, r // e[last])
+        elif e[last] < 0:
+            c = max(c, _ceil_div(r, e[last]))
+        elif r < 0:
+            return
         if c > c_hi:
             return
         b[last] = c
@@ -175,19 +184,19 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
         count = h
         value = partial + c * wl
         while True:
-            if count > k_max and value < bound:
-                # feasible at the top index: nothing more expensive can
-                # improve any entry of the table
-                bound = value
             # the per-index optima are nondecreasing, and a later vector wins
-            # only with a strictly smaller value, so stop at the first index
-            # this candidate does not improve
-            entry = (value, tuple(b))
-            for k in range(min(count - 1, k_max), -1, -1):
-                if best[k] is None or value < best[k][0]:
-                    best[k] = entry
-                else:
-                    break
+            # only with a strictly smaller value, so the entries this vector
+            # improves end at its count
+            k = count - 1 if count <= k_max else k_max
+            if k >= 0 and value < vals[k]:
+                if k == k_max:
+                    # feasible at the top index: nothing more expensive can
+                    # improve any entry of the table
+                    bound = value
+                vec = tuple(b)
+                while k >= 0 and value < vals[k]:
+                    vals[k], vecs[k] = value, vec
+                    k -= 1
             c += 1
             value += wl
             if c > c_hi or value > bound:
@@ -195,22 +204,29 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
             b[last] = c
             count += line_count(edge, b, c)
 
-    def search(j: int, partial: int) -> None:
-        # least b[j] that keeps row j-1 nonnegative
-        c = max(lows[j], _ceil_div(b[j - 1] * e[j - 1] - b[j - 2] * d[j - 1], d[j - 2]))
+    def search(j: int, partial: int, c: int) -> None:
+        # b[j] runs upward from c, the least value that lows[j] and row j-1 allow
         if j == last:
             leaves(c, partial)
             return
-        wj, rest = w[j], rest_min[j + 1]
-        while partial + c * wj + rest <= bound:
-            b[j] = c
-            search(j + 1, partial + c * wj)
+        wj, wn, rest = w[j], w[j + 1], rest_min[j + 2]
+        while True:
+            value = partial + c * wj
+            # least b[j+1] that keeps row j nonnegative; it does not fall as c
+            # rises when e[j] >= 0, and then the first c over the bound ends j
+            lo = max(lows[j + 1], _ceil_div(c * e[j] - b[j - 1] * d[j], d[j - 1]))
+            if value + lo * wn + rest <= bound:
+                b[j] = c
+                search(j + 1, value, lo)
+            elif e[j] >= 0 or value + rest_min[j + 1] > bound:
+                return
             c += 1
 
     for r0, r1 in _gauge_classes(v[0], v[1]):
         b[0], b[1] = r0, r1
         # the cone vertex m_0 = -(x0, x1) / d[0] lies in the section polytope
-        # of every nef divisor of this class, so b[l] >= ceil(-<m_0, v[l]>)
+        # of every nef divisor of this class, so b[l] >= ceil(-<m_0, v[l]>);
+        # for l = 2 and l = n-1 these are the floors that rows 1 and 0 give
         x0 = v[1][1] * r0 - v[0][1] * r1
         x1 = v[0][0] * r1 - v[1][0] * r0
         lows = [_ceil_div(x0 * vx + x1 * vy, d[0]) for vx, vy in v]
@@ -221,13 +237,13 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
         rest_min = [0] * (n + 1)
         for j in range(last, 1, -1):
             rest_min[j] = rest_min[j + 1] + w[j] * lows[j]
-        search(2, r0 * w[0] + r1 * w[1])
-    if any(entry is None for entry in best):
+        search(2, r0 * w[0] + r1 * w[1], lows[2])
+    if None in vecs:
         # cannot happen: the bound is attained by a multiple of the
         # polarization, whose gauge representative lies in the search region
         raise IterationLimit("no optimal vector found")
     # undo the rotation: b[j] is the coefficient of ray s + j
-    return [(Fraction(val, denom), vec[n - s:] + vec[:n - s]) for val, vec in best]
+    return [(Fraction(val, denom), vec[n - s:] + vec[:n - s]) for val, vec in zip(vals, vecs)]
 
 
 def alg_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:

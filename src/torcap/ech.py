@@ -60,6 +60,9 @@ def ech_ellipsoid_capacities(a, b, k_max: int) -> CapacitySequence:
 
 def _ellipsoid_values(ia: int, ib: int, k_max: int) -> list[int]:
     """The k_max + 1 smallest values ia*m + ib*n over nonnegative m, n."""
+    if ia == ib:
+        # a scaled ball: value d*ia at the d+1 indices d(d+1)/2, ..., d(d+3)/2
+        return [ia * ((math.isqrt(8 * k + 1) - 1) // 2) for k in range(k_max + 1)]
     # the k+1 smallest values all have m + n <= k: every (m', n') <= (m, n)
     # gives a value no larger, and there are more than k of those when m + n > k.
     # One ascending run ia*m + ib*n, m = 0..k-n, per n, merged lazily.

@@ -121,10 +121,15 @@ class MomentPolygon(_Record):
                 raise NotConvex("polygon is not convex")
         start = min(range(n), key=lambda i: ipts[i])
         ipts = tuple(ipts[start:] + ipts[:start])
+        pts = pts[start:] + pts[:start]
+        # the record hash, computed once: table lookups hash a polygon often
         self.__dict__.update(
-            vertices=pts[start:] + pts[:start], _scale=scale, _ipts=ipts,
+            vertices=pts, _hash=hash((pts,)), _scale=scale, _ipts=ipts,
             _normals=tuple(primitive((v[1] - w[1], w[0] - v[0]))
                            for v, w in zip(ipts, ipts[1:] + ipts[:1])))
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -318,6 +323,13 @@ def width_along(p: MomentPolygon, l: IntVec) -> Fraction:
     return Fraction(_width(p._ipts, l), p._scale)
 
 
+def _area2_perimeter(p: MomentPolygon) -> tuple[int, int]:
+    """Twice the area and the l1 perimeter of the integer polygon p._scale * p."""
+    edges = list(zip(p._ipts, p._ipts[1:] + p._ipts[:1]))
+    return (sum(det2(a, b) for a, b in edges),
+            sum(abs(b[0] - a[0]) + abs(b[1] - a[1]) for a, b in edges))
+
+
 def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
     """Minimal directional lattice extent and a minimizing primitive direction.
 
@@ -327,10 +339,7 @@ def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
     |l| passes best / (2*rho), best the narrowest width so far.
     """
     vs = p._ipts
-    n = len(vs)
-    perim = sum(abs(vs[(i + 1) % n][0] - vs[i][0]) + abs(vs[(i + 1) % n][1] - vs[i][1])
-                for i in range(n))
-    area2 = sum(det2(vs[i], vs[(i + 1) % n]) for i in range(n))
+    area2, perim = _area2_perimeter(p)
     best, best_dir = _width(vs, (1, 0)), (1, 0)
     # one stream b = 0, -1, 1, -2, 2, ... per a (b = 1, 2, ... for a = 0), merged;
     # popping (a, 0) opens stream a + 1.  The stop reads |l|^2 area2^2 > (best perim)^2

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 import random
 import tracemalloc
@@ -129,6 +130,80 @@ def test_calg_witness_without_smooth_cone():
             assert toric.intersect(y, d, toric.associated_divisor(p)) == val
 
 
+def _lex_vectors(ranges, weights, budget):
+    """Integer vectors in the ranges with weighted sum at most budget, in
+    lexicographic order; the weights are positive."""
+    if not ranges:
+        yield ()
+        return
+    rest = sum(w * r.start for w, r in zip(weights[1:], ranges[1:]))
+    for c in ranges[0]:
+        if c * weights[0] + rest > budget:
+            return
+        for tail in _lex_vectors(ranges[1:], weights[1:], budget - c * weights[0]):
+            yield (c, *tail)
+
+
+def _first_optimal_witnesses(p, k_max):
+    """(value, coefficients) for k = 0..k_max: the first optimal integral nef
+    divisor in the documented order, by a scan of every gauge-form vector of
+    value at most c_k_max.  The gauge cone s is the first of least
+    determinant; (a_s, a_{s+1}) runs over [0, det)^2 in lexicographic order,
+    skipping pairs whose class was already taken, and a_{s+2}, ..., a_{s-1}
+    run lexicographically."""
+    y = toric.build_surface(p)
+    n = len(y.rays)
+    weights = toric.pairings(y, toric.associated_divisor(p))
+    dets = y.cone_dets
+    s = dets.index(min(dets))
+    order = [(s + j) % n for j in range(2, n)]
+    v0, v1, det = y.rays[s], y.rays[(s + 1) % n], dets[s]
+    # (r0, r1) and (q0, q1) are in one class when their difference is
+    # (<u, v0>, <u, v1>) for an integral u
+    reps = []
+    for r in itertools.product(range(det), repeat=2):
+        if not any((v1[1] * (r[0] - q[0]) - v0[1] * (r[1] - q[1])) % det == 0
+                   and (v0[0] * (r[1] - q[1]) - v1[0] * (r[0] - q[0])) % det == 0
+                   for q in reps):
+            reps.append(r)
+    top = capacities.calg(p, k_max)
+    best = [None] * (k_max + 1)
+    for r0, r1 in reps:
+        # the corner m of the cone (v0, v1) lies in the section polytope of a
+        # nef divisor, so a_i >= -<m, v_i>, and the value bounds each a_i above
+        mx = Fraction(-r0 * v1[1] + r1 * v0[1], det)
+        my = Fraction(-r1 * v0[0] + r0 * v1[0], det)
+        low = [math.ceil(-(mx * y.rays[i][0] + my * y.rays[i][1])) for i in order]
+        budget = top - r0 * weights[s] - r1 * weights[(s + 1) % n]
+        spare = budget - sum(weights[i] * c for i, c in zip(order, low))
+        ranges = [range(c, c + math.floor(spare / weights[i]) + 1) for i, c in zip(order, low)]
+        for rest in _lex_vectors(ranges, [weights[i] for i in order], budget):
+            a = [0] * n
+            for i, c in zip((s, (s + 1) % n, *order), (r0, r1, *rest)):
+                a[i] = c
+            d = TorusDivisor(tuple(a))
+            if not toric.is_nef(y, d):
+                continue
+            value = sum(w * c for w, c in zip(weights, a))
+            for k in range(min(toric.h0(y, d), k_max + 1)):
+                if best[k] is None or value < best[k][0]:
+                    best[k] = (value, d.coeffs)
+    return best
+
+
+def test_witness_is_the_first_optimal_gauge_vector():
+    rng = random.Random(43)
+    polygons = list(corpus.CORPUS.values()) + [MomentPolygon(v) for v in NO_SMOOTH_CONE]
+    for _ in range(20):
+        hull = random_lattice_polygon(rng, size=4)
+        scale = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        polygons.append(MomentPolygon(tuple((scale * x, scale * y) for x, y in hull.vertices)))
+    for p in polygons:
+        for k, expected in enumerate(_first_optimal_witnesses(p, 6)):
+            val, d = capacities.calg_witness(p, k)
+            assert (val, d.coeffs) == expected, (p.vertices, k)
+
+
 def test_calg_large_horizon_closed_forms():
     k_max = 200
     rect = capacities.alg_capacities(corpus.CORPUS["rect-2x3"], k_max)
@@ -220,6 +295,18 @@ def test_table_build_makes_no_h0_call(monkeypatch):
         assert len(table) == 31
 
 
+def test_value_bound_counts_few_multiples(monkeypatch):
+    # multiples of the polarization with too few points by the area and
+    # perimeter bound are not counted; each gauge class counts once more
+    calls = []
+    count = lattice.count_points
+    monkeypatch.setattr(lattice, "count_points", lambda rays, a: calls.append(a) or count(rays, a))
+    for p in corpus.CORPUS.values():
+        calls.clear()
+        capacities._compute_table(p, 100)
+        assert len(calls) <= 3 + min(toric.build_surface(p).cone_dets), p.vertices
+
+
 def test_table_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(capacities, "_TABLES", {})
     for i in range(toric.CACHE_SIZE + 1):
@@ -257,7 +344,8 @@ def _heap_staircase(a, b, k_max):
 
 
 def test_ech_ellipsoid_capacities_match_heap_merge():
-    for a, b, k_max in ((1, 2, 400), (Fraction(3, 4), Fraction(5, 6), 200)):
+    for a, b, k_max in ((1, 2, 400), (Fraction(3, 4), Fraction(5, 6), 200), (2, 2, 300),
+                        (Fraction(3, 4), Fraction(3, 4), 200)):
         seq = capacities.ech_ellipsoid_capacities(a, b, k_max)
         assert list(seq.values) == _heap_staircase(a, b, k_max)
         assert all(isinstance(v, Fraction) for v in seq.values)
