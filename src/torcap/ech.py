@@ -3,7 +3,12 @@
 Both are lattice-point arithmetic and need no fan, divisor or capacity
 search: an ellipsoid's capacities are the sorted values a*m + b*n, and a
 concave toric domain's come from the ball packing of its weight expansion
-through a max-plus convolution.  All values are exact rationals.
+through a max-plus convolution.  The expansion comes in runs of equal
+balls, each carve that repeats being taken once with its multiplicity, and
+a run of m balls enters the convolution as the m-fold max-plus power of
+the ball sequence, in closed form.  So the cost follows the number of runs,
+not of balls: E(1000001/1000000, 1) has 1,000,001 balls in two runs.  All
+values are exact rationals.
 """
 
 from __future__ import annotations
@@ -61,8 +66,7 @@ def ech_ellipsoid_capacities(a, b, k_max: int) -> CapacitySequence:
 def _ellipsoid_values(ia: int, ib: int, k_max: int) -> list[int]:
     """The k_max + 1 smallest values ia*m + ib*n over nonnegative m, n."""
     if ia == ib:
-        # a scaled ball: value d*ia at the d+1 indices d(d+1)/2, ..., d(d+3)/2
-        return [ia * ((math.isqrt(8 * k + 1) - 1) // 2) for k in range(k_max + 1)]
+        return [ia * v for v in _balls_values(1, k_max)]
     # the k+1 smallest values all have m + n <= k: every (m', n') <= (m, n)
     # gives a value no larger, and there are more than k of those when m + n > k.
     # One ascending run ia*m + ib*n, m = 0..k-n, per n, merged lazily.
@@ -108,31 +112,62 @@ class ConcaveDomain(_Record):
         return cls.ellipsoid(c, c)
 
 
-def concave_weights(omega: ConcaveDomain) -> tuple[Fraction, ...]:
-    """Weight expansion: ball areas of the standard triangle decomposition.
+def _weight_runs(omega: ConcaveDomain) -> list[tuple[Fraction, int]]:
+    """Weight expansion in run form: (weight, multiplicity) pairs, adjacent
+    weights distinct, whose expansion is `concave_weights` in order.
 
-    Repeatedly carves out the largest triangle with legs on the axes and
-    shears the two leftover corners back into concave position.
+    Repeatedly carves out the largest triangle with legs on the axes,
+    r = min(x + y), and shears the two leftover corners back into concave
+    position.  When the end (r, 0) is the only vertex on the cut, the one
+    leftover is the chain under y -> y - (r - x), and the same carve repeats
+    until another vertex reaches x_i + y_i - q(r - x_i) <= r: the run takes
+    q carves at once.  The start (0, r) is symmetric, under x -> x - (r - y).
     """
-    out: list[Fraction] = []
+    runs: list[tuple[Fraction, int]] = []
     stack = [omega.chain]
-    for _ in range(WEIGHT_EXPANSION_CAP):
-        if not stack:
-            return tuple(out)
+    while stack:
         chain = stack.pop()
-        r = min(x + y for (x, y) in chain)
-        out.append(r)
-        touching = [i for i, (x, y) in enumerate(chain) if x + y == r]
+        sums = [x + y for (x, y) in chain]
+        r = min(sums)
+        touching = [i for i, s in enumerate(sums) if s == r]
         i_first, i_last = touching[0], touching[-1]
-        # leftover above the cut, sheared so the cut line becomes the x axis
-        if i_first > 0:
-            upper = tuple((x, x + y - r) for (x, y) in chain[: i_first + 1])
-            stack.append(upper)
-        # leftover right of the cut, sheared onto the y axis
-        if i_last < len(chain) - 1:
-            lower = tuple((x + y - r, y) for (x, y) in chain[i_last:])
-            stack.append(lower)
-    raise IterationLimit("weight expansion did not terminate")
+        if i_first == len(chain) - 1:
+            # only the end is on the cut: q carves, then a vertex reaches it
+            q = min(math.ceil((s - r) / (r - x)) for (x, _), s in zip(chain, sums[:-1]))
+            stack.append(tuple((x, y - q * (r - x)) for (x, y) in chain))
+        elif i_last == 0:
+            # only the start is on the cut
+            q = min(math.ceil((s - r) / (r - y)) for (_, y), s in zip(chain[1:], sums[1:]))
+            stack.append(tuple((x - q * (r - y), y) for (x, y) in chain))
+        else:
+            q = 1
+            # leftover above the cut, sheared so the cut line becomes the x axis
+            if i_first > 0:
+                upper = tuple((x, x + y - r) for (x, y) in chain[: i_first + 1])
+                stack.append(upper)
+            # leftover right of the cut, sheared onto the y axis
+            if i_last < len(chain) - 1:
+                lower = tuple((x + y - r, y) for (x, y) in chain[i_last:])
+                stack.append(lower)
+        if runs and runs[-1][0] == r:
+            q += runs.pop()[1]
+        runs.append((r, q))
+    return runs
+
+
+def concave_weights(omega: ConcaveDomain) -> tuple[Fraction, ...]:
+    """Weight expansion: ball areas of the standard triangle decomposition,
+    one per ball, in carving order.
+
+    Raises IterationLimit, before building the tuple, when the expansion
+    holds more than WEIGHT_EXPANSION_CAP balls; `_weight_runs` has no cap.
+    """
+    runs = _weight_runs(omega)
+    count = sum(m for _, m in runs)
+    if count > WEIGHT_EXPANSION_CAP:
+        raise IterationLimit(f"weight expansion has {count} balls, "
+                             f"more than {WEIGHT_EXPANSION_CAP}")
+    return tuple(itertools.chain.from_iterable(itertools.repeat(w, m) for w, m in runs))
 
 
 def ech_concave(omega: ConcaveDomain, k: int) -> Fraction:
@@ -153,17 +188,39 @@ def _concave_values(omega: ConcaveDomain, k_max: int) -> tuple[list[int], int]:
 
     The domain decomposes into balls with the weight expansion areas, and
     the capacity sequence of a disjoint union is the max-plus convolution
-    of the summands' sequences.  The convolution runs over integers, in
-    units of one over the common denominator of the weights.
+    of the summands' sequences.  A run of m balls of area w is one summand,
+    w times the m-fold max-plus power of the unit ball's sequence, so the
+    convolutions number one fewer than the runs, whatever the weight count.
+    They run over integers, in units of one over the common denominator of
+    the weights.
     """
-    weights = concave_weights(omega)
-    denom = math.lcm(*(w.denominator for w in weights))
-    ball = _ellipsoid_values(1, 1, k_max)
-    # max-plus with the empty domain's zero sequence is the identity on a
-    # nondecreasing sequence, so the first summand starts the accumulator
-    first, *rest = (int(w * denom) for w in weights)
-    acc = [first * v for v in ball]
-    for iw in rest:
-        scaled = [iw * v for v in ball]
-        acc = [max(map(add, acc[: k + 1], scaled[k::-1])) for k in range(k_max + 1)]
+    runs = _weight_runs(omega)
+    denom = math.lcm(*(w.denominator for w, _ in runs))
+    acc = None
+    for w, m in runs:
+        iw = w.numerator * (denom // w.denominator)
+        power = [iw * v for v in _balls_values(m, k_max)]
+        # max-plus with the empty domain's zero sequence is the identity on a
+        # nondecreasing sequence, so the first run starts the accumulator
+        acc = power if acc is None else [max(map(add, acc[: k + 1], power[k::-1]))
+                                         for k in range(k_max + 1)]
     return acc, denom
+
+
+def _balls_values(m: int, k_max: int) -> list[int]:
+    """ECH capacities c_0, ..., c_k_max of m disjoint unit balls.
+
+    c_k is the largest d_1 + ... + d_m with sum N(d_i) <= k, where
+    N(d) = d(d+1)/2 is the first index at which a unit ball has capacity d.
+    N is convex, so a total D is reached first by the most even split,
+    q + 1 in r balls and q in the rest for D = q*m + r.  For m >= k_max
+    this gives c_k = k.
+    """
+    out: list[int] = []
+    total = 0
+    while len(out) <= k_max:
+        total += 1
+        q, r = divmod(total, m)
+        first = (r * (q + 1) * (q + 2) + (m - r) * q * (q + 1)) // 2
+        out.extend([total - 1] * (first - len(out)))
+    return out[: k_max + 1]

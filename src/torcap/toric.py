@@ -302,9 +302,10 @@ def ip_transform(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
     return TorusDivisor(tuple(out))
 
 
-def iterate_ip(y: ToricSurface, d: TorusDivisor, cap: int = IP_ITERATION_CAP) -> TorusDivisor:
-    """Iterate the isoparametric transform until the divisor is nef."""
-    for _ in range(cap):
+def iterate_ip(y: ToricSurface, d: TorusDivisor, cap: Optional[int] = None) -> TorusDivisor:
+    """Iterate the isoparametric transform until the divisor is nef, at most
+    cap times (IP_ITERATION_CAP, read at call time, when cap is None)."""
+    for _ in range(IP_ITERATION_CAP if cap is None else cap):
         if is_nef(y, d):
             return d
         d = ip_transform(y, d)

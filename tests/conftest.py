@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from torcap import capacities
+from torcap.ech import ConcaveDomain
 from torcap.lattice import MomentPolygon, UnimodularAffineMap, convex_hull, primitive
 from torcap.toric import ToricSurface, TorusDivisor, support_vertices
 
@@ -83,6 +84,21 @@ def random_domain_polygon(rng: random.Random, size: int = 4) -> MomentPolygon:
     for _ in range(rng.randint(0, 3)):
         pts.append((Fraction(rng.randint(0, size)), Fraction(rng.randint(0, size))))
     return MomentPolygon(tuple(convex_hull(pts)))
+
+
+def random_chain(rng: random.Random) -> ConcaveDomain:
+    """Concave chain with 2-6 vertices: edges with rational steps of
+    denominator at most 4, in order of increasing slope."""
+    n = rng.randint(2, 6)
+    while True:
+        edges = {(Fraction(rng.randint(1, 6), rng.randint(1, 4)),
+                  -Fraction(rng.randint(1, 6), rng.randint(1, 4))) for _ in range(n - 1)}
+        if len(edges) == n - 1 and len({dy / dx for dx, dy in edges}) == n - 1:
+            break
+    pts = [(Fraction(0), -sum(dy for _, dy in edges))]
+    for dx, dy in sorted(edges, key=lambda e: e[1] / e[0]):
+        pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
+    return ConcaveDomain(tuple(pts))
 
 
 def random_unimodular(rng: random.Random) -> UnimodularAffineMap:

@@ -2,16 +2,18 @@ import heapq
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import (OCTAGON, TWELVE_GON, random_domain_polygon, random_fan,
+from conftest import (OCTAGON, TWELVE_GON, random_chain, random_domain_polygon, random_fan,
                       random_lattice_polygon, random_unimodular, section_points)
-from torcap import capacities, corpus, lattice, oracle, toric
+from torcap import capacities, corpus, ech, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
-from torcap.errors import NoSmoothVertex, NotAmple, NotConcave, NotDomainPolygon, TorcapError
+from torcap.errors import (IterationLimit, NoSmoothVertex, NotAmple, NotConcave, NotDomainPolygon,
+                           TorcapError)
 from torcap.lattice import MomentPolygon
 from torcap.toric import TorusDivisor
 
@@ -448,16 +450,100 @@ def test_ech_concave_matches_ellipsoid():
             assert capacities.ech_concave(omega, k) == capacities.ech_ellipsoid(a, b, k)
 
 
-def test_ech_concave_matches_fraction_maxplus():
-    omega = ConcaveDomain(((Fraction(0), Fraction(2)), (Fraction(1), Fraction(1, 2)),
-                           (Fraction(3, 2), Fraction(0))))
-    k_max = 40
+def _flat_weights(omega):
+    """The weight expansion one ball at a time, by the stack of leftover
+    pieces, popped last in first out."""
+    out = []
+    stack = [omega.chain]
+    while stack:
+        chain = stack.pop()
+        r = min(x + y for (x, y) in chain)
+        out.append(r)
+        touching = [i for i, (x, y) in enumerate(chain) if x + y == r]
+        i_first, i_last = touching[0], touching[-1]
+        if i_first > 0:
+            stack.append(tuple((x, x + y - r) for (x, y) in chain[: i_first + 1]))
+        if i_last < len(chain) - 1:
+            stack.append(tuple((x + y - r, y) for (x, y) in chain[i_last:]))
+    return tuple(out)
+
+
+def test_weight_runs_expand_to_flat_expansion():
+    rng = random.Random(61)
+    for _ in range(600):
+        omega = random_chain(rng)
+        runs = ech._weight_runs(omega)
+        assert all(m >= 1 for _, m in runs)
+        assert all(w1 != w2 for (w1, _), (w2, _) in zip(runs, runs[1:]))
+        flat = tuple(w for w, m in runs for _ in range(m))
+        assert flat == _flat_weights(omega) == capacities.concave_weights(omega)
+
+
+def test_weight_runs_of_near_degenerate_chains():
+    assert ech._weight_runs(ConcaveDomain.ellipsoid(Fraction(201, 200), 1)) == [
+        (1, 1), (Fraction(1, 200), 200)]
+    assert ech._weight_runs(ConcaveDomain.ellipsoid(Fraction(1000001, 1000000), 1)) == [
+        (1, 1), (Fraction(1, 1000000), 1000000)]
+
+
+def test_concave_weights_cap_counts_runs():
+    omega = ConcaveDomain.ellipsoid(Fraction(1000001, 1000000), 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(IterationLimit):
+            capacities.concave_weights(omega)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the flat tuple of 1,000,001 weights would take 8 MB of pointers alone
+    assert peak < 1_000_000
+
+
+def test_ech_concave_matches_ellipsoid_at_high_index():
+    for a in (Fraction(201, 200), Fraction(1000001, 1000000)):
+        omega = ConcaveDomain.ellipsoid(a, 1)
+        assert (capacities.ech_concave_capacities(omega, 1000).values
+                == capacities.ech_ellipsoid_capacities(a, 1, 1000).values)
+
+
+def test_steep_chain_at_high_index():
+    # 2,000 balls of area 1 and 1,996,000 of area 1/2: c_k = k for k <= 2000
+    omega = ConcaveDomain(((Fraction(0), Fraction(10**6)), (Fraction(1, 2), Fraction(1000)),
+                           (Fraction(1), Fraction(0))))
+    start = time.perf_counter()
+    values = capacities.ech_concave_capacities(omega, 1000).values
+    assert time.perf_counter() - start < 1
+    assert values == tuple(range(1001))
+
+
+def test_ech_concave_at_index_zero():
+    rng = random.Random(63)
+    for _ in range(20):
+        omega = random_chain(rng)
+        denom = math.lcm(*(w.denominator for w in _flat_weights(omega)))
+        assert ech._concave_values(omega, 0) == ([0], denom)
+        assert capacities.ech_concave_capacities(omega, 0).values == (0,)
+
+
+def _fraction_maxplus(omega, k_max):
     # ball capacities: d for d(d+1)/2 <= k < (d+1)(d+2)/2
     ball = [Fraction(d) for d in range(k_max + 1) for _ in range(d + 1)][: k_max + 1]
     acc = [Fraction(0)] * (k_max + 1)
-    for w in capacities.concave_weights(omega):
-        acc = [max(acc[j] + w * ball[k - j] for j in range(k + 1)) for k in range(k_max + 1)]
-    assert capacities.ech_concave_capacities(omega, k_max).values == tuple(acc)
+    for w in _flat_weights(omega):
+        scaled = [w * c for c in ball]
+        acc = [max(acc[j] + scaled[k - j] for j in range(k + 1)) for k in range(k_max + 1)]
+    return tuple(acc)
+
+
+def test_ech_concave_matches_fraction_maxplus():
+    omega = ConcaveDomain(((Fraction(0), Fraction(2)), (Fraction(1), Fraction(1, 2)),
+                           (Fraction(3, 2), Fraction(0))))
+    assert capacities.ech_concave_capacities(omega, 40).values == _fraction_maxplus(omega, 40)
+    rng = random.Random(62)
+    for _ in range(100):
+        omega, k_max = random_chain(rng), rng.randint(1, 30)
+        assert (capacities.ech_concave_capacities(omega, k_max).values
+                == _fraction_maxplus(omega, k_max))
 
 
 def test_ech_concave_inclusion_monotone():

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import pytest
 
 import torcap
-from torcap import ech
+from torcap import toric
 from torcap import cli as cli_module
 from torcap.cli import cli, parse_chain, parse_polygon
 from torcap.errors import ParseError
@@ -223,13 +223,13 @@ def test_bad_horizon_or_area_exit_code(runner, tmp_path):
 
 
 def test_iteration_limit_exit_code(runner, tmp_path, monkeypatch):
-    # E(201/200, 1) expands into 201 weights, past a cap of 3
-    monkeypatch.setattr(ech, "WEIGHT_EXPANSION_CAP", 3)
-    chain = _write(tmp_path, "c.txt", "0 1\n201/200 0\n")
-    res = runner.invoke(cli, ["ech", "concave", chain, "--k-max", "5"])
+    # a cap of 0 stops the transform before its first nef test
+    monkeypatch.setattr(toric, "IP_ITERATION_CAP", 0)
+    poly = _write(tmp_path, "p.txt", runner.invoke(cli, ["corpus", "chopped-triangle"]).output)
+    res = runner.invoke(cli, ["transform-ip", poly, "--coeffs", "0,2,0,0"])
     assert res.exit_code == 3
     assert res.stdout == ""
-    assert res.stderr == "error: weight expansion did not terminate\n"
+    assert res.stderr == "error: isoparametric transform did not stabilize\n"
 
 
 def test_corpus_listing_round_trip(runner):
