@@ -1,15 +1,28 @@
 """Helpers shared by the geometry and the ECH modules: exact rational
-coercion, the 2x2 determinant and the immutable record base."""
+coercion, integer views of rational points, the 2x2 determinant, the
+immutable record base and the size of the per-polygon caches."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import attrgetter
 from typing import Sequence
 
+# entries kept by each per-polygon cache
+CACHE_SIZE = 128
+
 
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def integer_view(pts: Sequence) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(scale, ipts): the lcm of the denominators of the rational points pts,
+    and the points times scale, which are integral."""
+    scale = math.lcm(*(c.denominator for pt in pts for c in pt))
+    return scale, tuple((x.numerator * (scale // x.denominator),
+                         y.numerator * (scale // y.denominator)) for x, y in pts)
 
 
 def det2(u: Sequence, v: Sequence):

@@ -2,19 +2,23 @@
 
 Algebraic capacities of polarized toric surfaces, ECH capacities of convex
 toric domains, embedding verdicts, the Xi-width and the lattice width bound.
-All values are exact rationals.  The ECH capacities of ellipsoids and
-concave toric domains live in `ech`, which needs no toric code; every name
-of it used here is re-exported from this module as the same object.
+The capacity search reads the fan, the support numbers and the pairings
+with the polarization off the polygon's integer view, so this module loads
+no `toric` code.  The search and the verdicts run on integers over one
+denominator; every value returned is an exact rational.  The ECH
+capacities of ellipsoids and concave toric domains live in `ech`, which
+needs no toric code either; every name of it used here is re-exported from
+this module as the same object.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import lattice, toric
-from ._base import _Record
+from . import lattice
+from ._base import CACHE_SIZE, _Record, det2
 from .ech import (  # noqa: F401  (re-exported)
     ALG,
     ECH_CONCAVE,
@@ -23,6 +27,7 @@ from .ech import (  # noqa: F401  (re-exported)
     WEIGHT_EXPANSION_CAP,
     CapacitySequence,
     ConcaveDomain,
+    _check_index,
     _concave_values,
     _ellipsoid_values,
     concave_weights,
@@ -33,11 +38,15 @@ from .ech import (  # noqa: F401  (re-exported)
 )
 from .errors import IterationLimit, NoSmoothVertex, NotAmple, NotDomainPolygon
 from .lattice import MomentPolygon, line_count, line_cuts
-from .toric import TorusDivisor
+
+if TYPE_CHECKING:
+    from .toric import TorusDivisor
+
 
 def calg(p: MomentPolygon, k: int) -> Fraction:
     """k-th algebraic capacity of the surface polarized by p."""
-    return calg_witness(p, k)[0]
+    values, denom, _vecs = _ensure_table(p, k)
+    return Fraction(values[k], denom)
 
 
 def calg_witness(p: MomentPolygon, k: int) -> tuple[Fraction, TorusDivisor]:
@@ -50,29 +59,34 @@ def calg_witness(p: MomentPolygon, k: int) -> tuple[Fraction, TorusDivisor]:
     a_{s+2}, ..., a_{s-1} are the lexicographically smallest optimal ones.
     On a smooth cone the gauge is a_s = a_{s+1} = 0.
     """
-    if k < 0:
-        raise ValueError("capacity index must be nonnegative")
-    val, coeffs = _ensure_table(p, k)[k]
-    return val, TorusDivisor(tuple(Fraction(c) for c in coeffs))
+    from .toric import TorusDivisor
+
+    values, denom, vecs = _ensure_table(p, k)
+    return Fraction(values[k], denom), TorusDivisor(tuple(Fraction(c) for c in vecs[k]))
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-# the tables of the toric.CACHE_SIZE polygons built last, oldest first
-_TABLES: dict[MomentPolygon, list[tuple[Fraction, tuple[int, ...]]]] = {}
+# (values, denom, witnesses), as `_compute_table` returns it
+_Table = tuple[list[int], int, list[tuple[int, ...]]]
+
+# the tables of the CACHE_SIZE polygons built last, oldest first
+_TABLES: dict[MomentPolygon, _Table] = {}
 
 
-def _ensure_table(p: MomentPolygon, k: int) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Capacity table of p covering index k; a sequence is served by one
-    build when its largest index is asked for first."""
+def _ensure_table(p: MomentPolygon, k: int) -> _Table:
+    """Capacity table of p covering index k, which must be nonnegative; a
+    sequence is served by one build when its largest index is asked for
+    first."""
+    _check_index(k)
     table = _TABLES.get(p)
-    if table is None or k >= len(table):
+    if table is None or k >= len(table[0]):
         table = _compute_table(p, k)
         _TABLES.pop(p, None)
         _TABLES[p] = table
-        if len(_TABLES) > toric.CACHE_SIZE:
+        if len(_TABLES) > CACHE_SIZE:
             del _TABLES[next(iter(_TABLES))]
     return table
 
@@ -81,7 +95,7 @@ def _gauge_classes(v0, v1) -> list[tuple[int, int]]:
     """One representative (a_0, a_1) per class of Z^2 modulo the pairs
     (<u, v0>, <u, v1>) for u in Z^2, the first of each in lexicographic
     order over [0, det)^2.  A smooth cone has the single class (0, 0)."""
-    d = toric.det2(v0, v1)
+    d = det2(v0, v1)
     seen = set()
     reps = []
     for r0 in range(d):
@@ -94,8 +108,16 @@ def _gauge_classes(v0, v1) -> list[tuple[int, int]]:
     return reps
 
 
-def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """(value, witness vector) for every capacity index up to k_max.
+def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
+    """(values, denom, witnesses): for every capacity index k up to k_max,
+    the capacity values[k] / denom and the coefficient vector witnesses[k]
+    of an optimal divisor.
+
+    The surface is that of p's inner normal fan p._normals, which p's
+    constructor has checked to be complete.  Everything is read off p's
+    integer view p._scale * p: the polarization has support number
+    -<v_i, x> at a vertex x of edge i, and it pairs with the boundary curve
+    D_i in the lattice length of edge i, both over p._scale.
 
     One bounded depth-first search serves all indices at once.  Divisors are
     taken once per linear equivalence class, in a gauge fixed at the first
@@ -111,40 +133,44 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
     the row scan runs once per gauge class, and a unit move of one
     coefficient adds or removes the lattice points of one line.
     """
-    y = toric.build_surface(p)
-    n = len(y.rays)
-    ample = toric.associated_divisor(p)
+    rays = p._normals
+    n = len(rays)
     # pairing of each boundary divisor with the polarization; positive by
     # ampleness, so the objective is a positive linear form
-    weights = toric.pairings(y, ample)
-    if not all(w > 0 for w in weights):
+    lengths = lattice.edge_lengths(p)
+    if not all(w > 0 for w in lengths):
         raise NotAmple("polarization pairs non-positively with a boundary curve")
-    denom = math.lcm(*(w.denominator for w in weights))
-    iweights = tuple(w.numerator * (denom // w.denominator) for w in weights)
+    # the pairings lengths[i] / p._scale over their least common denominator
+    g = math.gcd(p._scale, *lengths)
+    denom = p._scale // g
+    iweights = tuple(w // g for w in lengths)
 
     # value bound: integral multiples of the polarization are nef with as
     # many sections as needed.  t p has at most area + l1-perimeter / 2 + 1
     # lattice points (Pick's formula on the hull of those points), so the
-    # counts start at the first multiple where that reaches k_max + 1
-    scale = math.lcm(*(c.denominator for c in ample.coeffs))
-    base = tuple(c.numerator * (scale // c.denominator) for c in ample.coeffs)
+    # counts start at the first multiple where that reaches k_max + 1.  The
+    # support numbers are base / scale in lowest terms
+    supports = [-(u[0] * x + u[1] * y) for u, (x, y) in zip(rays, p._ipts)]
+    g = math.gcd(p._scale, *supports)
+    scale = p._scale // g
+    base = tuple(a // g for a in supports)
     area2, perim = lattice._area2_perimeter(p)
     m = 1
     while m * scale * (m * scale * area2 + p._scale * perim) < 2 * p._scale ** 2 * k_max:
         m += 1
-    while lattice.count_points(y.rays, tuple(m * c for c in base)) < k_max + 1:
+    while lattice.count_points(rays, tuple(m * c for c in base)) < k_max + 1:
         m += 1
     bound = sum(m * base[i] * iweights[i] for i in range(n))
 
     # rotate so that the gauge cone is (v[0], v[1]); d[j] = det(v[j], v[j+1])
     # and e[j] = det(v[j-1], v[j+1]), so that nef row j scaled by
     # d[j-1] * d[j] reads b[j-1] d[j] - b[j] e[j] + b[j+1] d[j-1] >= 0
-    cone_dets = y.cone_dets
+    cone_dets = tuple(det2(rays[j], rays[(j + 1) % n]) for j in range(n))
     s = cone_dets.index(min(cone_dets))
-    v = y.rays[s:] + y.rays[:s]
+    v = rays[s:] + rays[:s]
     w = iweights[s:] + iweights[:s]
     d = cone_dets[s:] + cone_dets[:s]
-    e = tuple(toric.det2(v[j - 1], v[(j + 1) % n]) for j in range(n))
+    e = tuple(det2(v[j - 1], v[(j + 1) % n]) for j in range(n))
     # the optimum per index; every vector searched has value at most bound
     vals = [bound + 1] * (k_max + 1)
     vecs: list[Optional[tuple[int, ...]]] = [None] * (k_max + 1)
@@ -243,14 +269,13 @@ def _compute_table(p: MomentPolygon, k_max: int) -> list[tuple[Fraction, tuple[i
         # polarization, whose gauge representative lies in the search region
         raise IterationLimit("no optimal vector found")
     # undo the rotation: b[j] is the coefficient of ray s + j
-    return [(Fraction(val, denom), vec[n - s:] + vec[:n - s]) for val, vec in zip(vals, vecs)]
+    return vals, denom, [vec[n - s:] + vec[:n - s] for vec in vecs]
 
 
 def alg_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
     """c_0, ..., c_k_max, read from one capacity table."""
-    if k_max < 0:
-        return CapacitySequence((), ALG)
-    return CapacitySequence(tuple(val for val, _vec in _ensure_table(p, k_max)[: k_max + 1]), ALG)
+    values, denom, _vecs = _ensure_table(p, k_max)
+    return CapacitySequence(tuple(Fraction(v, denom) for v in values[: k_max + 1]), ALG)
 
 
 def is_domain_polygon(p: MomentPolygon) -> bool:
@@ -310,16 +335,16 @@ def embedding_verdict(omega: ConcaveDomain, p: MomentPolygon, k_max: int) -> Emb
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     _require_smooth_vertex(p)
-    dom, denom = _concave_values(omega, k_max)
-    target = alg_capacities(p, k_max)
+    dom, dom_denom = _concave_values(omega, k_max)
+    target, denom, _vecs = _ensure_table(p, k_max)
     for k in range(1, k_max + 1):
-        if dom[k] * target[k].denominator > target[k].numerator * denom:
+        if dom[k] * denom > target[k] * dom_denom:
             return EmbeddingVerdict(
                 compatible=False,
                 k_max=k_max,
                 first_violation=k,
-                domain_capacity=Fraction(dom[k], denom),
-                target_capacity=target[k],
+                domain_capacity=Fraction(dom[k], dom_denom),
+                target_capacity=Fraction(target[k], denom),
             )
     return EmbeddingVerdict(compatible=True, k_max=k_max)
 
@@ -343,21 +368,22 @@ def xi_width(p: MomentPolygon, omega: ConcaveDomain, k_max: int) -> XiWidth:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     _require_smooth_vertex(p)
-    dom, denom = _concave_values(omega, k_max)
-    target = alg_capacities(p, k_max)
-    # the ratio target[k] / dom[k] as num / den, compared by cross-multiplying
+    dom, dom_denom = _concave_values(omega, k_max)
+    target, denom, _vecs = _ensure_table(p, k_max)
+    # the ratio is target[k] / dom[k] times the constant dom_denom / denom;
+    # the integer pairs (target[k], dom[k]) are compared by cross-multiplying
     best: Optional[tuple[int, int]] = None
     argmin = 0
     for k in range(1, k_max + 1):
         if dom[k] <= 0:
             continue
-        num, den = target[k].numerator * denom, target[k].denominator * dom[k]
-        if best is None or num * best[1] < best[0] * den:
-            best, argmin = (num, den), k
+        if best is None or target[k] * best[1] < best[0] * dom[k]:
+            best, argmin = (target[k], dom[k]), k
     if best is None:
         raise ValueError("domain has no positive capacity up to k_max")
     stable = argmin <= max(1, k_max // 2)
-    return XiWidth(value=Fraction(*best), argmin_k=argmin, k_max=k_max, stable=stable)
+    return XiWidth(value=Fraction(best[0] * dom_denom, best[1] * denom), argmin_k=argmin,
+                   k_max=k_max, stable=stable)
 
 
 def gromov_width_bound(p: MomentPolygon, k_max: int) -> XiWidth:

@@ -7,8 +7,9 @@ through a max-plus convolution.  The expansion comes in runs of equal
 balls, each carve that repeats being taken once with its multiplicity, and
 a run of m balls enters the convolution as the m-fold max-plus power of
 the ball sequence, in closed form.  So the cost follows the number of runs,
-not of balls: E(1000001/1000000, 1) has 1,000,001 balls in two runs.  All
-values are exact rationals.
+not of balls: E(1000001/1000000, 1) has 1,000,001 balls in two runs.  The
+expansion and the convolution run on integers over one denominator; every
+value returned is an exact rational.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from fractions import Fraction
 from operator import add
 
-from ._base import _Record, det2, frac
+from ._base import _Record, det2, frac, integer_view
 from .errors import IterationLimit, NotConcave
 
 ALG = "alg"
@@ -48,13 +49,17 @@ class CapacitySequence(_Record):
 def ech_ellipsoid(a, b, k: int) -> Fraction:
     """k-th ECH capacity of the ellipsoid with areas a, b: the (k+1)-th
     smallest value of a*m + b*n over nonnegative integers m, n."""
+    return ech_ellipsoid_capacities(a, b, k)[k]
+
+
+def _check_index(k: int) -> None:
     if k < 0:
         raise ValueError("capacity index must be nonnegative")
-    return ech_ellipsoid_capacities(a, b, k)[k]
 
 
 def ech_ellipsoid_capacities(a, b, k_max: int) -> CapacitySequence:
     """ECH capacities c_0, ..., c_k_max of the ellipsoid with areas a, b."""
+    _check_index(k_max)
     a, b = frac(a), frac(b)
     if a <= 0 or b <= 0:
         raise ValueError("ellipsoid needs positive areas")
@@ -79,7 +84,10 @@ class ConcaveDomain(_Record):
 
     The chain runs from (0, b) on the y axis to (a, 0) on the x axis with
     strictly increasing x, strictly decreasing y and strictly increasing
-    slopes; the domain is the region between the chain and the axes.
+    slopes; the domain is the region between the chain and the axes.  As
+    `MomentPolygon` does, it keeps the integer view _ipts, the chain scaled
+    by _scale, the lcm of its denominators; validation and the weight
+    expansion run on that view.
     """
 
     _fields = ("chain",)
@@ -88,19 +96,18 @@ class ConcaveDomain(_Record):
         pts = tuple((frac(x), frac(y)) for x, y in chain)
         if len(pts) < 2:
             raise NotConcave("chain needs at least two vertices")
-        if pts[0][0] != 0 or pts[0][1] <= 0:
+        scale, ipts = integer_view(pts)
+        if ipts[0][0] != 0 or ipts[0][1] <= 0:
             raise NotConcave("chain must start on the positive y axis")
-        if pts[-1][1] != 0 or pts[-1][0] <= 0:
+        if ipts[-1][1] != 0 or ipts[-1][0] <= 0:
             raise NotConcave("chain must end on the positive x axis")
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+        for (x1, y1), (x2, y2) in zip(ipts, ipts[1:]):
             if x2 <= x1 or y2 >= y1:
                 raise NotConcave("chain must move strictly right and down")
-        for i in range(len(pts) - 2):
-            e1 = (pts[i + 1][0] - pts[i][0], pts[i + 1][1] - pts[i][1])
-            e2 = (pts[i + 2][0] - pts[i + 1][0], pts[i + 2][1] - pts[i + 1][1])
-            if det2(e1, e2) <= 0:
+        for (x0, y0), (x1, y1), (x2, y2) in zip(ipts, ipts[1:], ipts[2:]):
+            if det2((x1 - x0, y1 - y0), (x2 - x1, y2 - y1)) <= 0:
                 raise NotConcave("chain slopes must strictly increase")
-        self.__dict__["chain"] = pts
+        self.__dict__.update(chain=pts, _scale=scale, _ipts=ipts)
 
     @classmethod
     def ellipsoid(cls, a, b) -> "ConcaveDomain":
@@ -114,7 +121,12 @@ class ConcaveDomain(_Record):
 
 def _weight_runs(omega: ConcaveDomain) -> list[tuple[Fraction, int]]:
     """Weight expansion in run form: (weight, multiplicity) pairs, adjacent
-    weights distinct, whose expansion is `concave_weights` in order.
+    weights distinct, whose expansion is `concave_weights` in order."""
+    return [(Fraction(r, omega._scale), q) for r, q in _integer_runs(omega)]
+
+
+def _integer_runs(omega: ConcaveDomain) -> list[tuple[int, int]]:
+    """`_weight_runs` with each weight times omega._scale, an integer.
 
     Repeatedly carves out the largest triangle with legs on the axes,
     r = min(x + y), and shears the two leftover corners back into concave
@@ -123,8 +135,8 @@ def _weight_runs(omega: ConcaveDomain) -> list[tuple[Fraction, int]]:
     until another vertex reaches x_i + y_i - q(r - x_i) <= r: the run takes
     q carves at once.  The start (0, r) is symmetric, under x -> x - (r - y).
     """
-    runs: list[tuple[Fraction, int]] = []
-    stack = [omega.chain]
+    runs: list[tuple[int, int]] = []
+    stack = [omega._ipts]
     while stack:
         chain = stack.pop()
         sums = [x + y for (x, y) in chain]
@@ -133,11 +145,11 @@ def _weight_runs(omega: ConcaveDomain) -> list[tuple[Fraction, int]]:
         i_first, i_last = touching[0], touching[-1]
         if i_first == len(chain) - 1:
             # only the end is on the cut: q carves, then a vertex reaches it
-            q = min(math.ceil((s - r) / (r - x)) for (x, _), s in zip(chain, sums[:-1]))
+            q = min(-((r - s) // (r - x)) for (x, _), s in zip(chain, sums[:-1]))
             stack.append(tuple((x, y - q * (r - x)) for (x, y) in chain))
         elif i_last == 0:
             # only the start is on the cut
-            q = min(math.ceil((s - r) / (r - y)) for (_, y), s in zip(chain[1:], sums[1:]))
+            q = min(-((r - s) // (r - y)) for (_, y), s in zip(chain[1:], sums[1:]))
             stack.append(tuple((x - q * (r - y), y) for (x, y) in chain))
         else:
             q = 1
@@ -171,13 +183,12 @@ def concave_weights(omega: ConcaveDomain) -> tuple[Fraction, ...]:
 
 
 def ech_concave(omega: ConcaveDomain, k: int) -> Fraction:
-    if k < 0:
-        raise ValueError("capacity index must be nonnegative")
     return ech_concave_capacities(omega, k)[k]
 
 
 def ech_concave_capacities(omega: ConcaveDomain, k_max: int) -> CapacitySequence:
     """ECH capacities of a concave toric domain."""
+    _check_index(k_max)
     values, denom = _concave_values(omega, k_max)
     return CapacitySequence(tuple(Fraction(v, denom) for v in values), ECH_CONCAVE)
 
@@ -194,11 +205,13 @@ def _concave_values(omega: ConcaveDomain, k_max: int) -> tuple[list[int], int]:
     They run over integers, in units of one over the common denominator of
     the weights.
     """
-    runs = _weight_runs(omega)
-    denom = math.lcm(*(w.denominator for w, _ in runs))
+    runs = _integer_runs(omega)
+    # the weights are r / omega._scale; their common denominator is denom
+    g = math.gcd(omega._scale, *(r for r, _ in runs))
+    denom = omega._scale // g
     acc = None
-    for w, m in runs:
-        iw = w.numerator * (denom // w.denominator)
+    for r, m in runs:
+        iw = r // g
         power = [iw * v for v in _balls_values(m, k_max)]
         # max-plus with the empty domain's zero sequence is the identity on a
         # nondecreasing sequence, so the first run starts the accumulator

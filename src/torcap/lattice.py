@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._base import _Record, det2, frac
+from ._base import _Record, det2, frac, integer_view
 from .errors import ChopTooLarge, NoSmoothVertex, NotConvex, ZeroArea
 
 Point = tuple[Fraction, Fraction]
@@ -104,9 +104,7 @@ class MomentPolygon(_Record):
             raise ZeroArea("a polygon needs at least 3 vertices")
         # the integer view: vertices times _scale, and per edge i (from vertex
         # i to i+1) its inward primitive normal
-        scale = math.lcm(*(c.denominator for pt in pts for c in pt))
-        ipts = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-                for x, y in pts]
+        scale, ipts = integer_view(pts)
         n = len(pts)
         area2 = sum(det2(ipts[i], ipts[(i + 1) % n]) for i in range(n))
         if area2 == 0:
@@ -120,7 +118,7 @@ class MomentPolygon(_Record):
             if c < 0:
                 raise NotConvex("polygon is not convex")
         start = min(range(n), key=lambda i: ipts[i])
-        ipts = tuple(ipts[start:] + ipts[:start])
+        ipts = ipts[start:] + ipts[:start]
         pts = pts[start:] + pts[:start]
         # the record hash, computed once: table lookups hash a polygon often
         self.__dict__.update(
@@ -261,17 +259,21 @@ def lattice_count(p: MomentPolygon) -> int:
                                      for u, (x, y) in zip(p._normals, p._ipts)])
 
 
+def edge_lengths(p: MomentPolygon) -> tuple[int, ...]:
+    """Lattice lengths of the edges of the integer polygon p._scale * p, per
+    edge i from vertex i to i+1.  Divided by p._scale they are the pairings
+    of the polarization with the boundary curves of p's surface."""
+    ipts = p._ipts
+    return tuple(math.gcd(w[0] - v[0], w[1] - v[1]) for v, w in zip(ipts, ipts[1:] + ipts[:1]))
+
+
 def boundary_lattice_count(p: MomentPolygon) -> int:
     """Number of integer points on the boundary (integral-vertex polygons)."""
-    n = len(p.vertices)
-    total = 0
-    for i in range(n):
-        v, w = p.vertices[i], p.vertices[(i + 1) % n]
-        dx, dy = w[0] - v[0], w[1] - v[1]
-        if dx.denominator != 1 or dy.denominator != 1:
-            raise ValueError("boundary count needs integral vertices")
-        total += math.gcd(int(dx), int(dy))
-    return total
+    lengths = edge_lengths(p)
+    # an edge vector is integral exactly when p._scale divides its lattice length
+    if any(length % p._scale for length in lengths):
+        raise ValueError("boundary count needs integral vertices")
+    return sum(lengths) // p._scale
 
 
 def translate(p: MomentPolygon, v) -> MomentPolygon:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._base import _Record, det2, frac
+from ._base import CACHE_SIZE, _Record, det2, frac  # noqa: F401  (CACHE_SIZE re-exported)
 from .errors import (
     IterationLimit,
     NotContractible,
@@ -33,8 +33,6 @@ from .lattice import (
 )
 
 IP_ITERATION_CAP = 10_000
-# entries kept by each per-polygon cache
-CACHE_SIZE = 128
 
 
 class ToricSurface(_Record):

@@ -23,6 +23,21 @@ def test_calg_zero_index():
         assert capacities.calg(p, 0) == 0
 
 
+def test_negative_horizon_raises_like_negative_index():
+    square, ball = lattice.rectangle(1, 1), ConcaveDomain.ball(1)
+    for call in (lambda: capacities.alg_capacities(square, -1),
+                 lambda: capacities.ech_convex_capacities(square, -1),
+                 lambda: capacities.ech_concave_capacities(ball, -1),
+                 lambda: capacities.ech_ellipsoid_capacities(1, 2, -1),
+                 lambda: capacities.calg(square, -1),
+                 lambda: capacities.calg_witness(square, -1),
+                 lambda: capacities.ech_convex(square, -1),
+                 lambda: capacities.ech_concave(ball, -1),
+                 lambda: capacities.ech_ellipsoid(1, 2, -1)):
+        with pytest.raises(ValueError, match="capacity index must be nonnegative"):
+            call()
+
+
 def test_calg_triangle_is_staircase():
     t = lattice.unit_triangle()
     for k in range(21):
@@ -268,17 +283,34 @@ def test_polarization_weights_are_intersection_numbers():
         assert toric.pairings(y, ample) == expected, p.vertices
 
 
+def test_search_reads_weights_and_fan_off_the_polygon():
+    # the capacity search takes p._normals as the fan and the edge lengths
+    # over p._scale as the pairings of the polarization
+    rng = random.Random(47)
+    polygons = list(corpus.CORPUS.values())
+    for _ in range(300):
+        hull = random_lattice_polygon(rng, size=rng.choice((3, 4, 6)))
+        scale = rng.choice((1, 1, Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)))
+        polygons.append(lattice.scale(hull, scale))
+    for p in polygons:
+        # the fan checks of ToricSurface hold for every polygon's normals
+        toric.ToricSurface(p._normals)
+        weights = tuple(Fraction(w, p._scale) for w in lattice.edge_lengths(p))
+        assert weights == toric.pairings(toric.build_surface(p), toric.associated_divisor(p)), \
+            p.vertices
+
+
 @pytest.mark.parametrize("p, k_max", [(OCTAGON, 100), (TWELVE_GON, 20)])
 def test_many_edge_witnesses_are_feasible_and_attain_the_value(p, k_max):
     y = toric.build_surface(p)
     ample = toric.associated_divisor(p)
-    table = capacities._compute_table(p, k_max)
-    assert len(table) == k_max + 1
-    for k, (val, vec) in enumerate(table):
+    values, denom, vecs = capacities._compute_table(p, k_max)
+    assert len(values) == len(vecs) == k_max + 1
+    for k, (val, vec) in enumerate(zip(values, vecs)):
         d = TorusDivisor(vec)
         assert toric.is_nef(y, d), k
         assert lattice.count_points(y.rays, vec) >= k + 1, k
-        assert toric.intersect(y, d, ample) == val, k
+        assert toric.intersect(y, d, ample) == Fraction(val, denom), k
 
 
 def test_one_table_build_per_sequence(table_builds):
@@ -293,8 +325,8 @@ def test_table_build_makes_no_h0_call(monkeypatch):
 
     monkeypatch.setattr(toric, "h0", h0)
     for name in ("chopped-square", "singular-triangle", "rect-2x3"):
-        table = capacities._compute_table(corpus.CORPUS[name], 30)
-        assert len(table) == 31
+        values, _denom, vecs = capacities._compute_table(corpus.CORPUS[name], 30)
+        assert len(values) == len(vecs) == 31
 
 
 def test_value_bound_counts_few_multiples(monkeypatch):
@@ -317,8 +349,8 @@ def test_table_cache_is_bounded(monkeypatch):
 
 
 def test_non_positive_weight_raises_typed_error(monkeypatch):
-    weights = toric.pairings
-    monkeypatch.setattr(toric, "pairings", lambda y, a: tuple(-w for w in weights(y, a)))
+    lengths = lattice.edge_lengths
+    monkeypatch.setattr(lattice, "edge_lengths", lambda p: tuple(-w for w in lengths(p)))
     monkeypatch.setattr(capacities, "_TABLES", {})
     with pytest.raises(NotAmple) as info:
         capacities.calg(lattice.rectangle(1, 1), 1)
@@ -399,6 +431,16 @@ def test_ech_convex_matches_ellipsoid_on_triangles():
 def test_concave_domain_validation():
     with pytest.raises(NotConcave):
         ConcaveDomain(((Fraction(0), Fraction(1)),))
+    # vertices of different denominators, checked on the chain's integer view
+    F = Fraction
+    for chain, message in (
+            (((F(1, 7), F(1)), (F(2), F(0))), "start on the positive y axis"),
+            (((F(0), F(1)), (F(1, 2), F(-1, 5))), "end on the positive x axis"),
+            (((F(0), F(1)), (F(1, 3), F(2, 3)), (F(1), F(0))), "slopes must strictly increase"),
+            (((F(0), F(1)), (F(1, 2), F(1, 3)), (F(2, 5), F(1, 7)), (F(1), F(0))),
+             "strictly right and down")):
+        with pytest.raises(NotConcave, match=message):
+            ConcaveDomain(chain)
     with pytest.raises(NotConcave):
         ConcaveDomain(((Fraction(1), Fraction(1)), (Fraction(2), Fraction(0))))
     with pytest.raises(NotConcave):
@@ -610,6 +652,35 @@ def test_verdict_and_width_build_one_table(table_builds):
     assert table_builds == [30]
     capacities.xi_width(lattice.rectangle(2, 3), ConcaveDomain.ball(1), 25)
     assert table_builds == [30, 25]
+
+
+def test_integer_verdicts_match_fraction_definitions():
+    # chain and polygon denominators differ, so the integer comparisons
+    # cross two different denominators
+    rng = random.Random(64)
+    k_max = 12
+    done = 0
+    while done < 40:
+        p = lattice.scale(random_lattice_polygon(rng, size=4), rng.choice((1, Fraction(1, 2))))
+        if not lattice.smooth_vertices(p):
+            continue
+        done += 1
+        s = rng.choice((Fraction(2, 5), Fraction(1, 3)))
+        omega = ConcaveDomain(tuple((s * x, s * y) for x, y in random_chain(rng).chain))
+        target = [capacities.calg(p, k) for k in range(k_max + 1)]
+        dom = [capacities.ech_concave(omega, k) for k in range(k_max + 1)]
+        ratios = [target[k] / dom[k] for k in range(1, k_max + 1)]
+        res = capacities.xi_width(p, omega, k_max)
+        assert res.value == min(ratios)
+        assert res.argmin_k == 1 + ratios.index(min(ratios))
+        v = capacities.embedding_verdict(omega, p, k_max)
+        bad = [k for k in range(1, k_max + 1) if dom[k] > target[k]]
+        if bad:
+            k = bad[0]
+            assert (v.compatible, v.first_violation) == (False, k)
+            assert (v.domain_capacity, v.target_capacity) == (dom[k], target[k])
+        else:
+            assert v.compatible and v.first_violation is None
 
 
 def test_xi_width():

@@ -59,6 +59,23 @@ def test_ech_commands_load_no_toric_code(tmp_path, args):
         assert f"torcap.{module}" not in loaded, module
 
 
+@pytest.mark.parametrize("args", [["capacities", "square.poly", "--k-max", "5"],
+                                  ["ech", "convex", "square.poly", "--k-max", "5"],
+                                  ["embed", "ball.chain", "square.poly", "--k-max", "5"],
+                                  ["width", "square.poly", "--xi", "chain.txt", "--k-max", "5"]])
+def test_capacity_commands_load_no_toric_code(tmp_path, args):
+    """The capacity search reads its fan and weights off the polygon."""
+    (tmp_path / "square.poly").write_text(SQUARE)
+    (tmp_path / "ball.chain").write_text("0 1/2\n1/2 0\n")
+    (tmp_path / "chain.txt").write_text(CHAIN)
+    statement = ("from torcap.cli import cli\n"
+                 f"try:\n    cli({args!r})\nexcept SystemExit as exc:\n    assert exc.code == 0")
+    loaded = _loaded_after(statement, tmp_path)
+    assert "torcap.capacities" in loaded
+    for module in ("toric", "oracle"):
+        assert f"torcap.{module}" not in loaded, module
+
+
 @pytest.mark.parametrize("words", sorted(cli._MODULES))
 def test_command_modules_are_imported_before_the_parser(tmp_path, words):
     """The modules imported ahead of argparse and the parser are all that
