@@ -120,11 +120,18 @@ class MomentPolygon(_Record):
         start = min(range(n), key=lambda i: ipts[i])
         ipts = ipts[start:] + ipts[:start]
         pts = pts[start:] + pts[:start]
+        normals = tuple(primitive((v[1] - w[1], w[0] - v[0]))
+                        for v, w in zip(ipts, ipts[1:] + ipts[:1]))
+        # every turn is left and less than a half turn, so the normals wind
+        # around the origin once, and form a complete fan, exactly when one
+        # step leaves the lower half plane; a star polygon winds more often
+        lower = [u[1] < 0 or (u[1] == 0 and u[0] < 0) for u in normals]
+        if sum(lower[i - 1] and not lower[i] for i in range(n)) != 1:
+            raise NotConvex("polygon winds around more than once")
         # the record hash, computed once: table lookups hash a polygon often
         self.__dict__.update(
             vertices=pts, _hash=hash((pts,)), _scale=scale, _ipts=ipts,
-            _normals=tuple(primitive((v[1] - w[1], w[0] - v[0]))
-                           for v, w in zip(ipts, ipts[1:] + ipts[:1])))
+            _normals=normals)
 
     def __hash__(self):
         return self._hash

@@ -120,6 +120,22 @@ def test_ech_convex_rejects_non_domain(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["capacities", "{poly}", "--k-max", "4"],
+    ["ech", "convex", "{poly}", "--k-max", "4"],
+    ["embed", "{chain}", "{poly}", "--k-max", "4"],
+    ["width", "{poly}", "--xi", "{chain}", "--k-max", "4"],
+])
+def test_star_polygon_exits_2(runner, tmp_path, args):
+    # every turn of the pentagram is left, but its edges wind twice
+    poly = _write(tmp_path, "star.poly", "0 3\n-2 -3\n3 1\n-3 1\n2 -3\n")
+    chain = _write(tmp_path, "c.txt", "0 1\n1 0\n")
+    res = runner.invoke(cli, [a.format(poly=poly, chain=chain) for a in args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: polygon winds around more than once\n"
+
+
 def test_ech_concave_command(runner, tmp_path):
     chain = _write(tmp_path, "c.txt", "0 2\n1 0\n")
     res = runner.invoke(cli, ["ech", "concave", chain, "--k-max", "4"])

@@ -37,6 +37,15 @@ def test_rejects_nonconvex():
         MomentPolygon(((0, 0), (3, 0), (1, 1), (3, 3), (0, 3)))
 
 
+# every turn is left and twice the area is 32, but the edges wind twice
+PENTAGRAM = ((0, 3), (-2, -3), (3, 1), (-3, 1), (2, -3))
+
+
+def test_rejects_star_polygon():
+    with pytest.raises(NotConvex, match="winds around more than once"):
+        MomentPolygon(PENTAGRAM)
+
+
 def test_edge_data_unit_square():
     p = lattice.rectangle(1, 1)
     assert p.edge_data() == [
@@ -352,6 +361,7 @@ def test_integer_view_matches_fraction_formulas():
     (((0, 0), (1, 0), (2, 0), (0, 1)), NotConvex, "three consecutive vertices are collinear"),
     (((0, 0), (0, 1), (1, 0)), NotConvex, "vertices must be listed counterclockwise"),
     (((0, 0), (3, 0), (1, 1), (3, 3), (0, 3)), NotConvex, "polygon is not convex"),
+    (PENTAGRAM, NotConvex, "winds around more than once"),
 ])
 def test_rejects_rational_bad_polygons(vertices, error, message, s):
     t = (Fraction(1, 3), Fraction(-5, 7))
