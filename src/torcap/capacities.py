@@ -114,10 +114,10 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     of an optimal divisor.
 
     The surface is that of p's inner normal fan p._normals, which p's
-    constructor has checked to be complete.  Everything is read off p's
-    integer view p._scale * p: the polarization has support number
-    -<v_i, x> at a vertex x of edge i, and it pairs with the boundary curve
-    D_i in the lattice length of edge i, both over p._scale.
+    constructor has checked to be complete, with row constants p._d, p._e.
+    Everything is read off p's integer view p._scale * p: the polarization
+    has support number -<v_i, x> at a vertex x of edge i, and it pairs with
+    the boundary curve D_i in the lattice length of edge i, both over p._scale.
 
     One bounded depth-first search serves all indices at once.  Divisors are
     taken once per linear equivalence class, in a gauge fixed at the first
@@ -162,15 +162,14 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
         m += 1
     bound = sum(m * base[i] * iweights[i] for i in range(n))
 
-    # rotate so that the gauge cone is (v[0], v[1]); d[j] = det(v[j], v[j+1])
-    # and e[j] = det(v[j-1], v[j+1]), so that nef row j scaled by
-    # d[j-1] * d[j] reads b[j-1] d[j] - b[j] e[j] + b[j+1] d[j-1] >= 0
-    cone_dets = tuple(det2(rays[j], rays[(j + 1) % n]) for j in range(n))
-    s = cone_dets.index(min(cone_dets))
+    # rotate so that the gauge cone is (v[0], v[1]), with the fan's row
+    # constants d and e: nef row j scaled by d[j-1] * d[j] reads
+    # b[j-1] d[j] - b[j] e[j] + b[j+1] d[j-1] >= 0
+    s = p._d.index(min(p._d))
     v = rays[s:] + rays[:s]
     w = iweights[s:] + iweights[:s]
-    d = cone_dets[s:] + cone_dets[:s]
-    e = tuple(det2(v[j - 1], v[(j + 1) % n]) for j in range(n))
+    d = p._d[s:] + p._d[:s]
+    e = p._e[s:] + p._e[:s]
     # the optimum per index; every vector searched has value at most bound
     vals = [bound + 1] * (k_max + 1)
     vecs: list[Optional[tuple[int, ...]]] = [None] * (k_max + 1)
@@ -279,10 +278,8 @@ def alg_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
 
 
 def is_domain_polygon(p: MomentPolygon) -> bool:
-    """True iff p sits in the first quadrant with the origin as a vertex and
-    its two incident edges along the axes."""
-    if any(x < 0 or y < 0 for (x, y) in p.vertices):
-        return False
+    """True iff p has the origin as a vertex with its two incident edges
+    along the axes, which puts the convex p in the first quadrant."""
     if p.vertices[0] != (0, 0):
         return False
     d_next, d_prev = lattice.vertex_directions(p, 0)
@@ -370,17 +367,12 @@ def xi_width(p: MomentPolygon, omega: ConcaveDomain, k_max: int) -> XiWidth:
     _require_smooth_vertex(p)
     dom, dom_denom = _concave_values(omega, k_max)
     target, denom, _vecs = _ensure_table(p, k_max)
-    # the ratio is target[k] / dom[k] times the constant dom_denom / denom;
-    # the integer pairs (target[k], dom[k]) are compared by cross-multiplying
-    best: Optional[tuple[int, int]] = None
-    argmin = 0
-    for k in range(1, k_max + 1):
-        if dom[k] <= 0:
-            continue
-        if best is None or target[k] * best[1] < best[0] * dom[k]:
+    # dom[k] > 0 for k >= 1, as c_1 is at least the first weight; the ratio is
+    # target[k] / dom[k] times dom_denom / denom, compared by cross-multiplying
+    best, argmin = (target[1], dom[1]), 1
+    for k in range(2, k_max + 1):
+        if target[k] * best[1] < best[0] * dom[k]:
             best, argmin = (target[k], dom[k]), k
-    if best is None:
-        raise ValueError("domain has no positive capacity up to k_max")
     stable = argmin <= max(1, k_max // 2)
     return XiWidth(value=Fraction(best[0] * dom_denom, best[1] * denom), argmin_k=argmin,
                    k_max=k_max, stable=stable)

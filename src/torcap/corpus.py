@@ -45,9 +45,10 @@ def _corpus() -> dict:
 
 def _smooth_names() -> tuple:
     # CORPUS through the module, which builds it on first access
-    from . import corpus, toric
+    from . import corpus, lattice
 
-    return tuple(name for name, p in corpus.CORPUS.items() if toric.build_surface(p).smooth)
+    return tuple(name for name, p in corpus.CORPUS.items()
+                 if len(lattice.smooth_vertices(p)) == len(p))
 
 
 _BUILDERS = {"CORPUS": _corpus, "SMOOTH_NAMES": _smooth_names}

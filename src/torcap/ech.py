@@ -70,8 +70,6 @@ def ech_ellipsoid_capacities(a, b, k_max: int) -> CapacitySequence:
 
 def _ellipsoid_values(ia: int, ib: int, k_max: int) -> list[int]:
     """The k_max + 1 smallest values ia*m + ib*n over nonnegative m, n."""
-    if ia == ib:
-        return [ia * v for v in _balls_values(1, k_max)]
     # the k+1 smallest values all have m + n <= k: every (m', n') <= (m, n)
     # gives a value no larger, and there are more than k of those when m + n > k.
     # One ascending run ia*m + ib*n, m = 0..k-n, per n, merged lazily.

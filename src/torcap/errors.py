@@ -42,7 +42,8 @@ class SingularSurfaceChi(TorcapError):
 
 
 class NotDomainPolygon(TorcapError):
-    """Polygon is not a convex domain polygon or a free polygon."""
+    """Polygon is not a convex domain polygon: no origin vertex with its
+    edges along the axes."""
 
 
 class NotConcave(TorcapError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._base import _Record, det2, frac, integer_view
 from .errors import ChopTooLarge, NoSmoothVertex, NotConvex, ZeroArea
@@ -89,6 +89,21 @@ class UnimodularAffineMap(_Record):
         return UnimodularAffineMap(inv, ti)
 
 
+def _fan_rows(rays: Sequence[IntVec]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Row constants (d, e) of the cyclic integer vectors v = rays, d[i] =
+    det(v[i], v[i+1]) and e[i] = det(v[i-1], v[i+1]), so that on the fan's
+    surface D . D_i = (a[i-1] d[i] - a[i] e[i] + a[i+1] d[i-1]) / (d[i-1] d[i]).
+    None unless every step turns strictly left and v winds around 0 once."""
+    n = len(rays)
+    d = tuple(det2(rays[i], rays[(i + 1) % n]) for i in range(n))
+    # each step turns by less than a half turn, so the vectors wind around
+    # the origin once exactly when one step leaves the lower half plane
+    lower = [v[1] < 0 or (v[1] == 0 and v[0] < 0) for v in rays]
+    if min(d) <= 0 or sum(lower[i - 1] and not lower[i] for i in range(n)) != 1:
+        return None
+    return d, tuple(det2(rays[i - 1], rays[(i + 1) % n]) for i in range(n))
+
+
 class MomentPolygon(_Record):
     """Strictly convex polygon with rational vertices, counterclockwise.
 
@@ -122,16 +137,14 @@ class MomentPolygon(_Record):
         pts = pts[start:] + pts[:start]
         normals = tuple(primitive((v[1] - w[1], w[0] - v[0]))
                         for v, w in zip(ipts, ipts[1:] + ipts[:1]))
-        # every turn is left and less than a half turn, so the normals wind
-        # around the origin once, and form a complete fan, exactly when one
-        # step leaves the lower half plane; a star polygon winds more often
-        lower = [u[1] < 0 or (u[1] == 0 and u[0] < 0) for u in normals]
-        if sum(lower[i - 1] and not lower[i] for i in range(n)) != 1:
+        # every turn is left, so only a star polygon's normals fail the fan check
+        rows = _fan_rows(normals)
+        if rows is None:
             raise NotConvex("polygon winds around more than once")
         # the record hash, computed once: table lookups hash a polygon often
         self.__dict__.update(
             vertices=pts, _hash=hash((pts,)), _scale=scale, _ipts=ipts,
-            _normals=normals)
+            _normals=normals, _d=rows[0], _e=rows[1])
 
     def __hash__(self):
         return self._hash
@@ -377,8 +390,7 @@ def vertex_directions(p: MomentPolygon, i: int) -> tuple[IntVec, IntVec]:
 
 def smooth_vertices(p: MomentPolygon) -> list[int]:
     """Indices of vertices whose primitive edge directions span the lattice."""
-    u = p._normals
-    return [i for i in range(len(u)) if det2(u[i - 1], u[i]) == 1]
+    return [i for i in range(len(p._d)) if p._d[i - 1] == 1]
 
 
 def normalize(p: MomentPolygon) -> tuple[MomentPolygon, UnimodularAffineMap]:

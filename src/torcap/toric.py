@@ -23,6 +23,7 @@ from .errors import (
 from .lattice import (
     MomentPolygon,
     Point,
+    _fan_rows,
     convex_hull,
     count_points,
     egcd,
@@ -39,7 +40,7 @@ class ToricSurface(_Record):
     """Complete simplicial fan in the plane, given by its rays.
 
     Rays are primitive integer vectors in strictly counterclockwise cyclic
-    order; each adjacent pair spans a cone with positive determinant.
+    order, winding once; _d and _e keep their row constants (`lattice._fan_rows`).
     """
 
     _fields = ("rays", "polygon")
@@ -50,27 +51,21 @@ class ToricSurface(_Record):
         for v in rays:
             if primitive(v) != v:
                 raise ValueError(f"ray {v} is not primitive")
-        if len(set(rays)) != len(rays):
-            raise ValueError("duplicate rays")
-        # each step turns by less than a half turn, so the rays wind around
-        # the origin once exactly when one step leaves the lower half plane
-        lower = [v[1] < 0 or (v[1] == 0 and v[0] < 0) for v in rays]
-        if (any(det2(rays[i - 1], rays[i]) <= 0 for i in range(len(rays)))
-                or sum(lower[i - 1] and not lower[i] for i in range(len(rays))) != 1):
+        rows = _fan_rows(rays)
+        if rows is None:
             raise ValueError("rays must be strictly counterclockwise and complete")
-        self.__dict__.update(rays=rays, polygon=polygon)
+        self.__dict__.update(rays=rays, polygon=polygon, _d=rows[0], _e=rows[1])
 
     def __len__(self) -> int:
         return len(self.rays)
 
     @property
     def cone_dets(self) -> tuple[int, ...]:
-        n = len(self.rays)
-        return tuple(det2(self.rays[i], self.rays[(i + 1) % n]) for i in range(n))
+        return self._d
 
     @property
     def smooth(self) -> bool:
-        return all(d == 1 for d in self.cone_dets)
+        return all(d == 1 for d in self._d)
 
 
 class TorusDivisor(_Record):
@@ -138,10 +133,8 @@ def prime_divisor(y: ToricSurface, i: int) -> TorusDivisor:
 
 
 def ray_self_intersection(y: ToricSurface, i: int) -> Fraction:
-    """Self-intersection of the boundary divisor of ray i."""
-    n = len(y.rays)
-    vp, v, vn = y.rays[(i - 1) % n], y.rays[i], y.rays[(i + 1) % n]
-    return Fraction(-det2(vp, vn), det2(vp, v) * det2(v, vn))
+    """Self-intersection of the boundary divisor of ray i: -e[i] / (d[i-1] d[i])."""
+    return Fraction(-y._e[i], y._d[i - 1] * y._d[i])
 
 
 def intersection_matrix(y: ToricSurface) -> tuple[tuple[Fraction, ...], ...]:
@@ -149,6 +142,7 @@ def intersection_matrix(y: ToricSurface) -> tuple[tuple[Fraction, ...], ...]:
 
     Adjacent rays meet in 1/det of their cone, non-adjacent boundary divisors
     are disjoint, and self-intersections come from the two adjacent cones.
+    Its determinants are its own, so that it stays a reference for `pairings`.
     """
     n = len(y.rays)
     q = [[Fraction(0)] * n for _ in range(n)]
@@ -158,21 +152,22 @@ def intersection_matrix(y: ToricSurface) -> tuple[tuple[Fraction, ...], ...]:
         q[i][j] += val
         q[j][i] += val
     for i in range(n):
-        q[i][i] = ray_self_intersection(y, i)
+        vp, v, vn = y.rays[i - 1], y.rays[i], y.rays[(i + 1) % n]
+        q[i][i] = Fraction(-det2(vp, vn), det2(vp, v) * det2(v, vn))
     return tuple(tuple(row) for row in q)
 
 
 def pairings(y: ToricSurface, d: TorusDivisor) -> tuple[Fraction, ...]:
     """The pairings D_i . D.  D_i meets only D_{i-1}, itself and D_{i+1}, so
-    with d[i] = det(v[i], v[i+1]), e[i] = det(v[i-1], v[i+1]) and b the
+    with the fan's row constants d, e (`lattice._fan_rows`) and b the
     coefficients of D times the lcm L of their denominators,
     D_i . D = (b[i-1] d[i] - b[i] e[i] + b[i+1] d[i-1]) / (L d[i-1] d[i])."""
     _check_count(y, d.coeffs)
-    v, dets, n = y.rays, y.cone_dets, len(y.rays)
+    dets, e, n = y._d, y._e, len(y.rays)
     scale = math.lcm(*(c.denominator for c in d.coeffs))
     b = [c.numerator * (scale // c.denominator) for c in d.coeffs]
-    return tuple(Fraction(b[i - 1] * dets[i] - b[i] * det2(v[i - 1], v[(i + 1) % n])
-                          + b[(i + 1) % n] * dets[i - 1], scale * dets[i - 1] * dets[i])
+    return tuple(Fraction(b[i - 1] * dets[i] - b[i] * e[i] + b[(i + 1) % n] * dets[i - 1],
+                          scale * dets[i - 1] * dets[i])
                  for i in range(n))
 
 
@@ -259,7 +254,7 @@ def divisor_class(y: ToricSurface, d: TorusDivisor) -> DivisorClass:
     """Canonical coset representative vanishing on the first two rays."""
     v0, v1 = y.rays[0], y.rays[1]
     a0, a1 = d.coeffs[0], d.coeffs[1]
-    det = det2(v0, v1)
+    det = y._d[0]
     mx = Fraction(-a0 * v1[1] + a1 * v0[1], det)
     my = Fraction(-a1 * v0[0] + a0 * v1[0], det)
     shift = linear_shift(y, (mx, my))
@@ -300,10 +295,10 @@ def ip_transform(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
     return TorusDivisor(tuple(out))
 
 
-def iterate_ip(y: ToricSurface, d: TorusDivisor, cap: Optional[int] = None) -> TorusDivisor:
+def iterate_ip(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
     """Iterate the isoparametric transform until the divisor is nef, at most
-    cap times (IP_ITERATION_CAP, read at call time, when cap is None)."""
-    for _ in range(IP_ITERATION_CAP if cap is None else cap):
+    IP_ITERATION_CAP times, read at call time."""
+    for _ in range(IP_ITERATION_CAP):
         if is_nef(y, d):
             return d
         d = ip_transform(y, d)
@@ -345,10 +340,9 @@ def _preferable_nef(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
 
 def blow_down(y: ToricSurface, i: int) -> ToricSurface:
     """Contract the boundary curve of ray i (a (-1)-curve between smooth cones)."""
-    n = len(y.rays)
     if ray_self_intersection(y, i) != -1:
         raise NotContractible("self-intersection is not -1")
-    if det2(y.rays[(i - 1) % n], y.rays[i]) != 1 or det2(y.rays[i], y.rays[(i + 1) % n]) != 1:
+    if y._d[i - 1] != 1 or y._d[i] != 1:
         raise NotContractible("adjacent cones are not smooth")
     rays = tuple(v for j, v in enumerate(y.rays) if j != i)
     return ToricSurface(rays)

@@ -419,6 +419,9 @@ def test_ech_convex_requires_domain_polygon():
         capacities.ech_convex(shifted, 1)
     with pytest.raises(NotDomainPolygon):
         capacities.ech_convex(lattice.MomentPolygon(((0, 0), (2, 1), (1, 3))), 1)
+    # the origin is a vertex, but its next edge leaves the first quadrant
+    with pytest.raises(NotDomainPolygon):
+        capacities.ech_convex(lattice.MomentPolygon(((0, 0), (1, -1), (1, 1))), 1)
 
 
 def test_ech_convex_matches_ellipsoid_on_triangles():

@@ -267,6 +267,23 @@ def test_bad_file_exit_code(runner, tmp_path):
     assert missing.exit_code == 2
 
 
+def test_bad_input_messages(runner, tmp_path):
+    empty = _write(tmp_path, "empty.poly", "# no vertex here\n\n")
+    poly = _write(tmp_path, "p.txt", SQUARE)
+    for args, message in ((["capacities", empty], "no vertices found"),
+                          (["transform-ip", poly, "--coeffs", "0,x"], "bad coefficient list '0,x'"),
+                          (["corpus", "no-such-name"], "unknown corpus polygon 'no-such-name'")):
+        res = runner.invoke(cli, args)
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {message}\n"), args
+
+
+def test_polygon_from_stdin(runner, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(RECT_2x3))
+    res = runner.invoke(cli, ["capacities", "-", "--k-max", "3"])
+    assert res.exit_code == 0
+    assert res.output.splitlines() == ["0\t0", "1\t2", "2\t4", "3\t5"]
+
+
 def test_nonconvex_input_exit_code(runner, tmp_path):
     poly = _write(tmp_path, "p.txt", "0 0\n0 1\n1 0\n")
     res = runner.invoke(cli, ["capacities", poly, "--k-max", "1"])
@@ -329,6 +346,20 @@ def _subcommands(parser):
 COMMANDS = ["capacities", "ech", "ech ellipsoid", "ech convex", "ech concave", "embed", "width",
             "lattice-width", "transform-ip", "resolve", "verify-calg", "verify-sw", "corpus"]
 TOP_COMMANDS = [command for command in COMMANDS if " " not in command]
+
+
+def _leaf_commands(parser, words=()):
+    """The word sequences, space-joined, of the commands under parser that
+    have no subcommand."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        return {" ".join(words)}
+    return set().union(*(_leaf_commands(sub, (*words, name))
+                         for name, sub in actions[0].choices.items()))
+
+
+def test_every_command_lists_its_modules():
+    assert _leaf_commands(cli_module._parser("torcap", [])) == set(cli_module._MODULES)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -34,6 +34,11 @@ def test_rejects_bad_fans():
     # distinct primitive rays, each step counterclockwise, winding twice
     with pytest.raises(ValueError, match="strictly counterclockwise and complete"):
         toric.ToricSurface(((1, 0), (-1, 5), (-5, -2), (1, -3), (4, 3), (-3, 4), (-2, -5), (5, -1)))
+    # a repeated ray is a zero step, or winds a second time
+    for rays in (((1, 0), (1, 0), (0, 1), (-1, -1)),
+                 ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 0), (0, 1), (-1, 0), (0, -1))):
+        with pytest.raises(ValueError, match="strictly counterclockwise and complete"):
+            toric.ToricSurface(rays)
 
 
 def test_plane_intersection_numbers():
