@@ -36,7 +36,7 @@ from .ech import (  # noqa: F401  (re-exported)
     ech_ellipsoid,
     ech_ellipsoid_capacities,
 )
-from .errors import IterationLimit, NoSmoothVertex, NotAmple, NotDomainPolygon
+from .errors import IndexTooSmall, IterationLimit, NoSmoothVertex, NotAmple, NotDomainPolygon
 from .lattice import MomentPolygon, line_count, line_cuts
 
 if TYPE_CHECKING:
@@ -145,23 +145,6 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     denom = p._scale // g
     iweights = tuple(w // g for w in lengths)
 
-    # value bound: integral multiples of the polarization are nef with as
-    # many sections as needed.  t p has at most area + l1-perimeter / 2 + 1
-    # lattice points (Pick's formula on the hull of those points), so the
-    # counts start at the first multiple where that reaches k_max + 1.  The
-    # support numbers are base / scale in lowest terms
-    supports = [-(u[0] * x + u[1] * y) for u, (x, y) in zip(rays, p._ipts)]
-    g = math.gcd(p._scale, *supports)
-    scale = p._scale // g
-    base = tuple(a // g for a in supports)
-    area2, perim = lattice._area2_perimeter(p)
-    m = 1
-    while m * scale * (m * scale * area2 + p._scale * perim) < 2 * p._scale ** 2 * k_max:
-        m += 1
-    while lattice.count_points(rays, tuple(m * c for c in base)) < k_max + 1:
-        m += 1
-    bound = sum(m * base[i] * iweights[i] for i in range(n))
-
     # rotate so that the gauge cone is (v[0], v[1]), with the fan's row
     # constants d and e: nef row j scaled by d[j-1] * d[j] reads
     # b[j-1] d[j] - b[j] e[j] + b[j+1] d[j-1] >= 0
@@ -170,15 +153,39 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     w = iweights[s:] + iweights[:s]
     d = p._d[s:] + p._d[:s]
     e = p._e[s:] + p._e[:s]
+    # every section count of the table runs on the rows m_y = y of this fan
+    rows = line_cuts((0, -1), v, range(n))
+
+    # value bound: integral multiples of the polarization are nef with as
+    # many sections as needed.  t p has at most area + l1-perimeter / 2 + 1
+    # lattice points (Pick's formula on the hull of those points), so the
+    # counts start at the first multiple where that reaches k_max + 1.  The
+    # support numbers, rotated as v, are base / scale in lowest terms
+    supports = [-(u[0] * x + u[1] * y) for u, (x, y) in zip(rays, p._ipts)]
+    g = math.gcd(p._scale, *supports)
+    scale = p._scale // g
+    base = tuple(a // g for a in supports[s:] + supports[:s])
+    area2, perim = lattice._area2_perimeter(p)
+    m = 1
+    while m * scale * (m * scale * area2 + p._scale * perim) < 2 * p._scale ** 2 * k_max:
+        m += 1
+    while lattice._count_rows(v, d, rows, tuple(m * c for c in base)) < k_max + 1:
+        m += 1
+    bound = sum(m * base[i] * w[i] for i in range(n))
+
     # the optimum per index; every vector searched has value at most bound
     vals = [bound + 1] * (k_max + 1)
     vecs: list[Optional[tuple[int, ...]]] = [None] * (k_max + 1)
     b = [0] * n
     last = n - 1
     wl = w[last]
-    lines = [line_cuts(v[j], v, [i for i in range(n) if i != j]) for j in range(n)]
-    # on a nef vector rays n-2 and 0 end the new edge n-1
-    edge = line_cuts(v[last], v, (last - 1, 0))
+    # the leaf runs move only coefficients 2..n-1
+    lines = [line_cuts(v[j], v, [i for i in range(n) if i != j]) for j in range(2, n)]
+    # on a nef vector rays n-2 and 0 end the new edge n-1, the line
+    # <m, v[n-1]> = -c.  The signs of its cuts are fixed, det(v[n-1], v[n-2])
+    # < 0 < det(v[n-1], v[0]), so its `line_count` is (c g_prev - b[n-2]) //
+    # d_prev + (b[0] - c g_first) // d_last + 1, if that is positive
+    (_, g_prev, d_prev), (_, g_first, d_last) = line_cuts(v[last], v, (last - 1, 0))
 
     def leaves(c: int, partial: int) -> None:
         """Every nef completion by the last coefficient, c upward.
@@ -199,15 +206,18 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
         if c > c_hi:
             return
         b[last] = c
-        for i in range(2, n):
+        for i, cuts in enumerate(lines, 2):
             while hb[i] < b[i]:
                 hb[i] += 1
-                h += line_count(lines[i], hb, hb[i])
+                h += line_count(cuts, hb, hb[i])
             while hb[i] > b[i]:
-                h -= line_count(lines[i], hb, hb[i])
+                h -= line_count(cuts, hb, hb[i])
                 hb[i] -= 1
         count = h
         value = partial + c * wl
+        # the numerators of the edge's two ends, for the current c
+        top = c * g_prev - b[last - 1]
+        bottom = b[0] - c * g_first
         while True:
             # the per-index optima are nondecreasing, and a later vector wins
             # only with a strictly smaller value, so the entries this vector
@@ -227,7 +237,11 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
             if c > c_hi or value > bound:
                 return
             b[last] = c
-            count += line_count(edge, b, c)
+            top += g_prev
+            bottom -= g_first
+            points = top // d_prev + bottom // d_last + 1
+            if points > 0:
+                count += points
 
     def search(j: int, partial: int, c: int) -> None:
         # b[j] runs upward from c, the least value that lows[j] and row j-1 allow
@@ -257,7 +271,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
         lows = [_ceil_div(x0 * vx + x1 * vy, d[0]) for vx, vy in v]
         # h counts the section polytope of hb, which is moved one unit of one
         # coefficient at a time to the first vector of each leaf run
-        hb, h = b[:], lattice.count_points(v, b)
+        hb, h = b[:], lattice._count_rows(v, d, rows, b)
         # least possible contribution of the coefficients from index j on
         rest_min = [0] * (n + 1)
         for j in range(last, 1, -1):
@@ -303,8 +317,9 @@ def ech_convex_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
 
 
 def _require_smooth_vertex(p: MomentPolygon) -> None:
-    """Embedding comparisons need a smooth fixed point on the target."""
-    if not lattice.smooth_vertices(p):
+    """Embedding comparisons need a smooth fixed point on the target: a
+    cone of determinant 1."""
+    if 1 not in p._d:
         raise NoSmoothVertex("target polygon has no smooth vertex")
 
 
@@ -330,7 +345,7 @@ def embedding_verdict(omega: ConcaveDomain, p: MomentPolygon, k_max: int) -> Emb
     itself construct an embedding).
     """
     if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+        raise IndexTooSmall("k_max must be at least 1")
     _require_smooth_vertex(p)
     dom, dom_denom = _concave_values(omega, k_max)
     target, denom, _vecs = _ensure_table(p, k_max)
@@ -363,7 +378,7 @@ def xi_width(p: MomentPolygon, omega: ConcaveDomain, k_max: int) -> XiWidth:
     half of the horizon, a heuristic sign the value has converged.
     """
     if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+        raise IndexTooSmall("k_max must be at least 1")
     _require_smooth_vertex(p)
     dom, dom_denom = _concave_values(omega, k_max)
     target, denom, _vecs = _ensure_table(p, k_max)
@@ -378,9 +393,12 @@ def xi_width(p: MomentPolygon, omega: ConcaveDomain, k_max: int) -> XiWidth:
                    k_max=k_max, stable=stable)
 
 
+_UNIT_BALL = ConcaveDomain.ball(1)
+
+
 def gromov_width_bound(p: MomentPolygon, k_max: int) -> XiWidth:
     """Upper bound for the Gromov width via the ball capacity ratios."""
-    return xi_width(p, ConcaveDomain.ball(1), k_max)
+    return xi_width(p, _UNIT_BALL, k_max)
 
 
 def width_bound_check(p: MomentPolygon, k_max: int) -> tuple[Fraction, Fraction, bool]:

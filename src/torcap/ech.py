@@ -18,10 +18,11 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 
-from ._base import _Record, det2, frac, integer_view
-from .errors import IterationLimit, NotConcave
+from ._base import CACHE_SIZE, _Record, det2, frac, integer_view
+from .errors import IndexTooSmall, IterationLimit, NonPositiveArea, NotConcave
 
 ALG = "alg"
 ECH_ELLIPSOID = "ech-ellipsoid"
@@ -54,7 +55,7 @@ def ech_ellipsoid(a, b, k: int) -> Fraction:
 
 def _check_index(k: int) -> None:
     if k < 0:
-        raise ValueError("capacity index must be nonnegative")
+        raise IndexTooSmall("capacity index must be nonnegative")
 
 
 def ech_ellipsoid_capacities(a, b, k_max: int) -> CapacitySequence:
@@ -62,7 +63,7 @@ def ech_ellipsoid_capacities(a, b, k_max: int) -> CapacitySequence:
     _check_index(k_max)
     a, b = frac(a), frac(b)
     if a <= 0 or b <= 0:
-        raise ValueError("ellipsoid needs positive areas")
+        raise NonPositiveArea("ellipsoid needs positive areas")
     denom = math.lcm(a.denominator, b.denominator)
     vals = _ellipsoid_values(int(a * denom), int(b * denom), k_max)
     return CapacitySequence(tuple(Fraction(v, denom) for v in vals), ECH_ELLIPSOID)
@@ -218,8 +219,10 @@ def _concave_values(omega: ConcaveDomain, k_max: int) -> tuple[list[int], int]:
     return acc, denom
 
 
-def _balls_values(m: int, k_max: int) -> list[int]:
-    """ECH capacities c_0, ..., c_k_max of m disjoint unit balls.
+@lru_cache(maxsize=CACHE_SIZE)
+def _balls_values(m: int, k_max: int) -> tuple[int, ...]:
+    """ECH capacities c_0, ..., c_k_max of m disjoint unit balls.  Cached,
+    as a scan reads the same few (m, k_max) for every domain.
 
     c_k is the largest d_1 + ... + d_m with sum N(d_i) <= k, where
     N(d) = d(d+1)/2 is the first index at which a unit ball has capacity d.
@@ -234,4 +237,4 @@ def _balls_values(m: int, k_max: int) -> list[int]:
         q, r = divmod(total, m)
         first = (r * (q + 1) * (q + 2) + (m - r) * q * (q + 1)) // 2
         out.extend([total - 1] * (first - len(out)))
-    return out[: k_max + 1]
+    return tuple(out[: k_max + 1])

@@ -60,3 +60,13 @@ class IterationLimit(TorcapError):
 
 class NotAmple(TorcapError):
     """Polarization fails to pair positively with every boundary curve."""
+
+
+class IndexTooSmall(TorcapError, ValueError):
+    """Capacity index below 0, or horizon k_max below 1.  Also a ValueError,
+    so code that catches ValueError for it still does."""
+
+
+class NonPositiveArea(TorcapError, ValueError):
+    """Ellipsoid area that is not positive.  Also a ValueError, so code that
+    catches ValueError for it still does."""

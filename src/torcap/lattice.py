@@ -211,22 +211,30 @@ def line_count(cuts, coeffs: Sequence[int], c: int) -> int:
 def count_points(rays: Sequence[IntVec], coeffs: Sequence[int]) -> int:
     """Integer points m with <m, v_i> >= -a_i for the rays v_i of a complete
     fan, in counterclockwise order, and integers a_i: the lattice points of
-    a polygon from its inward edge normals, or of a section polytope.
+    a polygon from its inward edge normals, or of a section polytope."""
+    n = len(rays)
+    return _count_rows(rays, [det2(rays[i], rays[(i + 1) % n]) for i in range(n)],
+                       line_cuts((0, -1), rays, range(n)), coeffs)
 
-    The sum of `line_count` over the rows m_y = y.  The fan is complete, so
-    the cone around (0, -1) puts the polytope below its linearization, and
-    likewise upward: the rows lie between the per-cone linearizations.  For
-    a nef divisor no row is empty.
+
+def _count_rows(rays: Sequence[IntVec], dets: Sequence[int], rows,
+                coeffs: Sequence[int]) -> int:
+    """`count_points` from the fan's cone determinants dets[i] = det(v_i,
+    v_{i+1}) and its row cuts rows = line_cuts((0, -1), rays, range(n)),
+    which a caller counting many coefficient vectors on one fan builds once.
+
+    The sum of `line_count` over the rows m_y = y, each the line <m, (0, -1)>
+    = -y.  The fan is complete, so the cone around (0, -1) puts the polytope
+    below its linearization, and likewise upward: the rows lie between the
+    per-cone linearizations.  For a nef divisor no row is empty.
     """
     n = len(rays)
     # y coordinates of the cone linearizations, times the cone determinants
-    ms = [(-coeffs[(i + 1) % n] * rays[i][0] + coeffs[i] * rays[(i + 1) % n][0],
-           det2(rays[i], rays[(i + 1) % n])) for i in range(n)]
-    # the row m_y = y is the line <m, (0, -1)> = -y
-    cuts = line_cuts((0, -1), rays, range(n))
+    ms = [(-coeffs[(i + 1) % n] * rays[i][0] + coeffs[i] * rays[(i + 1) % n][0], dets[i])
+          for i in range(n)]
     total = 0
     for y in range(min(-(-my // d) for my, d in ms), max(my // d for my, d in ms) + 1):
-        total += line_count(cuts, coeffs, y)
+        total += line_count(rows, coeffs, y)
     return total
 
 
@@ -356,17 +364,26 @@ def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
     """Minimal directional lattice extent and a minimizing primitive direction.
 
     Directions l = (a, b), a > 0 or a = 0 < b, are walked in the order
-    (|l|^2, |b|, b, a); the first narrowest wins.  The width along l is at
-    least 2*rho*|l| with rho >= area / (l1 perimeter), so the walk stops once
-    |l| passes best / (2*rho), best the narrowest width so far.
+    (|l|^2, |b|, b, a); the first narrowest wins.  The polygon's Euclidean
+    width is h / |u|, least over its edge normals u, so the width along l is
+    at least |l| h / |u|, and the walk stops once that passes min(best, w0):
+    best the narrowest width so far, w0 the narrowest edge normal width.
+    Every direction as narrow as the lattice width, the first one included,
+    comes before the stop, and the walk order and its strict update are
+    those of an unbounded walk, so the direction found is the same.
     """
     vs = p._ipts
-    area2, perim = _area2_perimeter(p)
+    widths = [(_width(vs, u), u[0] * u[0] + u[1] * u[1]) for u in p._normals]
+    h, uu = widths[0]
+    for w, q in widths:
+        if w * w * uu < h * h * q:
+            h, uu = w, q
+    hh, w0 = h * h, min(w for w, _ in widths)
     best, best_dir = _width(vs, (1, 0)), (1, 0)
     # one stream b = 0, -1, 1, -2, 2, ... per a (b = 1, 2, ... for a = 0), merged;
-    # popping (a, 0) opens stream a + 1.  The stop reads |l|^2 area2^2 > (best perim)^2
+    # popping (a, 0) opens stream a + 1
     heap = [(1, 0, 0, 1), (1, 1, 1, 0)]
-    while heap[0][0] * area2 * area2 <= (best * perim) ** 2:
+    while heap[0][0] * hh <= min(best, w0) ** 2 * uu:
         _norm, _abs, b, a = heapq.heappop(heap)
         nb = b + 1 if a == 0 else -b if b < 0 else -b - 1
         heapq.heappush(heap, (a * a + nb * nb, abs(nb), nb, a))

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import toric
-from .errors import BoxTooSmall
+from .errors import BoxTooSmall, IndexTooSmall
 from .lattice import MomentPolygon
 from .toric import TorusDivisor
 
@@ -231,7 +231,7 @@ def brute_calg_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction
     touches the box boundary (a better vector might sit outside).
     """
     if k < 0:
-        raise ValueError("capacity index must be nonnegative")
+        raise IndexTooSmall("capacity index must be nonnegative")
     return _boxed_min(_box_table(p, box), "sections", k + 1, "no feasible divisor inside the box")
 
 
@@ -247,7 +247,7 @@ def sw_infimum_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction
     effective, so this scans the degree-k part of the effective cone.
     """
     if k < 0:
-        raise ValueError("index bound must be nonnegative")
+        raise IndexTooSmall("index bound must be nonnegative")
     table = _box_table(p, box)
     if not table.smooth:
         raise ValueError("index scan needs a smooth surface")

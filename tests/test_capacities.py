@@ -12,8 +12,8 @@ from conftest import (OCTAGON, TWELVE_GON, random_chain, random_domain_polygon, 
                       random_lattice_polygon, random_unimodular, section_points)
 from torcap import capacities, corpus, ech, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
-from torcap.errors import (IterationLimit, NoSmoothVertex, NotAmple, NotConcave, NotDomainPolygon,
-                           TorcapError)
+from torcap.errors import (IndexTooSmall, IterationLimit, NoSmoothVertex, NonPositiveArea, NotAmple,
+                           NotConcave, NotDomainPolygon, TorcapError)
 from torcap.lattice import MomentPolygon
 from torcap.toric import TorusDivisor
 
@@ -268,6 +268,24 @@ def test_line_count_is_a_section_count_difference():
     assert min(seen.values()) >= 50, seen
 
 
+def test_row_counter_matches_count_points():
+    # the table builds a fan's cone determinants and row cuts once and
+    # passes them to every count
+    rng = random.Random(38)
+    seen = {"not nef": 0, "empty": 0}
+    for _ in range(30):
+        y = random_fan(rng)
+        n = len(y.rays)
+        rows = lattice.line_cuts((0, -1), y.rays, range(n))
+        for _ in range(10):
+            a = [rng.randint(-3, 4) for _ in range(n)]
+            h = lattice._count_rows(y.rays, y._d, rows, a)
+            assert h == lattice.count_points(y.rays, a) == len(section_points(y, a)), (y.rays, a)
+            seen["not nef"] += not toric.is_nef(y, TorusDivisor(tuple(a)))
+            seen["empty"] += h == 0
+    assert min(seen.values()) >= 30, seen
+
+
 def test_polarization_weights_are_intersection_numbers():
     rng = random.Random(41)
     polygons = list(corpus.CORPUS.values())
@@ -333,8 +351,9 @@ def test_value_bound_counts_few_multiples(monkeypatch):
     # multiples of the polarization with too few points by the area and
     # perimeter bound are not counted; each gauge class counts once more
     calls = []
-    count = lattice.count_points
-    monkeypatch.setattr(lattice, "count_points", lambda rays, a: calls.append(a) or count(rays, a))
+    count = lattice._count_rows
+    monkeypatch.setattr(lattice, "_count_rows",
+                        lambda rays, dets, rows, a: calls.append(a) or count(rays, dets, rows, a))
     for p in corpus.CORPUS.values():
         calls.clear()
         capacities._compute_table(p, 100)
@@ -395,6 +414,27 @@ def test_ech_ellipsoid_capacities_memory_is_linear():
         tracemalloc.stop()
     assert seq[3000] == _heap_staircase(1, 2, 3000)[3000]
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: capacities.ech_concave_capacities(ConcaveDomain.ball(1), -1), IndexTooSmall,
+     "capacity index must be nonnegative"),
+    (lambda: oracle.brute_calg(lattice.rectangle(1, 1), -1), IndexTooSmall,
+     "capacity index must be nonnegative"),
+    (lambda: oracle.sw_infimum(lattice.rectangle(1, 1), -1), IndexTooSmall,
+     "index bound must be nonnegative"),
+    (lambda: capacities.xi_width(lattice.rectangle(1, 1), ConcaveDomain.ball(1), 0), IndexTooSmall,
+     "k_max must be at least 1"),
+    (lambda: capacities.embedding_verdict(ConcaveDomain.ball(1), lattice.rectangle(1, 1), 0),
+     IndexTooSmall, "k_max must be at least 1"),
+    (lambda: capacities.ech_ellipsoid_capacities(Fraction(-1, 2), 1, 3), NonPositiveArea,
+     "ellipsoid needs positive areas"),
+], ids=["check-index", "oracle-index", "oracle-index-bound", "xi-width-horizon",
+        "verdict-horizon", "ellipsoid-area"])
+def test_input_errors_are_typed_value_errors(call, error, message):
+    with pytest.raises(error, match=f"^{message}$") as info:
+        call()
+    assert isinstance(info.value, TorcapError) and isinstance(info.value, ValueError)
 
 
 def test_ech_ellipsoid_needs_positive_areas():
@@ -691,6 +731,20 @@ def test_xi_width():
     assert res.value == 2
     assert res.argmin_k == 1
     assert res.stable
+
+
+def test_gromov_width_bound_is_the_unit_ball_width():
+    for p in corpus.CORPUS.values():
+        assert capacities.gromov_width_bound(p, 16) == \
+            capacities.xi_width(p, ConcaveDomain.ball(1), 16), p.vertices
+
+
+def test_ball_values_cache_is_bounded_and_immutable():
+    assert ech._balls_values.cache_parameters()["maxsize"] == ech.CACHE_SIZE
+    for m, k_max in ((1, 16), (3, 40), (50, 20)):
+        values = ech._balls_values(m, k_max)
+        assert isinstance(values, tuple) and len(values) == k_max + 1
+        assert ech._balls_values(m, k_max) is values
 
 
 def test_gromov_width_rectangles():

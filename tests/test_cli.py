@@ -272,7 +272,8 @@ def test_bad_input_messages(runner, tmp_path):
     poly = _write(tmp_path, "p.txt", SQUARE)
     for args, message in ((["capacities", empty], "no vertices found"),
                           (["transform-ip", poly, "--coeffs", "0,x"], "bad coefficient list '0,x'"),
-                          (["corpus", "no-such-name"], "unknown corpus polygon 'no-such-name'")):
+                          (["corpus", "no-such-name"], "unknown corpus polygon 'no-such-name'"),
+                          (["ech", "ellipsoid", "0", "1"], "ellipsoid needs positive areas")):
         res = runner.invoke(cli, args)
         assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {message}\n"), args
 

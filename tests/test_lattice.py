@@ -39,6 +39,8 @@ def test_rejects_nonconvex():
 
 # every turn is left and twice the area is 32, but the edges wind twice
 PENTAGRAM = ((0, 3), (-2, -3), (3, 1), (-3, 1), (2, -3))
+# a unimodular triangle far from the axes: lattice width 1 along (49, -8)
+SKEWED_TRIANGLE = MomentPolygon(((8, 49), (25, 153), (16, 98)))
 
 
 def test_rejects_star_polygon():
@@ -173,8 +175,11 @@ def test_lattice_width_is_attained_and_minimal_nearby():
 
 
 def test_lattice_width_walk_stops_at_the_best_width(monkeypatch):
-    # lattice width 1 in direction (8, -5); a cutoff fixed by the axis widths
-    # (58 and 93) would test 732,450 directions
+    # the strip has lattice width 1 along its edge normal (8, -5) and
+    # Euclidean width 1 / sqrt(89), so the walk stops past |l|^2 = 89: 92
+    # primitive directions, besides the edge normals.  The triangle has
+    # lattice width 1 and Euclidean width 1 / |(17, 104)|, its area over half
+    # its longest edge, so the walk stops past |l|^2 = 11,105: about 10,600
     thin = lattice.apply(UnimodularAffineMap(((5, 8), (8, 13)), (0, 0)), lattice.rectangle(10, 1))
     calls = []
     width = lattice._width
@@ -185,7 +190,10 @@ def test_lattice_width_walk_stops_at_the_best_width(monkeypatch):
 
     monkeypatch.setattr(lattice, "_width", spy)
     assert lattice.lattice_width(thin) == (1, (8, -5))
-    assert len(calls) < 300
+    assert len(calls) < 120
+    calls.clear()
+    assert lattice.lattice_width(SKEWED_TRIANGLE) == (1, (49, -8))
+    assert len(calls) < 15_000
 
 
 def test_smooth_vertices():
@@ -319,8 +327,10 @@ def _ref_lattice_width(vs):
     xs, ys = [x for x, _ in vs], [y for _, y in vs]
     diam_sq = (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2
     # area <= diameter * Euclidean width, and width(l) >= |l| * Euclidean width,
-    # so a direction with |l|^2 * area^2 > best^2 * diam_sq is never narrower
-    best = min(_ref_width(vs, (1, 0)), _ref_width(vs, (0, 1)))
+    # so a direction with |l|^2 * area^2 > best^2 * diam_sq is never narrower;
+    # the axes and the primitive edge normals bound the lattice width above
+    best = min(_ref_width(vs, u) for u in [(1, 0), (0, 1)] + [
+        _ref_primitive((v[1] - w[1], w[0] - v[0])) for v, w in zip(vs, vs[1:] + vs[:1])])
     r = math.isqrt(math.floor(best ** 2 * diam_sq / area ** 2)) + 1
     cands = sorted(((a, b) for a in range(0, r + 1) for b in range(-r, r + 1)
                     if (a > 0 or b > 0) and math.gcd(a, b) == 1),
@@ -353,6 +363,27 @@ def test_integer_view_matches_fraction_formulas():
         assert lattice.smooth_vertices(p) == [
             i for i, (d_next, d_prev) in enumerate(dirs) if abs(lattice.det2(d_next, d_prev)) == 1]
         assert lattice.lattice_width(p) == _ref_lattice_width(canonical)
+
+
+def _skewed(rng, p):
+    """p under a random unimodular map with entries in [-9, 9] and a
+    rational translation."""
+    while True:
+        m = tuple(tuple(rng.randint(-9, 9) for _ in range(2)) for _ in range(2))
+        if lattice.det2(*m) in (1, -1):
+            t = (Fraction(rng.randint(-9, 9), rng.randint(1, 7)), rng.randint(-9, 9))
+            return lattice.apply(UnimodularAffineMap(m, t), p)
+
+
+def test_lattice_width_matches_reference_on_skewed_polygons():
+    rng = random.Random(62)
+    for i in range(60):
+        p = _skewed(rng, random_lattice_polygon(rng, size=rng.choice((2, 3, 4))))
+        p = lattice.scale(p, RATIONAL_SCALES[i % len(RATIONAL_SCALES)])
+        assert lattice.lattice_width(p) == _ref_lattice_width(list(p.vertices)), p.vertices
+    # integer vertices keep the reference's 70,000 width evaluations fast
+    assert lattice.lattice_width(SKEWED_TRIANGLE) == _ref_lattice_width(
+        [(8, 49), (25, 153), (16, 98)]) == (1, (49, -8))
 
 
 @pytest.mark.parametrize("s", RATIONAL_SCALES[1:])
