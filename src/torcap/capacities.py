@@ -115,9 +115,17 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
 
     The surface is that of p's inner normal fan p._normals, which p's
     constructor has checked to be complete, with row constants p._d, p._e.
-    Everything is read off p's integer view p._scale * p: the polarization
-    has support number -<v_i, x> at a vertex x of edge i, and it pairs with
-    the boundary curve D_i in the lattice length of edge i, both over p._scale.
+    Everything is read off p's integer view P' = p._scale * p: the
+    polarization has support number -<v_i, x> at a vertex x of edge i, and it
+    pairs with the boundary curve D_i in the lattice length of edge i, both
+    over p._scale.
+
+    Every value is at most the bound, the value of m P0: P0 = P' / g, g the
+    gcd of p._scale and the support numbers of P', and m the least multiple
+    with k_max + 1 sections.  For g = 1, P0 = P' is a lattice polygon, and by
+    Pick's formula m P' has (area2 m^2 + L m) / 2 + 1 lattice points, area2
+    twice the area of P' and L its lattice perimeter.  For g > 1 the
+    multiples are counted by unit moves, as below.
 
     One bounded depth-first search serves all indices at once.  Divisors are
     taken once per linear equivalence class, in a gauge fixed at the first
@@ -127,11 +135,16 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     surface (D nef iff D.D_i >= 0 for every boundary curve), so each row is
     checked as soon as its three coefficients are set, and it floors the next
     coefficient: a level stops once its value, the next floor's and the least
-    rest pass the value bound.  A leaf run starts only when rows s-2, s-1, s
-    and the bound leave the last coefficient a range.  Each feasible vector
-    updates all indices its section count covers.  That count is carried:
-    the row scan runs once per gauge class, and a unit move of one
-    coefficient adds or removes the lattice points of one line.
+    rest pass the value bound.  The level of the last coefficient but one
+    runs the leaf runs of the last inline; a run starts only when rows s-2,
+    s-1, s and the bound leave the last coefficient a range.  On a triangle
+    that level is the gauge coefficient a_{s+1}, taken at its one value.
+    Each feasible vector updates all indices its section count covers.  That
+    count is carried, and no row is scanned: it starts at 1 on the zero
+    vector, whose section polytope is the origin, and a unit move of one
+    coefficient adds or removes the lattice points of one line.  Each gauge
+    class moves coefficients s and s+1; each call of the fused level moves
+    s+2, ..., s-2 at its first leaf run, and each run moves only the last two.
     """
     rays = p._normals
     n = len(rays)
@@ -153,130 +166,161 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     w = iweights[s:] + iweights[:s]
     d = p._d[s:] + p._d[:s]
     e = p._e[s:] + p._e[:s]
-    # every section count of the table runs on the rows m_y = y of this fan
-    rows = line_cuts((0, -1), v, range(n))
 
-    # value bound: integral multiples of the polarization are nef with as
-    # many sections as needed.  t p has at most area + l1-perimeter / 2 + 1
-    # lattice points (Pick's formula on the hull of those points), so the
-    # counts start at the first multiple where that reaches k_max + 1.  The
-    # support numbers, rotated as v, are base / scale in lowest terms
-    supports = [-(u[0] * x + u[1] * y) for u, (x, y) in zip(rays, p._ipts)]
-    g = math.gcd(p._scale, *supports)
-    scale = p._scale // g
-    base = tuple(a // g for a in supports[s:] + supports[:s])
-    area2, perim = lattice._area2_perimeter(p)
-    m = 1
-    while m * scale * (m * scale * area2 + p._scale * perim) < 2 * p._scale ** 2 * k_max:
-        m += 1
-    while lattice._count_rows(v, d, rows, tuple(m * c for c in base)) < k_max + 1:
-        m += 1
-    bound = sum(m * base[i] * w[i] for i in range(n))
-
-    # the optimum per index; every vector searched has value at most bound
-    vals = [bound + 1] * (k_max + 1)
-    vecs: list[Optional[tuple[int, ...]]] = [None] * (k_max + 1)
     b = [0] * n
-    last = n - 1
-    wl = w[last]
-    # the leaf runs move only coefficients 2..n-1
-    lines = [line_cuts(v[j], v, [i for i in range(n) if i != j]) for j in range(2, n)]
+    q, last = n - 2, n - 1
+    wl, el = w[last], e[last]
+    # a unit move of coefficient j adds or removes the points of its line
+    lines = [line_cuts(v[j], v, [i for i in range(n) if i != j]) for j in range(n)]
+    line_q, line_last = lines[q], lines[last]
     # on a nef vector rays n-2 and 0 end the new edge n-1, the line
     # <m, v[n-1]> = -c.  The signs of its cuts are fixed, det(v[n-1], v[n-2])
     # < 0 < det(v[n-1], v[0]), so its `line_count` is (c g_prev - b[n-2]) //
     # d_prev + (b[0] - c g_first) // d_last + 1, if that is positive
-    (_, g_prev, d_prev), (_, g_first, d_last) = line_cuts(v[last], v, (last - 1, 0))
+    (_, g_first, d_last), (_, g_prev, d_prev) = line_last[0], line_last[-1]
+    # h counts the section polytope of hb, the zero vector's at first
+    hb, h = [0] * n, 1
 
-    def leaves(c: int, partial: int) -> None:
-        """Every nef completion by the last coefficient, c upward.
+    def move(i: int, c: int) -> None:
+        """Move hb[i] to c one unit at a time, carrying h."""
+        nonlocal h
+        cuts = lines[i]
+        while hb[i] < c:
+            hb[i] += 1
+            h += line_count(cuts, hb, hb[i])
+        while hb[i] > c:
+            h -= line_count(cuts, hb, hb[i])
+            hb[i] -= 1
 
-        c keeps rows n-2 and 0 nonnegative, and the run starts only when row
-        n-1 and the value bound leave c a range.  The first vector's count is
-        carried over from hb; raising c by one adds the points of edge n-1.
-        """
-        nonlocal bound, h
-        r = b[last - 1] * d[last] + b[0] * d[last - 1]
-        c_hi = (bound - partial) // wl
-        if e[last] > 0:
-            c_hi = min(c_hi, r // e[last])
-        elif e[last] < 0:
-            c = max(c, _ceil_div(r, e[last]))
-        elif r < 0:
-            return
-        if c > c_hi:
-            return
-        b[last] = c
-        for i, cuts in enumerate(lines, 2):
-            while hb[i] < b[i]:
-                hb[i] += 1
-                h += line_count(cuts, hb, hb[i])
-            while hb[i] > b[i]:
-                h -= line_count(cuts, hb, hb[i])
-                hb[i] -= 1
-        count = h
-        value = partial + c * wl
-        # the numerators of the edge's two ends, for the current c
-        top = c * g_prev - b[last - 1]
-        bottom = b[0] - c * g_first
-        while True:
-            # the per-index optima are nondecreasing, and a later vector wins
-            # only with a strictly smaller value, so the entries this vector
-            # improves end at its count
-            k = count - 1 if count <= k_max else k_max
-            if k >= 0 and value < vals[k]:
-                if k == k_max:
-                    # feasible at the top index: nothing more expensive can
-                    # improve any entry of the table
-                    bound = value
-                vec = tuple(b)
-                while k >= 0 and value < vals[k]:
-                    vals[k], vecs[k] = value, vec
-                    k -= 1
-            c += 1
-            value += wl
-            if c > c_hi or value > bound:
-                return
-            b[last] = c
-            top += g_prev
-            bottom -= g_first
-            points = top // d_prev + bottom // d_last + 1
-            if points > 0:
-                count += points
+    # value bound: the least multiple m of the support numbers of P0 = P' / g
+    # with k_max + 1 sections, g their gcd with p._scale
+    supports = [-(u[0] * x + u[1] * y) for u, (x, y) in zip(rays, p._ipts)]
+    g = math.gcd(p._scale, *supports)
+    if g == 1:
+        # m P' has (area2 m^2 + L m) / 2 + 1 lattice points
+        area2, perimeter = lattice._area2(p), sum(lengths)
+        m = 1
+        while m * (area2 * m + perimeter) < 2 * k_max:
+            m += 1
+    else:
+        # hb walks the multiples of P0 - z, z a lattice point next to the
+        # vertex p._ipts[0] / g: a lattice translate, so its counts are
+        # those of P0, with support numbers of the size of P0
+        zx, zy = p._ipts[0][0] // g, p._ipts[0][1] // g
+        base = [a // g + u[0] * zx + u[1] * zy for u, a in zip(rays, supports)]
+        base = base[s:] + base[:s]
+        m = 0
+        while h <= k_max:
+            m += 1
+            for i in range(n):
+                move(i, m * base[i])
+    bound = m * sum(a // g * wi for a, wi in zip(supports, iweights))
+
+    # the optimum per index; every vector searched has value at most bound
+    vals = [bound + 1] * (k_max + 1)
+    vecs: list[Optional[tuple[int, ...]]] = [None] * (k_max + 1)
 
     def search(j: int, partial: int, c: int) -> None:
         # b[j] runs upward from c, the least value that lows[j] and row j-1 allow
-        if j == last:
-            leaves(c, partial)
-            return
+        nonlocal bound, h
         wj, wn, rest = w[j], w[j + 1], rest_min[j + 2]
+        # hb[2..q] are set at the level's first leaf run; every run moves
+        # hb[q] upward and hb[last]
+        unset = True
         while True:
             value = partial + c * wj
             # least b[j+1] that keeps row j nonnegative; it does not fall as c
             # rises when e[j] >= 0, and then the first c over the bound ends j
-            lo = max(lows[j + 1], _ceil_div(c * e[j] - b[j - 1] * d[j], d[j - 1]))
+            lo = -((b[j - 1] * d[j] - c * e[j]) // d[j - 1])
+            if lo < lows[j + 1]:
+                lo = lows[j + 1]
             if value + lo * wn + rest <= bound:
                 b[j] = c
-                search(j + 1, value, lo)
+                if j < q:
+                    search(j + 1, value, lo)
+                else:
+                    # the leaf run: b[last] from lo upward.  lo keeps rows q
+                    # and 0 nonnegative; row last and the bound cap it at hi
+                    r = c * d[last] + b[0] * d[q]
+                    hi = (bound - value) // wl
+                    if el > 0:
+                        cap = r // el
+                        if cap < hi:
+                            hi = cap
+                    elif el < 0:
+                        cap = -(-r // el)
+                        if cap > lo:
+                            lo = cap
+                    elif r < 0:
+                        hi = lo - 1
+                    if lo <= hi:
+                        b[last] = lo
+                        if unset:
+                            unset = False
+                            for i in range(2, q + 1):
+                                move(i, b[i])
+                        while hb[q] < c:
+                            hb[q] += 1
+                            h += line_count(line_q, hb, hb[q])
+                        while hb[last] < lo:
+                            hb[last] += 1
+                            h += line_count(line_last, hb, hb[last])
+                        while hb[last] > lo:
+                            h -= line_count(line_last, hb, hb[last])
+                            hb[last] -= 1
+                        # the first vector's count is h; raising b[last] by
+                        # one adds the points of edge n-1
+                        count = h
+                        value += lo * wl
+                        # the numerators of the edge's two ends
+                        top = lo * g_prev - c
+                        bottom = b[0] - lo * g_first
+                        while True:
+                            # the per-index optima are nondecreasing, and a later
+                            # vector wins only with a strictly smaller value, so
+                            # the entries this vector improves end at its count
+                            k = count - 1 if count <= k_max else k_max
+                            if k >= 0 and value < vals[k]:
+                                if k == k_max:
+                                    # feasible at the top index: nothing more
+                                    # expensive can improve any entry of the table
+                                    bound = value
+                                vec = tuple(b)
+                                while k >= 0 and value < vals[k]:
+                                    vals[k], vecs[k] = value, vec
+                                    k -= 1
+                            lo += 1
+                            value += wl
+                            if lo > hi or value > bound:
+                                break
+                            b[last] = lo
+                            top += g_prev
+                            bottom -= g_first
+                            points = top // d_prev + bottom // d_last + 1
+                            if points > 0:
+                                count += points
             elif e[j] >= 0 or value + rest_min[j + 1] > bound:
+                return
+            if j == 1:
+                # b[1] is the gauge coefficient, taken at its one value
                 return
             c += 1
 
     for r0, r1 in _gauge_classes(v[0], v[1]):
         b[0], b[1] = r0, r1
+        move(0, r0)
+        move(1, r1)
         # the cone vertex m_0 = -(x0, x1) / d[0] lies in the section polytope
         # of every nef divisor of this class, so b[l] >= ceil(-<m_0, v[l]>);
         # for l = 2 and l = n-1 these are the floors that rows 1 and 0 give
         x0 = v[1][1] * r0 - v[0][1] * r1
         x1 = v[0][0] * r1 - v[1][0] * r0
         lows = [_ceil_div(x0 * vx + x1 * vy, d[0]) for vx, vy in v]
-        # h counts the section polytope of hb, which is moved one unit of one
-        # coefficient at a time to the first vector of each leaf run
-        hb, h = b[:], lattice._count_rows(v, d, rows, b)
         # least possible contribution of the coefficients from index j on
         rest_min = [0] * (n + 1)
         for j in range(last, 1, -1):
             rest_min[j] = rest_min[j + 1] + w[j] * lows[j]
-        search(2, r0 * w[0] + r1 * w[1], lows[2])
+        search(1, r0 * w[0], r1)
     if None in vecs:
         # cannot happen: the bound is attained by a multiple of the
         # polarization, whose gauge representative lies in the search region

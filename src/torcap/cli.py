@@ -28,7 +28,11 @@ def _parse_fraction(token: str, where: str) -> Fraction:
     """The fraction `token`; `where` names its place in the input."""
     if not _FRACTION_RE.match(token):
         raise ParseError(f"{where}: bad fraction {token!r}")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ValueError as exc:
+        # more digits than Python converts from a string
+        raise ParseError(str(exc)) from None
 
 
 def parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
@@ -63,10 +67,13 @@ def parse_chain(text: str):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _fmt(x: Fraction) -> str:
@@ -379,7 +386,7 @@ def cli(args=None, prog_name: str = "torcap") -> None:
         code = parsed.run(parsed)
         # a failed write, say to a closed pipe, is reported here too
         sys.stdout.flush()
-    except (TorcapError, OSError, ValueError) as exc:
+    except (TorcapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # an iteration limit is an internal budget, not bad input
         code = 3 if isinstance(exc, IterationLimit) else 2

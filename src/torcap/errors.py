@@ -70,3 +70,12 @@ class IndexTooSmall(TorcapError, ValueError):
 class NonPositiveArea(TorcapError, ValueError):
     """Ellipsoid area that is not positive.  Also a ValueError, so code that
     catches ValueError for it still does."""
+
+
+class InvalidInput(TorcapError, ValueError):
+    """Argument outside what a routine accepts: a zero or non-primitive
+    vector, a matrix that is not unimodular, a scale factor that is not
+    positive, a fan that is not complete, a coefficient count that differs
+    from the ray count, or a divisor or surface failing a procedure's
+    precondition.  Also a ValueError, so code that catches ValueError for it
+    still does."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ._base import _Record, det2, frac, integer_view
-from .errors import ChopTooLarge, NoSmoothVertex, NotConvex, ZeroArea
+from .errors import ChopTooLarge, InvalidInput, NoSmoothVertex, NotConvex, ZeroArea
 
 Point = tuple[Fraction, Fraction]
 IntVec = tuple[int, int]
@@ -33,7 +33,7 @@ def primitive(v: IntVec) -> IntVec:
     """Divide an integer vector by the gcd of its entries."""
     g = math.gcd(v[0], v[1])
     if g == 0:
-        raise ValueError("zero vector has no primitive form")
+        raise InvalidInput("zero vector has no primitive form")
     return (v[0] // g, v[1] // g)
 
 
@@ -45,7 +45,7 @@ class UnimodularAffineMap(_Record):
     def __init__(self, m: tuple[IntVec, IntVec], t: Point):  # m by rows
         d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         if d not in (1, -1):
-            raise ValueError("matrix determinant must be +-1")
+            raise InvalidInput("matrix determinant must be +-1")
         self.__dict__.update(m=m, t=(frac(t[0]), frac(t[1])))
 
     @classmethod
@@ -211,17 +211,7 @@ def line_count(cuts, coeffs: Sequence[int], c: int) -> int:
 def count_points(rays: Sequence[IntVec], coeffs: Sequence[int]) -> int:
     """Integer points m with <m, v_i> >= -a_i for the rays v_i of a complete
     fan, in counterclockwise order, and integers a_i: the lattice points of
-    a polygon from its inward edge normals, or of a section polytope."""
-    n = len(rays)
-    return _count_rows(rays, [det2(rays[i], rays[(i + 1) % n]) for i in range(n)],
-                       line_cuts((0, -1), rays, range(n)), coeffs)
-
-
-def _count_rows(rays: Sequence[IntVec], dets: Sequence[int], rows,
-                coeffs: Sequence[int]) -> int:
-    """`count_points` from the fan's cone determinants dets[i] = det(v_i,
-    v_{i+1}) and its row cuts rows = line_cuts((0, -1), rays, range(n)),
-    which a caller counting many coefficient vectors on one fan builds once.
+    a polygon from its inward edge normals, or of a section polytope.
 
     The sum of `line_count` over the rows m_y = y, each the line <m, (0, -1)>
     = -y.  The fan is complete, so the cone around (0, -1) puts the polytope
@@ -230,8 +220,9 @@ def _count_rows(rays: Sequence[IntVec], dets: Sequence[int], rows,
     """
     n = len(rays)
     # y coordinates of the cone linearizations, times the cone determinants
-    ms = [(-coeffs[(i + 1) % n] * rays[i][0] + coeffs[i] * rays[(i + 1) % n][0], dets[i])
-          for i in range(n)]
+    ms = [(-coeffs[(i + 1) % n] * rays[i][0] + coeffs[i] * rays[(i + 1) % n][0],
+           det2(rays[i], rays[(i + 1) % n])) for i in range(n)]
+    rows = line_cuts((0, -1), rays, range(n))
     total = 0
     for y in range(min(-(-my // d) for my, d in ms), max(my // d for my, d in ms) + 1):
         total += line_count(rows, coeffs, y)
@@ -300,7 +291,7 @@ def boundary_lattice_count(p: MomentPolygon) -> int:
     lengths = edge_lengths(p)
     # an edge vector is integral exactly when p._scale divides its lattice length
     if any(length % p._scale for length in lengths):
-        raise ValueError("boundary count needs integral vertices")
+        raise InvalidInput("boundary count needs integral vertices")
     return sum(lengths) // p._scale
 
 
@@ -312,7 +303,7 @@ def translate(p: MomentPolygon, v) -> MomentPolygon:
 def scale(p: MomentPolygon, s) -> MomentPolygon:
     s = frac(s)
     if s <= 0:
-        raise ValueError("scale factor must be positive")
+        raise InvalidInput("scale factor must be positive")
     return MomentPolygon(tuple((s * x, s * y) for x, y in p.vertices))
 
 
@@ -353,11 +344,10 @@ def width_along(p: MomentPolygon, l: IntVec) -> Fraction:
     return Fraction(_width(p._ipts, l), p._scale)
 
 
-def _area2_perimeter(p: MomentPolygon) -> tuple[int, int]:
-    """Twice the area and the l1 perimeter of the integer polygon p._scale * p."""
-    edges = list(zip(p._ipts, p._ipts[1:] + p._ipts[:1]))
-    return (sum(det2(a, b) for a, b in edges),
-            sum(abs(b[0] - a[0]) + abs(b[1] - a[1]) for a, b in edges))
+def _area2(p: MomentPolygon) -> int:
+    """Twice the area of the integer polygon p._scale * p."""
+    ipts = p._ipts
+    return sum(det2(a, b) for a, b in zip(ipts, ipts[1:] + ipts[:1]))
 
 
 def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:

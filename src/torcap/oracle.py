@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import toric
-from .errors import BoxTooSmall, IndexTooSmall
+from .errors import BoxTooSmall, IndexTooSmall, InvalidInput
 from .lattice import MomentPolygon
 from .toric import TorusDivisor
 
@@ -250,7 +250,7 @@ def sw_infimum_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction
         raise IndexTooSmall("index bound must be nonnegative")
     table = _box_table(p, box)
     if not table.smooth:
-        raise ValueError("index scan needs a smooth surface")
+        raise InvalidInput("index scan needs a smooth surface")
     return _boxed_min(table, "index", 2 * k, "no divisor of sufficient index inside the box")
 
 

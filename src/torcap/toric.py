@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from ._base import CACHE_SIZE, _Record, det2, frac  # noqa: F401  (CACHE_SIZE re-exported)
 from .errors import (
+    InvalidInput,
     IterationLimit,
     NotContractible,
     NotEffective,
@@ -47,13 +48,13 @@ class ToricSurface(_Record):
 
     def __init__(self, rays: tuple[tuple[int, int], ...], polygon: Optional[MomentPolygon] = None):
         if len(rays) < 3:
-            raise ValueError("a complete fan needs at least 3 rays")
+            raise InvalidInput("a complete fan needs at least 3 rays")
         for v in rays:
             if primitive(v) != v:
-                raise ValueError(f"ray {v} is not primitive")
+                raise InvalidInput(f"ray {v} is not primitive")
         rows = _fan_rows(rays)
         if rows is None:
-            raise ValueError("rays must be strictly counterclockwise and complete")
+            raise InvalidInput("rays must be strictly counterclockwise and complete")
         self.__dict__.update(rays=rays, polygon=polygon, _d=rows[0], _e=rows[1])
 
     def __len__(self) -> int:
@@ -120,7 +121,7 @@ def canonical_divisor(y: ToricSurface) -> TorusDivisor:
 
 def _check_count(y: ToricSurface, coeffs: Sequence) -> None:
     if len(coeffs) != len(y.rays):
-        raise ValueError("coefficient count must match ray count")
+        raise InvalidInput("coefficient count must match ray count")
 
 
 def divisor(y: ToricSurface, coeffs: Sequence) -> TorusDivisor:
@@ -240,7 +241,7 @@ def is_effective(y: ToricSurface, d: TorusDivisor) -> bool:
     i.e. iff the section polytope contains a lattice point (integral d).
     """
     if not d.is_integral:
-        raise ValueError("effectivity test expects an integral divisor")
+        raise InvalidInput("effectivity test expects an integral divisor")
     return h0(y, d) >= 1
 
 
@@ -279,9 +280,9 @@ def ip_transform(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
     negatively.  Requires a smooth surface and an effective integral divisor.
     """
     if not y.smooth:
-        raise ValueError("isoparametric transform needs a smooth surface")
+        raise InvalidInput("isoparametric transform needs a smooth surface")
     if not d.is_integral:
-        raise ValueError("isoparametric transform needs an integral divisor")
+        raise InvalidInput("isoparametric transform needs an integral divisor")
     if not is_effective(y, d):
         raise NotEffective("divisor has no sections")
     out = list(d.coeffs)
@@ -317,7 +318,7 @@ def preferable_nef(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
     back); otherwise the isoparametric transform is iterated.
     """
     if not y.smooth:
-        raise ValueError("preferable-nef procedure needs a smooth surface")
+        raise InvalidInput("preferable-nef procedure needs a smooth surface")
     if not d.is_integral or not is_effective(y, d) or index(y, d) < 0:
         raise NotInSW("divisor is not effective with nonnegative index")
     return _preferable_nef(y, d)
@@ -372,10 +373,10 @@ def round_down_nef(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
     ray j is the largest c <= floor(a_j) whose line <m, v_j> = -c does.
     """
     if not is_nef(y, d):
-        raise ValueError("round-down expects a nef divisor")
+        raise InvalidInput("round-down expects a nef divisor")
     a = [math.floor(c) for c in d.coeffs]
     if not count_points(y.rays, a):
-        raise ValueError("section polytope contains no lattice point")
+        raise InvalidInput("section polytope contains no lattice point")
     for j in range(len(a)):
         # moving the line of ray j in drops no lattice point of the polytope
         cuts = line_cuts(y.rays[j], y.rays, [i for i in range(len(a)) if i != j])

@@ -12,8 +12,8 @@ from conftest import (OCTAGON, TWELVE_GON, random_chain, random_domain_polygon, 
                       random_lattice_polygon, random_unimodular, section_points)
 from torcap import capacities, corpus, ech, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
-from torcap.errors import (IndexTooSmall, IterationLimit, NoSmoothVertex, NonPositiveArea, NotAmple,
-                           NotConcave, NotDomainPolygon, TorcapError)
+from torcap.errors import (IndexTooSmall, InvalidInput, IterationLimit, NoSmoothVertex,
+                           NonPositiveArea, NotAmple, NotConcave, NotDomainPolygon, TorcapError)
 from torcap.lattice import MomentPolygon
 from torcap.toric import TorusDivisor
 
@@ -127,12 +127,22 @@ NO_SMOOTH_CONE = (
 )
 
 
+# no smooth cone and vertices off the lattice: the support numbers of the
+# integer view share the factor 3, 2 (the first two) or none with its scale
+NO_SMOOTH_CONE_RATIONAL = (
+    ((Fraction(1, 3), 0), (Fraction(4, 3), 0), (1, 1)),
+    ((0, Fraction(1, 2)), (1, 0), (Fraction(3, 2), 2), (1, 2)),
+) + tuple(tuple((Fraction(2, 3) * x, Fraction(2, 3) * y) for x, y in verts)
+          for verts in NO_SMOOTH_CONE)
+
+
 def test_calg_without_smooth_cone_matches_oracle():
-    for verts in NO_SMOOTH_CONE:
+    for verts, box in ([(verts, 5) for verts in NO_SMOOTH_CONE]
+                       + [(verts, 6) for verts in NO_SMOOTH_CONE_RATIONAL]):
         p = MomentPolygon(verts)
         assert min(toric.build_surface(p).cone_dets) >= 2
         for k in range(9):
-            assert capacities.calg(p, k) == oracle.brute_calg(p, k, box=5), (verts, k)
+            assert capacities.calg(p, k) == oracle.brute_calg(p, k, box=box), (verts, k)
 
 
 def test_calg_witness_without_smooth_cone():
@@ -269,18 +279,16 @@ def test_line_count_is_a_section_count_difference():
 
 
 def test_row_counter_matches_count_points():
-    # the table builds a fan's cone determinants and row cuts once and
-    # passes them to every count
+    # count_points sums the rows of the section polytope, nef or not
     rng = random.Random(38)
     seen = {"not nef": 0, "empty": 0}
     for _ in range(30):
         y = random_fan(rng)
         n = len(y.rays)
-        rows = lattice.line_cuts((0, -1), y.rays, range(n))
         for _ in range(10):
             a = [rng.randint(-3, 4) for _ in range(n)]
-            h = lattice._count_rows(y.rays, y._d, rows, a)
-            assert h == lattice.count_points(y.rays, a) == len(section_points(y, a)), (y.rays, a)
+            h = lattice.count_points(y.rays, a)
+            assert h == len(section_points(y, a)), (y.rays, a)
             seen["not nef"] += not toric.is_nef(y, TorusDivisor(tuple(a)))
             seen["empty"] += h == 0
     assert min(seen.values()) >= 30, seen
@@ -348,16 +356,15 @@ def test_table_build_makes_no_h0_call(monkeypatch):
 
 
 def test_value_bound_counts_few_multiples(monkeypatch):
-    # multiples of the polarization with too few points by the area and
-    # perimeter bound are not counted; each gauge class counts once more
-    calls = []
-    count = lattice._count_rows
-    monkeypatch.setattr(lattice, "_count_rows",
-                        lambda rays, dets, rows, a: calls.append(a) or count(rays, dets, rows, a))
+    # Pick's formula counts the multiples of the polarization, and each gauge
+    # class starts from the zero vector's count: the table makes no full count
+    def count_points(rays, coeffs):
+        raise AssertionError("count_points called")
+
+    monkeypatch.setattr(lattice, "count_points", count_points)
     for p in corpus.CORPUS.values():
-        calls.clear()
-        capacities._compute_table(p, 100)
-        assert len(calls) <= 3 + min(toric.build_surface(p).cone_dets), p.vertices
+        values, _denom, vecs = capacities._compute_table(p, 100)
+        assert len(values) == len(vecs) == 101, p.vertices
 
 
 def test_table_cache_is_bounded(monkeypatch):
@@ -416,6 +423,12 @@ def test_ech_ellipsoid_capacities_memory_is_linear():
     assert peak < 10 * 2**20
 
 
+_HALF = Fraction(1, 2)
+_SQUARE_FAN = toric.build_surface(lattice.rectangle(1, 1))
+# one cone of determinant 2
+_SINGULAR_FAN = toric.build_surface(MomentPolygon(((0, 0), (1, 0), (0, 2))))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: capacities.ech_concave_capacities(ConcaveDomain.ball(1), -1), IndexTooSmall,
      "capacity index must be nonnegative"),
@@ -429,8 +442,41 @@ def test_ech_ellipsoid_capacities_memory_is_linear():
      IndexTooSmall, "k_max must be at least 1"),
     (lambda: capacities.ech_ellipsoid_capacities(Fraction(-1, 2), 1, 3), NonPositiveArea,
      "ellipsoid needs positive areas"),
+    (lambda: lattice.primitive((0, 0)), InvalidInput, "zero vector has no primitive form"),
+    (lambda: lattice.UnimodularAffineMap(((2, 0), (0, 1)), (0, 0)), InvalidInput,
+     "matrix determinant must be \\+-1"),
+    (lambda: lattice.boundary_lattice_count(MomentPolygon(((0, 0), (1, 0), (0, _HALF)))),
+     InvalidInput, "boundary count needs integral vertices"),
+    (lambda: lattice.scale(lattice.rectangle(1, 1), 0), InvalidInput,
+     "scale factor must be positive"),
+    (lambda: toric.ToricSurface(((1, 0), (0, 1))), InvalidInput,
+     "a complete fan needs at least 3 rays"),
+    (lambda: toric.ToricSurface(((2, 0), (0, 1), (-1, -1))), InvalidInput,
+     "ray \\(2, 0\\) is not primitive"),
+    (lambda: toric.ToricSurface(((1, 0), (-1, -1), (0, 1))), InvalidInput,
+     "rays must be strictly counterclockwise and complete"),
+    (lambda: toric.divisor(_SQUARE_FAN, (0, 1, 0)), InvalidInput,
+     "coefficient count must match ray count"),
+    (lambda: toric.is_effective(_SQUARE_FAN, TorusDivisor((_HALF, 0, 0, 0))), InvalidInput,
+     "effectivity test expects an integral divisor"),
+    (lambda: toric.ip_transform(_SINGULAR_FAN, TorusDivisor((0, 0, 0))), InvalidInput,
+     "isoparametric transform needs a smooth surface"),
+    (lambda: toric.ip_transform(_SQUARE_FAN, TorusDivisor((_HALF, 0, 0, 0))), InvalidInput,
+     "isoparametric transform needs an integral divisor"),
+    (lambda: toric.preferable_nef(_SINGULAR_FAN, TorusDivisor((0, 0, 0))), InvalidInput,
+     "preferable-nef procedure needs a smooth surface"),
+    (lambda: toric.round_down_nef(_SQUARE_FAN, TorusDivisor((-1, 0, 0, 0))), InvalidInput,
+     "round-down expects a nef divisor"),
+    # nef, with the section polytope the point (0, 1/2)
+    (lambda: toric.round_down_nef(_SQUARE_FAN, TorusDivisor((-_HALF, 0, _HALF, 0))), InvalidInput,
+     "section polytope contains no lattice point"),
+    (lambda: oracle.sw_infimum(MomentPolygon(((0, 0), (1, 0), (0, 2))), 1), InvalidInput,
+     "index scan needs a smooth surface"),
 ], ids=["check-index", "oracle-index", "oracle-index-bound", "xi-width-horizon",
-        "verdict-horizon", "ellipsoid-area"])
+        "verdict-horizon", "ellipsoid-area", "zero-vector", "unimodular-det",
+        "boundary-integral", "scale-positive", "fan-size", "fan-primitive", "fan-order",
+        "coefficient-count", "effective-integral", "ip-smooth", "ip-integral",
+        "preferable-smooth", "round-down-nef", "round-down-empty", "oracle-smooth"])
 def test_input_errors_are_typed_value_errors(call, error, message):
     with pytest.raises(error, match=f"^{message}$") as info:
         call()

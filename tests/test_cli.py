@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import pytest
 
 import torcap
-from torcap import toric
+from torcap import capacities, toric
 from torcap import cli as cli_module
 from torcap.cli import cli, parse_chain, parse_polygon
 from torcap.errors import ParseError
@@ -265,17 +265,47 @@ def test_bad_file_exit_code(runner, tmp_path):
     assert res.exit_code == 2
     missing = runner.invoke(cli, ["capacities", str(tmp_path / "nope.txt")])
     assert missing.exit_code == 2
+    # bytes that do not decode, or decode to no fraction, whatever the locale
+    binary = tmp_path / "b.poly"
+    binary.write_bytes(b"\xbe\x01 0\n")
+    res = runner.invoke(cli, ["capacities", str(binary)])
+    assert (res.exit_code, res.stdout) == (2, "") and res.stderr.startswith("error: ")
 
 
 def test_bad_input_messages(runner, tmp_path):
     empty = _write(tmp_path, "empty.poly", "# no vertex here\n\n")
     poly = _write(tmp_path, "p.txt", SQUARE)
+    triangle = _write(tmp_path, "t.txt", "0 0\n1 0\n0 2\n")
     for args, message in ((["capacities", empty], "no vertices found"),
                           (["transform-ip", poly, "--coeffs", "0,x"], "bad coefficient list '0,x'"),
                           (["corpus", "no-such-name"], "unknown corpus polygon 'no-such-name'"),
-                          (["ech", "ellipsoid", "0", "1"], "ellipsoid needs positive areas")):
+                          (["ech", "ellipsoid", "0", "1"], "ellipsoid needs positive areas"),
+                          (["verify-sw", triangle], "index scan needs a smooth surface"),
+                          (["transform-ip", poly, "--coeffs", "0,1,0"],
+                           "coefficient count must match ray count")):
         res = runner.invoke(cli, args)
         assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {message}\n"), args
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="this Python converts a 5000-digit integer string")
+def test_overlong_fraction_is_bad_input(runner, tmp_path):
+    long = _write(tmp_path, "l.txt", "1" * 5000 + " 0\n1 0\n0 1\n")
+    res = runner.invoke(cli, ["capacities", long])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.startswith("error: Exceeds the limit")
+
+
+def test_stray_value_error_is_not_bad_input(runner, tmp_path, monkeypatch):
+    # only torcap's own errors and failed reads or writes exit 2; any other
+    # ValueError is a bug and leaves the command line as a traceback
+    def alg_capacities(p, k_max):
+        raise ValueError("stray")
+
+    monkeypatch.setattr(capacities, "alg_capacities", alg_capacities)
+    poly = _write(tmp_path, "p.txt", SQUARE)
+    with pytest.raises(ValueError, match="^stray$"):
+        runner.invoke(cli, ["capacities", poly, "--k-max", "2"])
 
 
 def test_polygon_from_stdin(runner, monkeypatch):
