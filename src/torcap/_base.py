@@ -1,6 +1,6 @@
-"""Helpers shared by the geometry and the ECH modules: exact rational
+"""Helpers shared by the geometry, table and ECH modules: exact rational
 coercion, integer views of rational points, the 2x2 determinant, the
-immutable record base and the size of the per-polygon caches."""
+immutable record base, the per-polygon cache size and capacity sequences."""
 
 from __future__ import annotations
 
@@ -9,8 +9,16 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Sequence
 
+from .errors import IndexTooSmall
+
 # entries kept by each per-polygon cache
 CACHE_SIZE = 128
+
+# how a capacity sequence was computed
+ALG = "alg"
+ECH_ELLIPSOID = "ech-ellipsoid"
+ECH_CONVEX = "ech-convex"
+ECH_CONCAVE = "ech-concave"
 
 
 def frac(x) -> Fraction:
@@ -60,3 +68,23 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CapacitySequence(_Record):
+    """Capacities c_0, c_1, ..., tagged with how they were computed."""
+
+    _fields = ("values", "kind")
+
+    def __init__(self, values: tuple[Fraction, ...], kind: str):
+        self.__dict__.update(values=values, kind=kind)
+
+    def __getitem__(self, k: int) -> Fraction:
+        return self.values[k]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def _check_index(k: int) -> None:
+    if k < 0:
+        raise IndexTooSmall("capacity index must be nonnegative")

@@ -1,0 +1,153 @@
+"""The polygon core: `MomentPolygon` and the integer kernels the capacity
+table runs on.  `lattice` re-exports every name of it as the same object."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from ._base import _Record, det2, frac, integer_view
+from .errors import InvalidInput, NotConvex, ZeroArea
+
+Point = tuple[Fraction, Fraction]
+IntVec = tuple[int, int]
+
+
+def cross(o: Point, a: Point, b: Point):
+    """Signed area (x2) of the triangle o, a, b."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def primitive(v: IntVec) -> IntVec:
+    """Divide an integer vector by the gcd of its entries."""
+    g = math.gcd(v[0], v[1])
+    if g == 0:
+        raise InvalidInput("zero vector has no primitive form")
+    return (v[0] // g, v[1] // g)
+
+
+def _fan_rows(rays: Sequence[IntVec]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Row constants (d, e) of the cyclic integer vectors v = rays, d[i] =
+    det(v[i], v[i+1]) and e[i] = det(v[i-1], v[i+1]), so that on the fan's
+    surface D . D_i = (a[i-1] d[i] - a[i] e[i] + a[i+1] d[i-1]) / (d[i-1] d[i]).
+    None unless every step turns strictly left and v winds around 0 once."""
+    n = len(rays)
+    d = tuple(det2(rays[i], rays[(i + 1) % n]) for i in range(n))
+    # each step turns by less than a half turn, so the vectors wind around
+    # the origin once exactly when one step leaves the lower half plane
+    lower = [v[1] < 0 or (v[1] == 0 and v[0] < 0) for v in rays]
+    if min(d) <= 0 or sum(lower[i - 1] and not lower[i] for i in range(n)) != 1:
+        return None
+    return d, tuple(det2(rays[i - 1], rays[(i + 1) % n]) for i in range(n))
+
+
+class MomentPolygon(_Record):
+    """Strictly convex polygon with rational vertices, counterclockwise.
+
+    The vertex tuple is canonicalized to start at the lexicographically
+    smallest vertex so that equality is structural.
+    """
+
+    _fields = ("vertices",)
+
+    def __init__(self, vertices: tuple[Point, ...]):
+        pts = tuple((frac(x), frac(y)) for x, y in vertices)
+        if len(pts) < 3:
+            raise ZeroArea("a polygon needs at least 3 vertices")
+        # the integer view: vertices times _scale, and per edge i (from vertex
+        # i to i+1) its inward primitive normal
+        scale, ipts = integer_view(pts)
+        n = len(pts)
+        area2 = sum(det2(ipts[i], ipts[(i + 1) % n]) for i in range(n))
+        if area2 == 0:
+            raise ZeroArea("polygon has zero area")
+        if area2 < 0:
+            raise NotConvex("vertices must be listed counterclockwise")
+        for i in range(n):
+            c = cross(ipts[i], ipts[(i + 1) % n], ipts[(i + 2) % n])
+            if c == 0:
+                raise NotConvex("three consecutive vertices are collinear")
+            if c < 0:
+                raise NotConvex("polygon is not convex")
+        start = min(range(n), key=lambda i: ipts[i])
+        ipts = ipts[start:] + ipts[:start]
+        pts = pts[start:] + pts[:start]
+        normals = tuple(primitive((v[1] - w[1], w[0] - v[0]))
+                        for v, w in zip(ipts, ipts[1:] + ipts[:1]))
+        # every turn is left, so only a star polygon's normals fail the fan check
+        rows = _fan_rows(normals)
+        if rows is None:
+            raise NotConvex("polygon winds around more than once")
+        # the record hash, computed once: table lookups hash a polygon often
+        self.__dict__.update(
+            vertices=pts, _hash=hash((pts,)), _scale=scale, _ipts=ipts,
+            _normals=normals, _d=rows[0], _e=rows[1])
+
+    def __hash__(self):
+        return self._hash
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def edge_data(self) -> list[tuple[IntVec, Fraction]]:
+        """Per edge i (from vertex i to i+1): (inward primitive normal u,
+        support number a) with <u, x> = -a on the edge."""
+        return [(u, Fraction(-(u[0] * x + u[1] * y), self._scale))
+                for u, (x, y) in zip(self._normals, self._ipts)]
+
+    def constraints(self) -> list[tuple[int, int, Fraction]]:
+        """Half plane description: (ux, uy, c) meaning ux*x + uy*y >= c."""
+        return [(u[0], u[1], -a) for (u, a) in self.edge_data()]
+
+
+def egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a x + b y = g = gcd(a, b) >= 0."""
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, x, y = egcd(b, a % b)
+    return (g, y, x - (a // b) * y)
+
+
+def line_cuts(u: IntVec, rays: Sequence[IntVec], others) -> list[tuple[int, int, int]]:
+    """(i, <(p, q), v_i>, det(u, v_i)) for the rays v_i, i in others, with
+    (p, q) fixed by <(p, q), u> = 1; u is primitive, a ray or not."""
+    _g, p, q = egcd(*u)
+    return [(i, p * rays[i][0] + q * rays[i][1], det2(u, rays[i])) for i in others]
+
+
+def line_count(cuts, coeffs: Sequence[int], c: int) -> int:
+    """Lattice points m of the line <m, u> = -c with <m, v_i> >= -coeffs[i]
+    for the rays i of cuts = line_cuts(u, rays, others), which must bound the
+    line on both sides: m = -c (p, q) + lam (-u[1], u[0]) with lam det(u, v_i)
+    >= c <(p, q), v_i> - coeffs[i].  With u = v_j, c = a_j and every other
+    ray this is h(a) - h(a - e_j), nef or not."""
+    lo = hi = None
+    for i, g, dt in cuts:
+        r = c * g - coeffs[i]
+        if dt > 0:
+            t = -(-r // dt)
+            if lo is None or t > lo:
+                lo = t
+        elif dt < 0:
+            t = r // dt
+            if hi is None or t < hi:
+                hi = t
+        elif r > 0:
+            return 0
+    count = hi - lo + 1
+    return count if count > 0 else 0
+
+
+def edge_lengths(p: MomentPolygon) -> tuple[int, ...]:
+    """Lattice lengths of the edges of the integer polygon p._scale * p, per
+    edge i from vertex i to i+1.  Divided by p._scale they are the pairings
+    of the polarization with the boundary curves of p's surface."""
+    ipts = p._ipts
+    return tuple(math.gcd(w[0] - v[0], w[1] - v[1]) for v, w in zip(ipts, ipts[1:] + ipts[:1]))
+
+
+def _area2(p: MomentPolygon) -> int:
+    """Twice the area of the integer polygon p._scale * p."""
+    ipts = p._ipts
+    return sum(det2(a, b) for a, b in zip(ipts, ipts[1:] + ipts[:1]))

@@ -1,0 +1,309 @@
+"""The algebraic capacity table: one cached search per polygon, over the
+polygon core alone, so it loads no `lattice` or `ech` code, and `toric`
+only in `calg_witness`, for the divisor it returns.  `capacities`
+re-exports every name of it as the same object."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import TYPE_CHECKING, Optional
+
+from ._base import ALG, CACHE_SIZE, CapacitySequence, _check_index, det2
+from ._polygon import MomentPolygon, _area2, edge_lengths, line_count, line_cuts
+from .errors import IterationLimit, NotAmple
+
+if TYPE_CHECKING:
+    from .toric import TorusDivisor
+
+
+def calg(p: MomentPolygon, k: int) -> Fraction:
+    """k-th algebraic capacity of the surface polarized by p."""
+    values, denom, _vecs = _ensure_table(p, k)
+    return Fraction(values[k], denom)
+
+
+def calg_witness(p: MomentPolygon, k: int) -> tuple[Fraction, TorusDivisor]:
+    """Capacity together with an optimal nef divisor.
+
+    The witness is an integral nef divisor with at least k+1 sections
+    minimizing the pairing with the polarization, in gauge form at the first
+    cone s of least determinant: (a_s, a_{s+1}) is the first residue class,
+    in order, that holds an optimal divisor, and within it the coefficients
+    a_{s+2}, ..., a_{s-1} are the lexicographically smallest optimal ones.
+    On a smooth cone the gauge is a_s = a_{s+1} = 0.
+    """
+    from .toric import TorusDivisor
+
+    values, denom, vecs = _ensure_table(p, k)
+    return Fraction(values[k], denom), TorusDivisor(tuple(Fraction(c) for c in vecs[k]))
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+# (values, denom, witnesses), as `_compute_table` returns it
+_Table = tuple[list[int], int, list[tuple[int, ...]]]
+
+# the tables of the CACHE_SIZE polygons built last, oldest first
+_TABLES: dict[MomentPolygon, _Table] = {}
+
+
+def _ensure_table(p: MomentPolygon, k: int) -> _Table:
+    """Capacity table of p covering index k, which must be nonnegative; a
+    sequence is served by one build when its largest index is asked for
+    first."""
+    _check_index(k)
+    table = _TABLES.get(p)
+    if table is None or k >= len(table[0]):
+        table = _compute_table(p, k)
+        _TABLES.pop(p, None)
+        _TABLES[p] = table
+        if len(_TABLES) > CACHE_SIZE:
+            del _TABLES[next(iter(_TABLES))]
+    return table
+
+
+def _gauge_classes(v0, v1) -> list[tuple[int, int]]:
+    """One representative (a_0, a_1) per class of Z^2 modulo the pairs
+    (<u, v0>, <u, v1>) for u in Z^2, the first of each in lexicographic
+    order over [0, det)^2.  A smooth cone has the single class (0, 0)."""
+    d = det2(v0, v1)
+    seen = set()
+    reps = []
+    for r0 in range(d):
+        for r1 in range(d):
+            # the class is determined by d * (M^-1 r) mod d, M with rows v0, v1
+            key = ((v1[1] * r0 - v0[1] * r1) % d, (v0[0] * r1 - v1[0] * r0) % d)
+            if key not in seen:
+                seen.add(key)
+                reps.append((r0, r1))
+    return reps
+
+
+def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
+    """(values, denom, witnesses): for every capacity index k up to k_max,
+    the capacity values[k] / denom and the coefficient vector witnesses[k]
+    of an optimal divisor.
+
+    The surface is that of p's inner normal fan p._normals, which p's
+    constructor has checked to be complete, with row constants p._d, p._e.
+    Everything is read off p's integer view P' = p._scale * p: the
+    polarization has support number -<v_i, x> at a vertex x of edge i, and it
+    pairs with the boundary curve D_i in the lattice length of edge i, both
+    over p._scale.
+
+    Every value is at most the bound, the value of m P0: P0 = P' / g, g the
+    gcd of p._scale and the support numbers of P', and m the least multiple
+    with k_max + 1 sections.  For g = 1, P0 = P' is a lattice polygon, and by
+    Pick's formula m P' has (area2 m^2 + L m) / 2 + 1 lattice points, area2
+    twice the area of P' and L its lattice perimeter.  For g > 1 the
+    multiples are counted by unit moves, as below.
+
+    One bounded depth-first search serves all indices at once.  Divisors are
+    taken once per linear equivalence class, in a gauge fixed at the first
+    cone s of least determinant: (a_s, a_{s+1}) runs over the det_s residue
+    classes modulo linear functions, and the remaining coefficients are set
+    in cyclic order s+2, ..., s-1.  Nefness is local on a complete simplicial
+    surface (D nef iff D.D_i >= 0 for every boundary curve), so each row is
+    checked as soon as its three coefficients are set, and it floors the next
+    coefficient: a level stops once its value, the next floor's and the least
+    rest pass the value bound.  The level of the last coefficient but one
+    runs the leaf runs of the last inline; a run starts only when rows s-2,
+    s-1, s and the bound leave the last coefficient a range.  On a triangle
+    that level is the gauge coefficient a_{s+1}, taken at its one value.
+    Each feasible vector updates all indices its section count covers.  That
+    count is carried, and no row is scanned: it starts at 1 on the zero
+    vector, whose section polytope is the origin, and a unit move of one
+    coefficient adds or removes the lattice points of one line.  Each gauge
+    class moves coefficients s and s+1; each call of the fused level moves
+    s+2, ..., s-2 at its first leaf run, and each run moves only the last two.
+    """
+    rays = p._normals
+    n = len(rays)
+    # pairing of each boundary divisor with the polarization; positive by
+    # ampleness, so the objective is a positive linear form
+    lengths = edge_lengths(p)
+    if not all(w > 0 for w in lengths):
+        raise NotAmple("polarization pairs non-positively with a boundary curve")
+    # the pairings lengths[i] / p._scale over their least common denominator
+    g = math.gcd(p._scale, *lengths)
+    denom = p._scale // g
+    iweights = tuple(w // g for w in lengths)
+
+    # rotate so that the gauge cone is (v[0], v[1]), with the fan's row
+    # constants d and e: nef row j scaled by d[j-1] * d[j] reads
+    # b[j-1] d[j] - b[j] e[j] + b[j+1] d[j-1] >= 0
+    s = p._d.index(min(p._d))
+    v = rays[s:] + rays[:s]
+    w = iweights[s:] + iweights[:s]
+    d = p._d[s:] + p._d[:s]
+    e = p._e[s:] + p._e[:s]
+
+    b = [0] * n
+    q, last = n - 2, n - 1
+    wl, el = w[last], e[last]
+    # a unit move of coefficient j adds or removes the points of its line
+    lines = [line_cuts(v[j], v, [i for i in range(n) if i != j]) for j in range(n)]
+    line_q, line_last = lines[q], lines[last]
+    # on a nef vector rays n-2 and 0 end the new edge n-1, the line
+    # <m, v[n-1]> = -c.  The signs of its cuts are fixed, det(v[n-1], v[n-2])
+    # < 0 < det(v[n-1], v[0]), so its `line_count` is (c g_prev - b[n-2]) //
+    # d_prev + (b[0] - c g_first) // d_last + 1, if that is positive
+    (_, g_first, d_last), (_, g_prev, d_prev) = line_last[0], line_last[-1]
+    # h counts the section polytope of hb, the zero vector's at first
+    hb, h = [0] * n, 1
+
+    def move(i: int, c: int) -> None:
+        """Move hb[i] to c one unit at a time, carrying h."""
+        nonlocal h
+        cuts = lines[i]
+        while hb[i] < c:
+            hb[i] += 1
+            h += line_count(cuts, hb, hb[i])
+        while hb[i] > c:
+            h -= line_count(cuts, hb, hb[i])
+            hb[i] -= 1
+
+    # value bound: the least multiple m of the support numbers of P0 = P' / g
+    # with k_max + 1 sections, g their gcd with p._scale
+    supports = [-(u[0] * x + u[1] * y) for u, (x, y) in zip(rays, p._ipts)]
+    g = math.gcd(p._scale, *supports)
+    if g == 1:
+        # m P' has (area2 m^2 + L m) / 2 + 1 lattice points
+        area2, perimeter = _area2(p), sum(lengths)
+        m = 1
+        while m * (area2 * m + perimeter) < 2 * k_max:
+            m += 1
+    else:
+        # hb walks the multiples of P0 - z, z a lattice point next to the
+        # vertex p._ipts[0] / g: a lattice translate, so its counts are
+        # those of P0, with support numbers of the size of P0
+        zx, zy = p._ipts[0][0] // g, p._ipts[0][1] // g
+        base = [a // g + u[0] * zx + u[1] * zy for u, a in zip(rays, supports)]
+        base = base[s:] + base[:s]
+        m = 0
+        while h <= k_max:
+            m += 1
+            for i in range(n):
+                move(i, m * base[i])
+    bound = m * sum(a // g * wi for a, wi in zip(supports, iweights))
+
+    # the optimum per index; every vector searched has value at most bound
+    vals = [bound + 1] * (k_max + 1)
+    vecs: list[Optional[tuple[int, ...]]] = [None] * (k_max + 1)
+
+    def search(j: int, partial: int, c: int) -> None:
+        # b[j] runs upward from c, the least value that lows[j] and row j-1 allow
+        nonlocal bound, h
+        wj, wn, rest = w[j], w[j + 1], rest_min[j + 2]
+        # hb[2..q] are set at the level's first leaf run; every run moves
+        # hb[q] upward and hb[last]
+        unset = True
+        while True:
+            value = partial + c * wj
+            # least b[j+1] that keeps row j nonnegative; it does not fall as c
+            # rises when e[j] >= 0, and then the first c over the bound ends j
+            lo = -((b[j - 1] * d[j] - c * e[j]) // d[j - 1])
+            if lo < lows[j + 1]:
+                lo = lows[j + 1]
+            if value + lo * wn + rest <= bound:
+                b[j] = c
+                if j < q:
+                    search(j + 1, value, lo)
+                else:
+                    # the leaf run: b[last] from lo upward.  lo keeps rows q
+                    # and 0 nonnegative; row last and the bound cap it at hi
+                    r = c * d[last] + b[0] * d[q]
+                    hi = (bound - value) // wl
+                    if el > 0:
+                        cap = r // el
+                        if cap < hi:
+                            hi = cap
+                    elif el < 0:
+                        cap = -(-r // el)
+                        if cap > lo:
+                            lo = cap
+                    elif r < 0:
+                        hi = lo - 1
+                    if lo <= hi:
+                        b[last] = lo
+                        if unset:
+                            unset = False
+                            for i in range(2, q + 1):
+                                move(i, b[i])
+                        while hb[q] < c:
+                            hb[q] += 1
+                            h += line_count(line_q, hb, hb[q])
+                        while hb[last] < lo:
+                            hb[last] += 1
+                            h += line_count(line_last, hb, hb[last])
+                        while hb[last] > lo:
+                            h -= line_count(line_last, hb, hb[last])
+                            hb[last] -= 1
+                        # the first vector's count is h; raising b[last] by
+                        # one adds the points of edge n-1
+                        count = h
+                        value += lo * wl
+                        # the numerators of the edge's two ends
+                        top = lo * g_prev - c
+                        bottom = b[0] - lo * g_first
+                        while True:
+                            # the per-index optima are nondecreasing, and a later
+                            # vector wins only with a strictly smaller value, so
+                            # the entries this vector improves end at its count
+                            k = count - 1 if count <= k_max else k_max
+                            if k >= 0 and value < vals[k]:
+                                if k == k_max:
+                                    # feasible at the top index: nothing more
+                                    # expensive can improve any entry of the table
+                                    bound = value
+                                vec = tuple(b)
+                                while k >= 0 and value < vals[k]:
+                                    vals[k], vecs[k] = value, vec
+                                    k -= 1
+                            lo += 1
+                            value += wl
+                            if lo > hi or value > bound:
+                                break
+                            b[last] = lo
+                            top += g_prev
+                            bottom -= g_first
+                            points = top // d_prev + bottom // d_last + 1
+                            if points > 0:
+                                count += points
+            elif e[j] >= 0 or value + rest_min[j + 1] > bound:
+                return
+            if j == 1:
+                # b[1] is the gauge coefficient, taken at its one value
+                return
+            c += 1
+
+    for r0, r1 in _gauge_classes(v[0], v[1]):
+        b[0], b[1] = r0, r1
+        move(0, r0)
+        move(1, r1)
+        # the cone vertex m_0 = -(x0, x1) / d[0] lies in the section polytope
+        # of every nef divisor of this class, so b[l] >= ceil(-<m_0, v[l]>);
+        # for l = 2 and l = n-1 these are the floors that rows 1 and 0 give
+        x0 = v[1][1] * r0 - v[0][1] * r1
+        x1 = v[0][0] * r1 - v[1][0] * r0
+        lows = [_ceil_div(x0 * vx + x1 * vy, d[0]) for vx, vy in v]
+        # least possible contribution of the coefficients from index j on
+        rest_min = [0] * (n + 1)
+        for j in range(last, 1, -1):
+            rest_min[j] = rest_min[j + 1] + w[j] * lows[j]
+        search(1, r0 * w[0], r1)
+    if None in vecs:
+        # cannot happen: the bound is attained by a multiple of the
+        # polarization, whose gauge representative lies in the search region
+        raise IterationLimit("no optimal vector found")
+    # undo the rotation: b[j] is the coefficient of ray s + j
+    return vals, denom, [vec[n - s:] + vec[:n - s] for vec in vecs]
+
+
+def alg_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
+    """c_0, ..., c_k_max, read from one capacity table."""
+    values, denom, _vecs = _ensure_table(p, k_max)
+    return CapacitySequence(tuple(Fraction(v, denom) for v in values[: k_max + 1]), ALG)

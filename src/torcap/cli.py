@@ -54,7 +54,7 @@ def parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
 
 def parse_polygon(text: str):
     """The `lattice.MomentPolygon` with the vertices of `text`."""
-    from .lattice import MomentPolygon
+    from ._polygon import MomentPolygon
 
     return MomentPolygon(tuple(parse_points(text)))
 
@@ -100,10 +100,10 @@ def _echo_sequence(seq, k_max: int, decimal: bool) -> None:
 
 def capacities_cmd(args) -> None:
     """Algebraic capacities of the surface polarized by POLYGON."""
-    from . import capacities
+    from . import _table
 
     p = parse_polygon(_read(args.polygon))
-    _echo_sequence(capacities.alg_capacities(p, args.k_max), args.k_max, args.decimal)
+    _echo_sequence(_table.alg_capacities(p, args.k_max), args.k_max, args.decimal)
 
 
 def ech_ellipsoid_cmd(args) -> None:
@@ -220,10 +220,10 @@ def _verify_rows(k_max: int, pair) -> int:
 
 def verify_calg(args) -> int:
     """Cross check capacities against the exhaustive boxed scan."""
-    from . import capacities, oracle
+    from . import _table, oracle
 
     p = parse_polygon(_read(args.polygon))
-    seq = capacities.alg_capacities(p, args.k_max)
+    seq = _table.alg_capacities(p, args.k_max)
     return _verify_rows(args.k_max, lambda k: (seq[k], oracle.brute_calg(p, k, args.box)))
 
 
@@ -339,7 +339,7 @@ _COMMANDS = {
 
 # the torcap modules each command runs, by the words that name it
 _MODULES = {
-    "capacities": ("capacities",),
+    "capacities": ("_table",),
     "ech ellipsoid": ("ech",),
     "ech convex": ("capacities",),
     "ech concave": ("ech",),
@@ -348,7 +348,7 @@ _MODULES = {
     "lattice-width": ("lattice",),
     "transform-ip": ("toric",),
     "resolve": ("toric",),
-    "verify-calg": ("capacities", "oracle"),
+    "verify-calg": ("_table", "oracle"),
     "verify-sw": ("oracle",),
     "corpus": ("lattice",),
 }

@@ -21,41 +21,17 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from ._base import CACHE_SIZE, _Record, det2, frac, integer_view
-from .errors import IndexTooSmall, IterationLimit, NonPositiveArea, NotConcave
-
-ALG = "alg"
-ECH_ELLIPSOID = "ech-ellipsoid"
-ECH_CONVEX = "ech-convex"
-ECH_CONCAVE = "ech-concave"
+from ._base import ALG, ECH_CONCAVE, ECH_CONVEX, ECH_ELLIPSOID  # noqa: F401  (re-exported)
+from ._base import CACHE_SIZE, CapacitySequence, _check_index, _Record, det2, frac, integer_view
+from .errors import IterationLimit, NonPositiveArea, NotConcave
 
 WEIGHT_EXPANSION_CAP = 100_000
-
-
-class CapacitySequence(_Record):
-    """Capacities c_0, c_1, ..., tagged with how they were computed."""
-
-    _fields = ("values", "kind")
-
-    def __init__(self, values: tuple[Fraction, ...], kind: str):
-        self.__dict__.update(values=values, kind=kind)
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def ech_ellipsoid(a, b, k: int) -> Fraction:
     """k-th ECH capacity of the ellipsoid with areas a, b: the (k+1)-th
     smallest value of a*m + b*n over nonnegative integers m, n."""
     return ech_ellipsoid_capacities(a, b, k)[k]
-
-
-def _check_index(k: int) -> None:
-    if k < 0:
-        raise IndexTooSmall("capacity index must be nonnegative")
 
 
 def ech_ellipsoid_capacities(a, b, k_max: int) -> CapacitySequence:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from torcap import capacities
+from torcap import _table
 from torcap.ech import ConcaveDomain
 from torcap.lattice import MomentPolygon, UnimodularAffineMap, convex_hull, primitive
 from torcap.toric import ToricSurface, TorusDivisor, support_vertices
@@ -31,14 +31,14 @@ def table_builds(monkeypatch):
     """Horizons of the capacity tables built during a test, which starts
     from an empty table cache."""
     builds = []
-    compute = capacities._compute_table
+    compute = _table._compute_table
 
     def spy(p, k_max):
         builds.append(k_max)
         return compute(p, k_max)
 
-    monkeypatch.setattr(capacities, "_compute_table", spy)
-    monkeypatch.setattr(capacities, "_TABLES", {})
+    monkeypatch.setattr(_table, "_compute_table", spy)
+    monkeypatch.setattr(_table, "_TABLES", {})
     return builds
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import (OCTAGON, TWELVE_GON, random_chain, random_domain_polygon, random_fan,
                       random_lattice_polygon, random_unimodular, section_points)
-from torcap import capacities, corpus, ech, lattice, oracle, toric
+from torcap import _table, capacities, corpus, ech, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
 from torcap.errors import (IndexTooSmall, InvalidInput, IterationLimit, NoSmoothVertex,
                            NonPositiveArea, NotAmple, NotConcave, NotDomainPolygon, TorcapError)
@@ -368,16 +368,16 @@ def test_value_bound_counts_few_multiples(monkeypatch):
 
 
 def test_table_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(capacities, "_TABLES", {})
+    monkeypatch.setattr(_table, "_TABLES", {})
     for i in range(toric.CACHE_SIZE + 1):
         capacities.calg(lattice.translate(lattice.rectangle(1, 1), (i, 0)), 1)
-    assert len(capacities._TABLES) <= toric.CACHE_SIZE
+    assert len(_table._TABLES) == toric.CACHE_SIZE
 
 
 def test_non_positive_weight_raises_typed_error(monkeypatch):
     lengths = lattice.edge_lengths
-    monkeypatch.setattr(lattice, "edge_lengths", lambda p: tuple(-w for w in lengths(p)))
-    monkeypatch.setattr(capacities, "_TABLES", {})
+    monkeypatch.setattr(_table, "edge_lengths", lambda p: tuple(-w for w in lengths(p)))
+    monkeypatch.setattr(_table, "_TABLES", {})
     with pytest.raises(NotAmple) as info:
         capacities.calg(lattice.rectangle(1, 1), 1)
     assert isinstance(info.value, TorcapError)

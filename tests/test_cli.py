@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import pytest
 
 import torcap
-from torcap import capacities, toric
+from torcap import _table, toric
 from torcap import cli as cli_module
 from torcap.cli import cli, parse_chain, parse_polygon
 from torcap.errors import ParseError
@@ -302,7 +302,7 @@ def test_stray_value_error_is_not_bad_input(runner, tmp_path, monkeypatch):
     def alg_capacities(p, k_max):
         raise ValueError("stray")
 
-    monkeypatch.setattr(capacities, "alg_capacities", alg_capacities)
+    monkeypatch.setattr(_table, "alg_capacities", alg_capacities)
     poly = _write(tmp_path, "p.txt", SQUARE)
     with pytest.raises(ValueError, match="^stray$"):
         runner.invoke(cli, ["capacities", poly, "--k-max", "2"])

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import torcap
-from torcap import _base, capacities, cli, corpus, ech, lattice
+from torcap import _base, _polygon, _table, capacities, cli, corpus, ech, lattice
 
 SQUARE = "0 0\n1 0\n1 1\n0 1\n"
 CHAIN = "0 2\n1 1/2\n3/2 0\n"
@@ -41,7 +41,8 @@ def test_import_corpus_builds_nothing():
     # the smooth names are read off the polygons, with no toric code
     for name in ("CORPUS", "SMOOTH_NAMES"):
         assert _loaded_after(f"from torcap.corpus import {name}") == [
-            "torcap", "torcap._base", "torcap.corpus", "torcap.errors", "torcap.lattice"]
+            "torcap", "torcap._base", "torcap._polygon", "torcap.corpus", "torcap.errors",
+            "torcap.lattice"]
 
 
 def test_import_cli_loads_no_math_module():
@@ -49,16 +50,28 @@ def test_import_cli_loads_no_math_module():
         "torcap", "torcap.cli", "torcap.corpus", "torcap.errors"]
 
 
-@pytest.mark.parametrize("args", [["ech", "concave", "chain.txt", "--k-max", "5"],
-                                  ["ech", "ellipsoid", "1", "2", "--k-max", "5"]])
-def test_ech_commands_load_no_toric_code(tmp_path, args):
+def _loaded_by_command(tmp_path, args) -> list:
+    """The torcap modules that the command line args loads, run with the
+    files it may name in tmp_path; the command must exit 0."""
+    (tmp_path / "square.poly").write_text(SQUARE)
+    (tmp_path / "ball.chain").write_text("0 1/2\n1/2 0\n")
     (tmp_path / "chain.txt").write_text(CHAIN)
     statement = ("from torcap.cli import cli\n"
                  f"try:\n    cli({args!r})\nexcept SystemExit as exc:\n    assert exc.code == 0")
-    loaded = _loaded_after(statement, tmp_path)
-    assert "torcap.ech" in loaded
-    for module in ("lattice", "toric", "capacities", "oracle"):
-        assert f"torcap.{module}" not in loaded, module
+    return _loaded_after(statement, tmp_path)
+
+
+@pytest.mark.parametrize("args", [["ech", "concave", "chain.txt", "--k-max", "5"],
+                                  ["ech", "ellipsoid", "1", "2", "--k-max", "5"]])
+def test_ech_commands_load_no_toric_code(tmp_path, args):
+    # ech and the modules every command loads: no polygon, table or toric code
+    assert _loaded_by_command(tmp_path, args) == [
+        "torcap", "torcap._base", "torcap.cli", "torcap.corpus", "torcap.ech", "torcap.errors"]
+
+
+# all that `torcap capacities` loads, and so all it compiles without bytecode
+CAPACITIES_COMMAND_MODULES = ["torcap", "torcap._base", "torcap._polygon", "torcap._table",
+                              "torcap.cli", "torcap.corpus", "torcap.errors"]
 
 
 @pytest.mark.parametrize("args", [["capacities", "square.poly", "--k-max", "5"],
@@ -67,15 +80,37 @@ def test_ech_commands_load_no_toric_code(tmp_path, args):
                                   ["width", "square.poly", "--xi", "chain.txt", "--k-max", "5"]])
 def test_capacity_commands_load_no_toric_code(tmp_path, args):
     """The capacity search reads its fan and weights off the polygon."""
-    (tmp_path / "square.poly").write_text(SQUARE)
-    (tmp_path / "ball.chain").write_text("0 1/2\n1/2 0\n")
-    (tmp_path / "chain.txt").write_text(CHAIN)
-    statement = ("from torcap.cli import cli\n"
-                 f"try:\n    cli({args!r})\nexcept SystemExit as exc:\n    assert exc.code == 0")
-    loaded = _loaded_after(statement, tmp_path)
-    assert "torcap.capacities" in loaded
+    loaded = _loaded_by_command(tmp_path, args)
+    if args[0] == "capacities":
+        # the table and the polygon core, with no ECH, lattice or verdict code
+        assert loaded == CAPACITIES_COMMAND_MODULES
+    else:
+        assert "torcap.capacities" in loaded
     for module in ("toric", "oracle"):
         assert f"torcap.{module}" not in loaded, module
+
+
+def test_verify_calg_loads_no_ech_or_verdict_code(tmp_path):
+    loaded = _loaded_by_command(tmp_path, ["verify-calg", "square.poly", "--k-max", "3",
+                                           "--box", "4"])
+    assert "torcap._table" in loaded and "torcap.oracle" in loaded
+    for module in ("ech", "capacities"):
+        assert f"torcap.{module}" not in loaded, module
+
+
+def test_capacity_queries_after_import_load_no_module():
+    """The in-process scan imports capacities and lattice, then times the
+    width bound and two ball verdicts per polygon: nothing is left to load
+    on first use."""
+    code = ("from fractions import Fraction\n"
+            "from torcap import capacities, corpus, lattice\n"
+            "p = corpus.CORPUS['chopped-square']\n"
+            f"before = {LOADED}\n"
+            "gw, lw, holds = capacities.width_bound_check(p, 16)\n"
+            "for c in (gw, Fraction(65, 64) * gw):\n"
+            "    capacities.embedding_verdict(capacities.ConcaveDomain.ball(c), p, 16)\n"
+            f"print(holds, before == {LOADED}, file=sys.stderr)\n")
+    assert _last_stderr_line(f"import sys\n{code}") == "True True"
 
 
 @pytest.mark.parametrize("words", sorted(cli._MODULES))
@@ -121,6 +156,14 @@ MOVED_TO_ECH = ("ALG", "ECH_ELLIPSOID", "ECH_CONVEX", "ECH_CONCAVE", "WEIGHT_EXP
                 "_ellipsoid_values", "ConcaveDomain", "concave_weights", "ech_concave",
                 "ech_concave_capacities", "_concave_values")
 MOVED_TO_BASE = ("_Record", "frac", "det2")
+# the names that moved from lattice to _polygon, from capacities to _table,
+# and from ech to _base
+MOVED_TO_POLYGON = ("MomentPolygon", "_fan_rows", "primitive", "cross", "egcd", "line_cuts",
+                    "line_count", "edge_lengths", "_area2", "Point", "IntVec")
+MOVED_TO_TABLE = ("_compute_table", "_ensure_table", "_TABLES", "_gauge_classes", "_ceil_div",
+                  "calg", "calg_witness", "alg_capacities")
+MOVED_FROM_ECH_TO_BASE = ("CapacitySequence", "ALG", "ECH_ELLIPSOID", "ECH_CONVEX",
+                          "ECH_CONCAVE", "_check_index")
 
 
 def test_re_exports_are_the_same_objects():
@@ -128,6 +171,13 @@ def test_re_exports_are_the_same_objects():
         assert getattr(capacities, name) is getattr(ech, name), name
     for name in MOVED_TO_BASE:
         assert getattr(lattice, name) is getattr(_base, name), name
+    for name in MOVED_TO_POLYGON:
+        assert getattr(lattice, name) is getattr(_polygon, name), name
+    for name in MOVED_TO_TABLE:
+        assert getattr(capacities, name) is getattr(_table, name), name
+    for name in MOVED_FROM_ECH_TO_BASE:
+        assert getattr(ech, name) is getattr(_base, name), name
+        assert getattr(capacities, name) is getattr(_base, name), name
     from torcap.capacities import ConcaveDomain, concave_weights
 
     assert ConcaveDomain is ech.ConcaveDomain and concave_weights is ech.concave_weights
