@@ -1,11 +1,13 @@
 """The polygon core: `MomentPolygon` and the integer kernels the capacity
-table runs on.  `lattice` re-exports every name of it as the same object."""
+table runs on.  `lattice` re-exports its public names as the same objects;
+`_fan_rows`, the one check of a fan's turns and winding, is read here by
+`MomentPolygon` and `toric.ToricSurface`."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._base import _Record, det2, frac, integer_view
 from .errors import InvalidInput, NotConvex, ZeroArea
@@ -27,19 +29,20 @@ def primitive(v: IntVec) -> IntVec:
     return (v[0] // g, v[1] // g)
 
 
-def _fan_rows(rays: Sequence[IntVec]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Row constants (d, e) of the cyclic integer vectors v = rays, d[i] =
-    det(v[i], v[i+1]) and e[i] = det(v[i-1], v[i+1]), so that on the fan's
-    surface D . D_i = (a[i-1] d[i] - a[i] e[i] + a[i+1] d[i-1]) / (d[i-1] d[i]).
-    None unless every step turns strictly left and v winds around 0 once."""
+def _fan_rows(rays: Sequence[IntVec]) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """(d, e, winds_once) for the cyclic integer vectors v = rays: the row
+    constants d[i] = det(v[i], v[i+1]) and e[i] = det(v[i-1], v[i+1]), so
+    that on the fan's surface D . D_i = (a[i-1] d[i] - a[i] e[i] + a[i+1]
+    d[i-1]) / (d[i-1] d[i]), and whether exactly one step leaves the lower
+    half plane.  The vectors form a fan when every step turns strictly left,
+    every d[i] > 0, and they wind around 0 once, winds_once."""
     n = len(rays)
     d = tuple(det2(rays[i], rays[(i + 1) % n]) for i in range(n))
-    # each step turns by less than a half turn, so the vectors wind around
-    # the origin once exactly when one step leaves the lower half plane
+    e = tuple(det2(rays[i - 1], rays[(i + 1) % n]) for i in range(n))
+    # when each step turns left by less than a half turn, the vectors wind
+    # around the origin once exactly when one step leaves the lower half plane
     lower = [v[1] < 0 or (v[1] == 0 and v[0] < 0) for v in rays]
-    if min(d) <= 0 or sum(lower[i - 1] and not lower[i] for i in range(n)) != 1:
-        return None
-    return d, tuple(det2(rays[i - 1], rays[(i + 1) % n]) for i in range(n))
+    return d, e, sum(lower[i - 1] and not lower[i] for i in range(n)) == 1
 
 
 class MomentPolygon(_Record):
@@ -55,34 +58,34 @@ class MomentPolygon(_Record):
         pts = tuple((frac(x), frac(y)) for x, y in vertices)
         if len(pts) < 3:
             raise ZeroArea("a polygon needs at least 3 vertices")
-        # the integer view: vertices times _scale, and per edge i (from vertex
-        # i to i+1) its inward primitive normal
+        # the integer view: vertices times _scale, twice its area, and per
+        # edge i (from vertex i to i+1) its inward primitive normal, (0, 0) on
+        # a zero edge
         scale, ipts = integer_view(pts)
-        n = len(pts)
-        area2 = sum(det2(ipts[i], ipts[(i + 1) % n]) for i in range(n))
+        area2 = sum(det2(v, w) for v, w in zip(ipts, ipts[1:] + ipts[:1]))
         if area2 == 0:
             raise ZeroArea("polygon has zero area")
         if area2 < 0:
             raise NotConvex("vertices must be listed counterclockwise")
-        for i in range(n):
-            c = cross(ipts[i], ipts[(i + 1) % n], ipts[(i + 2) % n])
-            if c == 0:
-                raise NotConvex("three consecutive vertices are collinear")
-            if c < 0:
-                raise NotConvex("polygon is not convex")
-        start = min(range(n), key=lambda i: ipts[i])
-        ipts = ipts[start:] + ipts[:start]
-        pts = pts[start:] + pts[:start]
-        normals = tuple(primitive((v[1] - w[1], w[0] - v[0]))
+        normals = tuple(primitive((v[1] - w[1], w[0] - v[0])) if v != w else (0, 0)
                         for v, w in zip(ipts, ipts[1:] + ipts[:1]))
-        # every turn is left, so only a star polygon's normals fail the fan check
-        rows = _fan_rows(normals)
-        if rows is None:
+        # d[i] has the sign of the turn at vertex i + 1, and is 0 at a zero edge
+        d, e, winds_once = _fan_rows(normals)
+        for turn in d:
+            if turn == 0:
+                raise NotConvex("three consecutive vertices are collinear")
+            if turn < 0:
+                raise NotConvex("polygon is not convex")
+        # every turn is left, so only a star polygon's normals fail to wind once
+        if not winds_once:
             raise NotConvex("polygon winds around more than once")
-        # the record hash, computed once: table lookups hash a polygon often
+        # start at the least vertex; the record hash is computed once, as
+        # table lookups hash a polygon often
+        s = min(range(len(pts)), key=lambda i: ipts[i])
+        pts = pts[s:] + pts[:s]
         self.__dict__.update(
-            vertices=pts, _hash=hash((pts,)), _scale=scale, _ipts=ipts,
-            _normals=normals, _d=rows[0], _e=rows[1])
+            vertices=pts, _hash=hash((pts,)), _scale=scale, _ipts=ipts[s:] + ipts[:s],
+            _area2=area2, _normals=normals[s:] + normals[:s], _d=d[s:] + d[:s], _e=e[s:] + e[:s])
 
     def __hash__(self):
         return self._hash
@@ -146,8 +149,3 @@ def edge_lengths(p: MomentPolygon) -> tuple[int, ...]:
     ipts = p._ipts
     return tuple(math.gcd(w[0] - v[0], w[1] - v[1]) for v, w in zip(ipts, ipts[1:] + ipts[:1]))
 
-
-def _area2(p: MomentPolygon) -> int:
-    """Twice the area of the integer polygon p._scale * p."""
-    ipts = p._ipts
-    return sum(det2(a, b) for a, b in zip(ipts, ipts[1:] + ipts[:1]))

@@ -1,7 +1,9 @@
 """The algebraic capacity table: one cached search per polygon, over the
 polygon core alone, so it loads no `lattice` or `ech` code, and `toric`
 only in `calg_witness`, for the divisor it returns.  `capacities`
-re-exports every name of it as the same object."""
+re-exports its public names as the same objects; the private ones, the
+search `_compute_table` and its cache `_TABLES`, live here alone, so tests
+read and patch them here."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from ._base import ALG, CACHE_SIZE, CapacitySequence, _check_index, det2
-from ._polygon import MomentPolygon, _area2, edge_lengths, line_count, line_cuts
+from ._polygon import MomentPolygon, edge_lengths, line_count, line_cuts
 from .errors import IterationLimit, NotAmple
 
 if TYPE_CHECKING:
@@ -37,10 +39,6 @@ def calg_witness(p: MomentPolygon, k: int) -> tuple[Fraction, TorusDivisor]:
 
     values, denom, vecs = _ensure_table(p, k)
     return Fraction(values[k], denom), TorusDivisor(tuple(Fraction(c) for c in vecs[k]))
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 # (values, denom, witnesses), as `_compute_table` returns it
@@ -172,7 +170,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     g = math.gcd(p._scale, *supports)
     if g == 1:
         # m P' has (area2 m^2 + L m) / 2 + 1 lattice points
-        area2, perimeter = _area2(p), sum(lengths)
+        area2, perimeter = p._area2, sum(lengths)
         m = 1
         while m * (area2 * m + perimeter) < 2 * k_max:
             m += 1
@@ -289,7 +287,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
         # for l = 2 and l = n-1 these are the floors that rows 1 and 0 give
         x0 = v[1][1] * r0 - v[0][1] * r1
         x1 = v[0][0] * r1 - v[1][0] * r0
-        lows = [_ceil_div(x0 * vx + x1 * vy, d[0]) for vx, vy in v]
+        lows = [-(-(x0 * vx + x1 * vy) // d[0]) for vx, vy in v]
         # least possible contribution of the coefficients from index j on
         rest_min = [0] * (n + 1)
         for j in range(last, 1, -1):

@@ -4,11 +4,10 @@ Algebraic capacities of polarized toric surfaces, ECH capacities of convex
 toric domains, embedding verdicts, the Xi-width and the lattice width bound,
 on integers over one denominator; every value returned is an exact rational.
 No `toric` code is loaded.  Re-exported as the same objects: from `_table`,
-the capacity table (`calg`, `calg_witness`, `alg_capacities`,
-`_compute_table`, `_ensure_table`, `_TABLES`, `_gauge_classes`,
-`_ceil_div`), which looks its names up there, so tests patch them there;
-from `ech`, the ellipsoid and concave capacities, `CapacitySequence` and
-the kind labels.
+the capacity table's `calg`, `calg_witness` and `alg_capacities`; from
+`ech`, the ellipsoid and concave capacities, `ConcaveDomain` and
+`CapacitySequence`.  Private names are not re-exported: the table's search
+and cache live in `_table`, which looks them up there.
 """
 
 from __future__ import annotations
@@ -17,28 +16,12 @@ from fractions import Fraction
 from typing import Optional
 
 from . import lattice
-from ._base import _Record
-from ._table import (  # noqa: F401  (re-exported)
-    _TABLES,
-    _ceil_div,
-    _compute_table,
-    _ensure_table,
-    _gauge_classes,
-    alg_capacities,
-    calg,
-    calg_witness,
-)
+from ._base import ECH_CONVEX, _Record
+from ._table import _ensure_table, alg_capacities, calg, calg_witness  # noqa: F401  (re-exported)
 from .ech import (  # noqa: F401  (re-exported)
-    ALG,
-    ECH_CONCAVE,
-    ECH_CONVEX,
-    ECH_ELLIPSOID,
-    WEIGHT_EXPANSION_CAP,
     CapacitySequence,
     ConcaveDomain,
-    _check_index,
     _concave_values,
-    _ellipsoid_values,
     concave_weights,
     ech_concave,
     ech_concave_capacities,

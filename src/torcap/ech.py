@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from ._base import ALG, ECH_CONCAVE, ECH_CONVEX, ECH_ELLIPSOID  # noqa: F401  (re-exported)
-from ._base import CACHE_SIZE, CapacitySequence, _check_index, _Record, det2, frac, integer_view
+from ._base import (CACHE_SIZE, ECH_CONCAVE, ECH_ELLIPSOID, CapacitySequence, _check_index,
+                    _Record, det2, frac, integer_view)
 from .errors import IterationLimit, NonPositiveArea, NotConcave
 
 WEIGHT_EXPANSION_CAP = 100_000

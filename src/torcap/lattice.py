@@ -7,8 +7,7 @@ as `fractions.Fraction`, and no floating point enters anywhere.
 
 Re-exported as the same objects from `_polygon`, the core that the capacity
 table loads without this module: `MomentPolygon`, `cross`, `primitive`,
-`egcd`, `line_cuts`, `line_count`, `edge_lengths`, `_fan_rows`, `_area2`,
-`Point` and `IntVec`.
+`egcd`, `line_cuts`, `line_count`, `edge_lengths`, `Point` and `IntVec`.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from ._polygon import (  # noqa: F401  (re-exported)
     IntVec,
     MomentPolygon,
     Point,
-    _area2,
-    _fan_rows,
     cross,
     edge_lengths,
     egcd,
@@ -92,10 +89,8 @@ class UnimodularAffineMap(_Record):
 
 
 def area(p: MomentPolygon) -> Fraction:
-    """Exact Euclidean area by the shoelace formula."""
-    vs = p.vertices
-    n = len(vs)
-    return sum(det2(vs[i], vs[(i + 1) % n]) for i in range(n)) / 2
+    """Exact Euclidean area, from twice the area of the integer view."""
+    return Fraction(p._area2, 2 * p._scale ** 2)
 
 
 def count_points(rays: Sequence[IntVec], coeffs: Sequence[int]) -> int:

@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import toric
+from ._base import CACHE_SIZE
 from .errors import BoxTooSmall, IndexTooSmall, InvalidInput
 from .lattice import MomentPolygon
 from .toric import TorusDivisor
@@ -183,7 +184,7 @@ class _BoxTable:
         return True
 
 
-@lru_cache(maxsize=toric.CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _box_table(p: MomentPolygon, box: int) -> _BoxTable:
     return _BoxTable(p, box)
 

@@ -12,7 +12,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._base import CACHE_SIZE, _Record, det2, frac  # noqa: F401  (CACHE_SIZE re-exported)
+from ._base import _Record, det2, frac
+from ._polygon import _fan_rows
 from .errors import (
     InvalidInput,
     IterationLimit,
@@ -24,7 +25,6 @@ from .errors import (
 from .lattice import (
     MomentPolygon,
     Point,
-    _fan_rows,
     convex_hull,
     count_points,
     egcd,
@@ -41,7 +41,7 @@ class ToricSurface(_Record):
     """Complete simplicial fan in the plane, given by its rays.
 
     Rays are primitive integer vectors in strictly counterclockwise cyclic
-    order, winding once; _d and _e keep their row constants (`lattice._fan_rows`).
+    order, winding once; _d and _e keep their row constants (`_polygon._fan_rows`).
     """
 
     _fields = ("rays", "polygon")
@@ -52,10 +52,10 @@ class ToricSurface(_Record):
         for v in rays:
             if primitive(v) != v:
                 raise InvalidInput(f"ray {v} is not primitive")
-        rows = _fan_rows(rays)
-        if rows is None:
+        d, e, winds_once = _fan_rows(rays)
+        if min(d) <= 0 or not winds_once:
             raise InvalidInput("rays must be strictly counterclockwise and complete")
-        self.__dict__.update(rays=rays, polygon=polygon, _d=rows[0], _e=rows[1])
+        self.__dict__.update(rays=rays, polygon=polygon, _d=d, _e=e)
 
     def __len__(self) -> int:
         return len(self.rays)
@@ -160,7 +160,7 @@ def intersection_matrix(y: ToricSurface) -> tuple[tuple[Fraction, ...], ...]:
 
 def pairings(y: ToricSurface, d: TorusDivisor) -> tuple[Fraction, ...]:
     """The pairings D_i . D.  D_i meets only D_{i-1}, itself and D_{i+1}, so
-    with the fan's row constants d, e (`lattice._fan_rows`) and b the
+    with the fan's row constants d, e (`_polygon._fan_rows`) and b the
     coefficients of D times the lcm L of their denominators,
     D_i . D = (b[i-1] d[i] - b[i] e[i] + b[i+1] d[i-1]) / (L d[i-1] d[i])."""
     _check_count(y, d.coeffs)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import (OCTAGON, TWELVE_GON, random_chain, random_domain_polygon, random_fan,
                       random_lattice_polygon, random_unimodular, section_points)
-from torcap import _table, capacities, corpus, ech, lattice, oracle, toric
+from torcap import _base, _table, capacities, corpus, ech, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
 from torcap.errors import (IndexTooSmall, InvalidInput, IterationLimit, NoSmoothVertex,
                            NonPositiveArea, NotAmple, NotConcave, NotDomainPolygon, TorcapError)
@@ -330,7 +330,7 @@ def test_search_reads_weights_and_fan_off_the_polygon():
 def test_many_edge_witnesses_are_feasible_and_attain_the_value(p, k_max):
     y = toric.build_surface(p)
     ample = toric.associated_divisor(p)
-    values, denom, vecs = capacities._compute_table(p, k_max)
+    values, denom, vecs = _table._compute_table(p, k_max)
     assert len(values) == len(vecs) == k_max + 1
     for k, (val, vec) in enumerate(zip(values, vecs)):
         d = TorusDivisor(vec)
@@ -345,33 +345,11 @@ def test_one_table_build_per_sequence(table_builds):
     assert len(seq) == 66
 
 
-def test_table_build_makes_no_h0_call(monkeypatch):
-    def h0(y, d):
-        raise AssertionError("h0 called")
-
-    monkeypatch.setattr(toric, "h0", h0)
-    for name in ("chopped-square", "singular-triangle", "rect-2x3"):
-        values, _denom, vecs = capacities._compute_table(corpus.CORPUS[name], 30)
-        assert len(values) == len(vecs) == 31
-
-
-def test_value_bound_counts_few_multiples(monkeypatch):
-    # Pick's formula counts the multiples of the polarization, and each gauge
-    # class starts from the zero vector's count: the table makes no full count
-    def count_points(rays, coeffs):
-        raise AssertionError("count_points called")
-
-    monkeypatch.setattr(lattice, "count_points", count_points)
-    for p in corpus.CORPUS.values():
-        values, _denom, vecs = capacities._compute_table(p, 100)
-        assert len(values) == len(vecs) == 101, p.vertices
-
-
 def test_table_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(_table, "_TABLES", {})
-    for i in range(toric.CACHE_SIZE + 1):
+    for i in range(_base.CACHE_SIZE + 1):
         capacities.calg(lattice.translate(lattice.rectangle(1, 1), (i, 0)), 1)
-    assert len(_table._TABLES) == toric.CACHE_SIZE
+    assert len(_table._TABLES) == _base.CACHE_SIZE
 
 
 def test_non_positive_weight_raises_typed_error(monkeypatch):
@@ -786,7 +764,7 @@ def test_gromov_width_bound_is_the_unit_ball_width():
 
 
 def test_ball_values_cache_is_bounded_and_immutable():
-    assert ech._balls_values.cache_parameters()["maxsize"] == ech.CACHE_SIZE
+    assert ech._balls_values.cache_parameters()["maxsize"] == _base.CACHE_SIZE
     for m, k_max in ((1, 16), (3, 40), (50, 20)):
         values = ech._balls_values(m, k_max)
         assert isinstance(values, tuple) and len(values) == k_max + 1

@@ -1,13 +1,15 @@
 """What each import and each CLI command loads, and the re-exported names."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import torcap
-from torcap import _base, _polygon, _table, capacities, cli, corpus, ech, lattice
+from torcap import _polygon, _table, capacities, cli, corpus, ech, lattice
 
 SQUARE = "0 0\n1 0\n1 1\n0 1\n"
 CHAIN = "0 2\n1 1/2\n3/2 0\n"
@@ -150,34 +152,56 @@ def test_public_names_resolve():
         corpus.NO_SUCH_NAME
 
 
-# the names that moved from capacities to ech, and from lattice to _base
-MOVED_TO_ECH = ("ALG", "ECH_ELLIPSOID", "ECH_CONVEX", "ECH_CONCAVE", "WEIGHT_EXPANSION_CAP",
-                "CapacitySequence", "ech_ellipsoid", "ech_ellipsoid_capacities",
-                "_ellipsoid_values", "ConcaveDomain", "concave_weights", "ech_concave",
-                "ech_concave_capacities", "_concave_values")
-MOVED_TO_BASE = ("_Record", "frac", "det2")
-# the names that moved from lattice to _polygon, from capacities to _table,
-# and from ech to _base
-MOVED_TO_POLYGON = ("MomentPolygon", "_fan_rows", "primitive", "cross", "egcd", "line_cuts",
-                    "line_count", "edge_lengths", "_area2", "Point", "IntVec")
-MOVED_TO_TABLE = ("_compute_table", "_ensure_table", "_TABLES", "_gauge_classes", "_ceil_div",
-                  "calg", "calg_witness", "alg_capacities")
-MOVED_FROM_ECH_TO_BASE = ("CapacitySequence", "ALG", "ECH_ELLIPSOID", "ECH_CONVEX",
-                          "ECH_CONCAVE", "_check_index")
+# the public names that capacities re-exports from ech and _table, and
+# lattice from _polygon
+CAPACITIES_FROM_ECH = ("CapacitySequence", "ConcaveDomain", "concave_weights", "ech_concave",
+                       "ech_concave_capacities", "ech_ellipsoid", "ech_ellipsoid_capacities")
+CAPACITIES_FROM_TABLE = ("calg", "calg_witness", "alg_capacities")
+LATTICE_FROM_POLYGON = ("MomentPolygon", "primitive", "cross", "egcd", "line_cuts", "line_count",
+                        "edge_lengths", "Point", "IntVec")
 
 
 def test_re_exports_are_the_same_objects():
-    for name in MOVED_TO_ECH:
+    for name in CAPACITIES_FROM_ECH:
         assert getattr(capacities, name) is getattr(ech, name), name
-    for name in MOVED_TO_BASE:
-        assert getattr(lattice, name) is getattr(_base, name), name
-    for name in MOVED_TO_POLYGON:
-        assert getattr(lattice, name) is getattr(_polygon, name), name
-    for name in MOVED_TO_TABLE:
+    for name in CAPACITIES_FROM_TABLE:
         assert getattr(capacities, name) is getattr(_table, name), name
-    for name in MOVED_FROM_ECH_TO_BASE:
-        assert getattr(ech, name) is getattr(_base, name), name
-        assert getattr(capacities, name) is getattr(_base, name), name
-    from torcap.capacities import ConcaveDomain, concave_weights
+    for name in LATTICE_FROM_POLYGON:
+        assert getattr(lattice, name) is getattr(_polygon, name), name
 
-    assert ConcaveDomain is ech.ConcaveDomain and concave_weights is ech.concave_weights
+
+def _unread_private_imports(path) -> list:
+    """The private names that the module at path imports from a sibling
+    module with `from .x import _y` and then never reads."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names]
+    return [name for name in imported if name.startswith("_") and name not in read]
+
+
+def test_no_private_name_is_imported_unread():
+    """A private name has one home: no module imports one only to pass it on."""
+    package = pathlib.Path(torcap.__file__).parent
+    unread = {path.stem: names for path in sorted(package.glob("*.py"))
+              if (names := _unread_private_imports(path))}
+    assert unread == {}
+
+
+def test_table_build_loads_no_lattice_or_toric_code():
+    """The table counts sections by unit moves from the zero vector and
+    bounds its values by Pick's formula, so a build reads neither `toric.h0`
+    nor `lattice.count_points`, and loads neither module."""
+    polygons = [p.vertices for p in corpus.CORPUS.values()]
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "from torcap import _polygon, _table\n"
+            f"for vertices in {polygons!r}:\n"
+            "    values, _denom, vecs = _table._compute_table(_polygon.MomentPolygon(vertices), 100)\n"
+            "    assert len(values) == len(vecs) == 101, vertices\n"
+            f"print(*{LOADED}, file=sys.stderr)\n")
+    loaded = _last_stderr_line(code).split()
+    assert "torcap._table" in loaded
+    for module in ("lattice", "toric"):
+        assert f"torcap.{module}" not in loaded, module
