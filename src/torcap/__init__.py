@@ -1,20 +1,22 @@
 """Exact capacities of toric surfaces and symplectic embedding obstructions.
 
-The names of `__all__` are imported from their submodules on first access,
-so `import torcap` loads none of them.
+The names of `__all__` are imported on first access from the submodule that
+defines each, so `import torcap` loads none and `torcap.calg` only four.
 """
 
 from importlib import import_module
 
 # the submodule that defines each public name
 _HOMES = {
-    "ech": ("CapacitySequence", "ConcaveDomain", "concave_weights", "ech_concave",
-            "ech_concave_capacities", "ech_ellipsoid", "ech_ellipsoid_capacities"),
-    "capacities": ("EmbeddingVerdict", "XiWidth", "alg_capacities", "calg", "calg_witness",
-                   "ech_convex", "ech_convex_capacities", "embedding_verdict",
-                   "gromov_width_bound", "width_bound_check", "xi_width"),
+    "_base": ("CapacitySequence",),
+    "_polygon": ("MomentPolygon",),
+    "_table": ("alg_capacities", "calg", "calg_witness"),
+    "ech": ("ConcaveDomain", "concave_weights", "ech_concave", "ech_concave_capacities",
+            "ech_ellipsoid", "ech_ellipsoid_capacities"),
+    "capacities": ("EmbeddingVerdict", "XiWidth", "ech_convex", "ech_convex_capacities",
+                   "embedding_verdict", "gromov_width_bound", "width_bound_check", "xi_width"),
     "errors": ("TorcapError",),
-    "lattice": ("MomentPolygon", "UnimodularAffineMap", "lattice_width"),
+    "lattice": ("UnimodularAffineMap", "lattice_width"),
     "toric": ("DivisorClass", "ToricSurface", "TorusDivisor", "build_surface"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

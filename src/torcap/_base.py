@@ -1,6 +1,7 @@
 """Helpers shared by the geometry, table and ECH modules: exact rational
 coercion, integer views of rational points, the 2x2 determinant, the
-immutable record base, the per-polygon cache size and capacity sequences."""
+immutable record base, the per-polygon cache size and `CapacitySequence`,
+which holds algebraic and ECH capacities alike."""
 
 from __future__ import annotations
 
@@ -13,12 +14,6 @@ from .errors import IndexTooSmall
 
 # entries kept by each per-polygon cache
 CACHE_SIZE = 128
-
-# how a capacity sequence was computed
-ALG = "alg"
-ECH_ELLIPSOID = "ech-ellipsoid"
-ECH_CONVEX = "ech-convex"
-ECH_CONCAVE = "ech-concave"
 
 
 def frac(x) -> Fraction:
@@ -71,12 +66,12 @@ class _Record:
 
 
 class CapacitySequence(_Record):
-    """Capacities c_0, c_1, ..., tagged with how they were computed."""
+    """Capacities c_0, c_1, ..., equal when their values are."""
 
-    _fields = ("values", "kind")
+    _fields = ("values",)
 
-    def __init__(self, values: tuple[Fraction, ...], kind: str):
-        self.__dict__.update(values=values, kind=kind)
+    def __init__(self, values: tuple[Fraction, ...]):
+        self.__dict__.update(values=values)
 
     def __getitem__(self, k: int) -> Fraction:
         return self.values[k]

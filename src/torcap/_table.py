@@ -11,9 +11,9 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from ._base import ALG, CACHE_SIZE, CapacitySequence, _check_index, det2
+from ._base import CACHE_SIZE, CapacitySequence, _check_index, det2
 from ._polygon import MomentPolygon, edge_lengths, line_count, line_cuts
-from .errors import IterationLimit, NotAmple
+from .errors import NotAmple
 
 if TYPE_CHECKING:
     from .toric import TorusDivisor
@@ -126,9 +126,9 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     if not all(w > 0 for w in lengths):
         raise NotAmple("polarization pairs non-positively with a boundary curve")
     # the pairings lengths[i] / p._scale over their least common denominator
-    g = math.gcd(p._scale, *lengths)
-    denom = p._scale // g
-    iweights = tuple(w // g for w in lengths)
+    g_len = math.gcd(p._scale, *lengths)
+    denom = p._scale // g_len
+    iweights = tuple(w // g_len for w in lengths)
 
     # rotate so that the gauge cone is (v[0], v[1]), with the fan's row
     # constants d and e: nef row j scaled by d[j-1] * d[j] reads
@@ -294,9 +294,9 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
             rest_min[j] = rest_min[j + 1] + w[j] * lows[j]
         search(1, r0 * w[0], r1)
     if None in vecs:
-        # cannot happen: the bound is attained by a multiple of the
+        # a bug, not a budget: the bound is attained by a multiple of the
         # polarization, whose gauge representative lies in the search region
-        raise IterationLimit("no optimal vector found")
+        raise RuntimeError("no optimal vector found")
     # undo the rotation: b[j] is the coefficient of ray s + j
     return vals, denom, [vec[n - s:] + vec[:n - s] for vec in vecs]
 
@@ -304,4 +304,4 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
 def alg_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
     """c_0, ..., c_k_max, read from one capacity table."""
     values, denom, _vecs = _ensure_table(p, k_max)
-    return CapacitySequence(tuple(Fraction(v, denom) for v in values[: k_max + 1]), ALG)
+    return CapacitySequence(tuple(Fraction(v, denom) for v in values[: k_max + 1]))

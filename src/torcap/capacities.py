@@ -3,6 +3,7 @@
 Algebraic capacities of polarized toric surfaces, ECH capacities of convex
 toric domains, embedding verdicts, the Xi-width and the lattice width bound,
 on integers over one denominator; every value returned is an exact rational.
+A convex domain's ECH capacities are the `alg_capacities` of its polygon.
 No `toric` code is loaded.  Re-exported as the same objects: from `_table`,
 the capacity table's `calg`, `calg_witness` and `alg_capacities`; from
 `ech`, the ellipsoid and concave capacities, `ConcaveDomain` and
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import lattice
-from ._base import ECH_CONVEX, _Record
+from ._base import _Record
 from ._table import _ensure_table, alg_capacities, calg, calg_witness  # noqa: F401  (re-exported)
 from .ech import (  # noqa: F401  (re-exported)
     CapacitySequence,
@@ -42,26 +43,30 @@ def is_domain_polygon(p: MomentPolygon) -> bool:
 
 
 def ech_convex(p: MomentPolygon, k: int) -> Fraction:
-    """k-th ECH capacity of the convex toric domain over p.
-
-    Agrees with the algebraic capacity of the associated polarized surface.
-    """
-    if not is_domain_polygon(p):
-        raise NotDomainPolygon("convex toric domain needs an origin corner with axis edges")
-    return calg(p, k)
+    """k-th ECH capacity of the convex toric domain over p."""
+    return ech_convex_capacities(p, k)[k]
 
 
 def ech_convex_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:
+    """ECH capacities c_0, ..., c_k_max of the convex toric domain over p:
+    the algebraic capacities of the associated polarized surface."""
     if not is_domain_polygon(p):
         raise NotDomainPolygon("convex toric domain needs an origin corner with axis edges")
-    return CapacitySequence(alg_capacities(p, k_max).values, ECH_CONVEX)
+    return alg_capacities(p, k_max)
 
 
-def _require_smooth_vertex(p: MomentPolygon) -> None:
-    """Embedding comparisons need a smooth fixed point on the target: a
-    cone of determinant 1."""
+def _verdict_inputs(omega: ConcaveDomain, p: MomentPolygon,
+                    k_max: int) -> tuple[list[int], int, list[int], int]:
+    """(dom, dom_denom, target, denom): c_k(omega) = dom[k] / dom_denom and
+    calg(p, k) = target[k] / denom for k <= k_max, checked for a comparison,
+    which needs k_max >= 1 and a smooth vertex, a cone of determinant 1."""
+    if k_max < 1:
+        raise IndexTooSmall("k_max must be at least 1")
     if 1 not in p._d:
         raise NoSmoothVertex("target polygon has no smooth vertex")
+    dom, dom_denom = _concave_values(omega, k_max)
+    target, denom, _vecs = _ensure_table(p, k_max)
+    return dom, dom_denom, target, denom
 
 
 class EmbeddingVerdict(_Record):
@@ -85,11 +90,7 @@ def embedding_verdict(omega: ConcaveDomain, p: MomentPolygon, k_max: int) -> Emb
     the embedding out; otherwise the test is passed (which does not by
     itself construct an embedding).
     """
-    if k_max < 1:
-        raise IndexTooSmall("k_max must be at least 1")
-    _require_smooth_vertex(p)
-    dom, dom_denom = _concave_values(omega, k_max)
-    target, denom, _vecs = _ensure_table(p, k_max)
+    dom, dom_denom, target, denom = _verdict_inputs(omega, p, k_max)
     for k in range(1, k_max + 1):
         if dom[k] * denom > target[k] * dom_denom:
             return EmbeddingVerdict(
@@ -118,11 +119,7 @@ def xi_width(p: MomentPolygon, omega: ConcaveDomain, k_max: int) -> XiWidth:
     The stable flag records that the minimizer already appears in the first
     half of the horizon, a heuristic sign the value has converged.
     """
-    if k_max < 1:
-        raise IndexTooSmall("k_max must be at least 1")
-    _require_smooth_vertex(p)
-    dom, dom_denom = _concave_values(omega, k_max)
-    target, denom, _vecs = _ensure_table(p, k_max)
+    dom, dom_denom, target, denom = _verdict_inputs(omega, p, k_max)
     # dom[k] > 0 for k >= 1, as c_1 is at least the first weight; the ratio is
     # target[k] / dom[k] times dom_denom / denom, compared by cross-multiplying
     best, argmin = (target[1], dom[1]), 1

@@ -21,8 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from ._base import (CACHE_SIZE, ECH_CONCAVE, ECH_ELLIPSOID, CapacitySequence, _check_index,
-                    _Record, det2, frac, integer_view)
+from ._base import CACHE_SIZE, CapacitySequence, _check_index, _Record, det2, frac, integer_view
 from .errors import IterationLimit, NonPositiveArea, NotConcave
 
 WEIGHT_EXPANSION_CAP = 100_000
@@ -42,7 +41,7 @@ def ech_ellipsoid_capacities(a, b, k_max: int) -> CapacitySequence:
         raise NonPositiveArea("ellipsoid needs positive areas")
     denom = math.lcm(a.denominator, b.denominator)
     vals = _ellipsoid_values(int(a * denom), int(b * denom), k_max)
-    return CapacitySequence(tuple(Fraction(v, denom) for v in vals), ECH_ELLIPSOID)
+    return CapacitySequence(tuple(Fraction(v, denom) for v in vals))
 
 
 def _ellipsoid_values(ia: int, ib: int, k_max: int) -> list[int]:
@@ -165,7 +164,7 @@ def ech_concave_capacities(omega: ConcaveDomain, k_max: int) -> CapacitySequence
     """ECH capacities of a concave toric domain."""
     _check_index(k_max)
     values, denom = _concave_values(omega, k_max)
-    return CapacitySequence(tuple(Fraction(v, denom) for v in values), ECH_CONCAVE)
+    return CapacitySequence(tuple(Fraction(v, denom) for v in values))
 
 
 def _concave_values(omega: ConcaveDomain, k_max: int) -> tuple[list[int], int]:

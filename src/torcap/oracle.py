@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import toric
-from ._base import CACHE_SIZE
+from ._base import CACHE_SIZE, det2
 from .errors import BoxTooSmall, IndexTooSmall, InvalidInput
 from .lattice import MomentPolygon
 from .toric import TorusDivisor
@@ -99,14 +99,17 @@ class _BoxTable:
     def __init__(self, p: MomentPolygon, box: int):
         y = toric.build_surface(p)
         n = len(y.rays)
-        self.box, self.rays, self.dets, self.smooth = box, y.rays, y.cone_dets, y.smooth
+        # its own cone determinants, not the fan's row constants of the fast path
+        self.box, self.rays = box, y.rays
+        self.dets = tuple(det2(y.rays[i], y.rays[(i + 1) % n]) for i in range(n))
+        self.smooth = all(d == 1 for d in self.dets)
         q = toric.intersection_matrix(y)
         ample = toric.associated_divisor(p)
         weights = [sum(q[i][j] * ample.coeffs[j] for j in range(n)) for i in range(n)]
         self.denom = math.lcm(*(w.denominator for w in weights))
         # integral on a smooth surface, where the index is defined
-        self._q = [[int(c) for c in row] for row in q] if y.smooth else None
-        self._rowsum = [sum(row) for row in self._q] if y.smooth else None
+        self._q = [[int(c) for c in row] for row in q] if self.smooth else None
+        self._rowsum = [sum(row) for row in self._q] if self.smooth else None
         side = max(box + 1, 0)  # a negative box holds no vector
         self.size = side ** n
         # the key of one unit of coefficient i: its value and its index place

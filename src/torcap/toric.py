@@ -38,15 +38,16 @@ IP_ITERATION_CAP = 10_000
 
 
 class ToricSurface(_Record):
-    """Complete simplicial fan in the plane, given by its rays.
+    """Complete simplicial fan in the plane, given by its rays, and no
+    polarization: polygons with one inner normal fan give one surface.
 
     Rays are primitive integer vectors in strictly counterclockwise cyclic
     order, winding once; _d and _e keep their row constants (`_polygon._fan_rows`).
     """
 
-    _fields = ("rays", "polygon")
+    _fields = ("rays",)
 
-    def __init__(self, rays: tuple[tuple[int, int], ...], polygon: Optional[MomentPolygon] = None):
+    def __init__(self, rays: tuple[tuple[int, int], ...]):
         if len(rays) < 3:
             raise InvalidInput("a complete fan needs at least 3 rays")
         for v in rays:
@@ -55,7 +56,7 @@ class ToricSurface(_Record):
         d, e, winds_once = _fan_rows(rays)
         if min(d) <= 0 or not winds_once:
             raise InvalidInput("rays must be strictly counterclockwise and complete")
-        self.__dict__.update(rays=rays, polygon=polygon, _d=d, _e=e)
+        self.__dict__.update(rays=rays, _d=d, _e=e)
 
     def __len__(self) -> int:
         return len(self.rays)
@@ -107,7 +108,7 @@ class DivisorClass(_Record):
 
 def build_surface(p: MomentPolygon) -> ToricSurface:
     """Surface of the inner normal fan of p."""
-    return ToricSurface(p._normals, polygon=p)
+    return ToricSurface(p._normals)
 
 
 def associated_divisor(p: MomentPolygon) -> TorusDivisor:
@@ -407,7 +408,7 @@ def resolve(y: ToricSurface) -> ToricSurface:
                 out.append(_hj_insert(u, v))
                 changed = True
         rays = out
-    return ToricSurface(tuple(rays), polygon=y.polygon)
+    return ToricSurface(tuple(rays))
 
 
 def _hj_insert(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:

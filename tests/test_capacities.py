@@ -495,6 +495,13 @@ def test_ech_convex_matches_ellipsoid_on_triangles():
             assert capacities.ech_convex(t, k) == capacities.ech_ellipsoid(a, b, k)
 
 
+def test_ech_convex_capacities_are_the_alg_capacities():
+    domains = [p for p in corpus.CORPUS.values() if capacities.is_domain_polygon(p)]
+    assert len(domains) >= 5
+    for p in domains:
+        assert capacities.ech_convex_capacities(p, 20) == capacities.alg_capacities(p, 20)
+
+
 def test_concave_domain_validation():
     with pytest.raises(NotConcave):
         ConcaveDomain(((Fraction(0), Fraction(1)),))

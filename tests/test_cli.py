@@ -248,6 +248,17 @@ def test_iteration_limit_exit_code(runner, tmp_path, monkeypatch):
     assert res.stderr == "error: isoparametric transform did not stabilize\n"
 
 
+def test_impossible_table_state_is_not_an_iteration_limit(runner, tmp_path, monkeypatch):
+    # with no gauge class the search finds no vector, which a sound table
+    # cannot do: the error is a bug, not a budget, and leaves the command
+    # line as a traceback instead of exit 3
+    monkeypatch.setattr(_table, "_gauge_classes", lambda v0, v1: [])
+    monkeypatch.setattr(_table, "_TABLES", {})
+    poly = _write(tmp_path, "p.txt", SQUARE)
+    with pytest.raises(RuntimeError, match="^no optimal vector found$"):
+        runner.invoke(cli, ["capacities", poly, "--k-max", "3"])
+
+
 def test_corpus_listing_round_trip(runner):
     res = runner.invoke(cli, ["corpus"])
     assert res.exit_code == 0

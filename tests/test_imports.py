@@ -38,6 +38,13 @@ def test_import_torcap_loads_no_submodule():
     assert _loaded_after("import torcap") == ["torcap"]
 
 
+def test_public_names_load_only_their_defining_module():
+    assert _loaded_after("import torcap\ntorcap.calg") == [
+        "torcap", "torcap._base", "torcap._polygon", "torcap._table", "torcap.errors"]
+    for name in torcap.__all__:
+        assert getattr(torcap, name).__module__ == f"torcap.{torcap._HOME[name]}", name
+
+
 def test_import_corpus_builds_nothing():
     assert _loaded_after("import torcap.corpus") == ["torcap", "torcap.corpus"]
     # the smooth names are read off the polygons, with no toric code

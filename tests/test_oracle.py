@@ -37,6 +37,27 @@ def test_brute_matches_fast_on_octagon():
         assert oracle.brute_calg(OCTAGON, k, box=3) == capacities.calg(OCTAGON, k), k
 
 
+def test_box_table_reads_no_fan_row_constants(monkeypatch):
+    """The oracle's nef test and smoothness use its own cone determinants,
+    not the row constants of `_polygon._fan_rows` that the fast path reads."""
+    p = corpus.CORPUS["chopped-square"]
+    ks = range(2, 8)
+    expected = [(oracle.brute_calg(p, k), oracle.sw_infimum(p, k)) for k in ks]
+    fan_rows = toric._fan_rows
+
+    def doubled(rays):
+        d, e, winds_once = fan_rows(rays)
+        return tuple(2 * x for x in d), tuple(2 * x for x in e), winds_once
+
+    monkeypatch.setattr(toric, "_fan_rows", doubled)
+    assert toric.build_surface(p).cone_dets == tuple(2 * x for x in p._d)
+    oracle._box_table.cache_clear()
+    try:
+        assert [(oracle.brute_calg(p, k), oracle.sw_infimum(p, k)) for k in ks] == expected
+    finally:
+        oracle._box_table.cache_clear()
+
+
 def test_box_too_small():
     with pytest.raises(BoxTooSmall):
         oracle.brute_calg(lattice.unit_triangle(), 20, box=2)

@@ -36,10 +36,10 @@ SAMPLES = _samples()
 FIELDS = {
     UnimodularAffineMap: ("m", "t"),
     MomentPolygon: ("vertices",),
-    ToricSurface: ("rays", "polygon"),
+    ToricSurface: ("rays",),
     TorusDivisor: ("coeffs",),
     DivisorClass: ("rep",),
-    CapacitySequence: ("values", "kind"),
+    CapacitySequence: ("values",),
     ConcaveDomain: ("chain",),
     EmbeddingVerdict: ("compatible", "k_max", "first_violation", "domain_capacity",
                        "target_capacity"),
@@ -105,16 +105,14 @@ def test_literal_reprs():
 
 def test_positional_and_keyword_construction():
     rays = ((1, 0), (0, 1), (-1, -1))
-    assert ToricSurface(rays) == ToricSurface(rays, polygon=None) == ToricSurface(rays=rays)
-    assert ToricSurface(rays).polygon is None
+    assert ToricSurface(rays) == ToricSurface(rays=rays)
     t = lattice.unit_triangle()
-    assert ToricSurface(rays, t) == ToricSurface(rays=rays, polygon=t)
     assert EmbeddingVerdict(True, 3) == EmbeddingVerdict(compatible=True, k_max=3)
     v = EmbeddingVerdict(False, 5, 2, Fraction(2), Fraction(3, 2))
     assert v == EmbeddingVerdict(compatible=False, k_max=5, first_violation=2,
                                  domain_capacity=Fraction(2), target_capacity=Fraction(3, 2))
     assert XiWidth(Fraction(1), 1, 5, True) == XiWidth(value=1, argmin_k=1, k_max=5, stable=True)
-    assert CapacitySequence((Fraction(0),), "alg") == CapacitySequence(values=(0,), kind="alg")
+    assert CapacitySequence((Fraction(0),)) == CapacitySequence(values=(0,))
     assert UnimodularAffineMap(m=((1, 0), (0, 1)), t=(0, 0)) == UnimodularAffineMap.identity()
     assert MomentPolygon(vertices=t.vertices) == t
     assert TorusDivisor(coeffs=(1, 2)).coeffs == (Fraction(1), Fraction(2))

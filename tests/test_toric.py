@@ -24,6 +24,17 @@ def test_build_surface_rays():
     assert not sing.smooth
 
 
+def test_a_surface_is_its_fan():
+    # the polarization stays on the polygon: polygons with one inner normal
+    # fan give one surface, and resolving it does not depend on the polygon
+    a = toric.build_surface(lattice.rectangle(1, 1))
+    b = toric.build_surface(lattice.rectangle(2, 2))
+    assert a == b and hash(a) == hash(b)
+    for p in corpus.CORPUS.values():
+        fan = toric.ToricSurface(p._normals)
+        assert toric.resolve(toric.build_surface(p)) == toric.resolve(fan)
+
+
 def test_rejects_bad_fans():
     with pytest.raises(ValueError):
         toric.ToricSurface(((1, 0), (0, 1)))
