@@ -2,7 +2,11 @@
 
 Everything here recomputes quantities from first principles by exhaustive
 scans over boxed coefficient vectors, deliberately sharing as little code as
-possible with the optimized routines it validates.  One cached table per
+possible with the optimized routines it validates: the scans read only the
+polygon's rays and support numbers, and take their intersection numbers,
+nef test and section counts from their own cone determinants.  `toric` is
+imported only to wrap a witness in a `TorusDivisor` and by
+`preferable_check`, which validates `toric` itself.  One cached table per
 (polygon, box) ranks the vectors of the box by their pairing with the
 polarization, sorting them lazily; a query walks that ranking from the
 cheapest vector.  Nefness with sections, and the index, are computed at
@@ -20,17 +24,33 @@ from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from . import toric
 from ._base import CACHE_SIZE, det2
+from ._polygon import MomentPolygon
 from .errors import BoxTooSmall, IndexTooSmall, InvalidInput
-from .lattice import MomentPolygon
-from .toric import TorusDivisor
+
+if TYPE_CHECKING:
+    from .toric import TorusDivisor
 
 
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
+
+
+def _intersections(rays) -> tuple[tuple[Fraction, ...], ...]:
+    """Pairings D_i . D_j of the boundary divisors of the fan with the rays,
+    from its own cone determinants det_i = det(v_i, v_{i+1}): 1/det_i on
+    adjacent rays i and i+1, -det(v_{i-1}, v_{i+1}) / (det_{i-1} det_i) on
+    the diagonal, and 0 for disjoint boundary divisors."""
+    n = len(rays)
+    dets = [det2(rays[i], rays[(i + 1) % n]) for i in range(n)]
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        j = (i + 1) % n
+        q[i][j] = q[j][i] = Fraction(1, dets[i])
+        q[i][i] = Fraction(-det2(rays[i - 1], rays[j]), dets[i - 1] * dets[i])
+    return tuple(map(tuple, q))
 
 
 def _nef_int(rays, dets, a) -> Optional[list[tuple[int, int, int]]]:
@@ -97,15 +117,15 @@ class _BoxTable:
     """
 
     def __init__(self, p: MomentPolygon, box: int):
-        y = toric.build_surface(p)
-        n = len(y.rays)
+        rays, n = p._normals, len(p)
         # its own cone determinants, not the fan's row constants of the fast path
-        self.box, self.rays = box, y.rays
-        self.dets = tuple(det2(y.rays[i], y.rays[(i + 1) % n]) for i in range(n))
+        self.box, self.rays = box, rays
+        self.dets = tuple(det2(rays[i], rays[(i + 1) % n]) for i in range(n))
         self.smooth = all(d == 1 for d in self.dets)
-        q = toric.intersection_matrix(y)
-        ample = toric.associated_divisor(p)
-        weights = [sum(q[i][j] * ample.coeffs[j] for j in range(n)) for i in range(n)]
+        q = _intersections(rays)
+        # A . D_i for the polarization A, whose coefficients are the support numbers
+        support = [a for (_u, a) in p.edge_data()]
+        weights = [sum(q[i][j] * support[j] for j in range(n)) for i in range(n)]
         self.denom = math.lcm(*(w.denominator for w in weights))
         # integral on a smooth surface, where the index is defined
         self._q = [[int(c) for c in row] for row in q] if self.smooth else None
@@ -192,10 +212,11 @@ def _box_table(p: MomentPolygon, box: int) -> _BoxTable:
     return _BoxTable(p, box)
 
 
-def _boxed_min(table: _BoxTable, name: str, need: int, empty_msg: str) -> tuple[Fraction, TorusDivisor]:
+def _boxed_min(table: _BoxTable, name: str, need: int,
+               empty_msg: str) -> tuple[Fraction, tuple[int, ...]]:
     """Least value over the vectors of the box whose measure by the method
     name is at least need, with the first optimal vector (in lexicographic
-    order) off the box boundary.
+    order) off the box boundary, as its integer coefficients.
 
     A vector is measured at most once per table, and only while the
     measured prefix is at most twice what some walk has read.  Raises
@@ -216,15 +237,39 @@ def _boxed_min(table: _BoxTable, name: str, need: int, empty_msg: str) -> tuple[
         if measures[pos] >= need:
             a = next(table.vectors(pos, pos + 1))
             if all(ai < table.box for ai in a):
-                return Fraction(best, table.denom), TorusDivisor(tuple(Fraction(ai) for ai in a))
+                return Fraction(best, table.denom), a
         pos += 1
         if pos == len(measures) and not table.measure_more(name):
             break
     raise BoxTooSmall("every optimal vector touches the box boundary")
 
 
+def _sections_min(p: MomentPolygon, k: int, box: int) -> tuple[Fraction, tuple[int, ...]]:
+    """`brute_calg_witness` with the witness as its coefficient vector."""
+    if k < 0:
+        raise IndexTooSmall("capacity index must be nonnegative")
+    return _boxed_min(_box_table(p, box), "sections", k + 1, "no feasible divisor inside the box")
+
+
+def _index_min(p: MomentPolygon, k: int, box: int) -> tuple[Fraction, tuple[int, ...]]:
+    """`sw_infimum_witness` with the witness as its coefficient vector."""
+    if k < 0:
+        raise IndexTooSmall("index bound must be nonnegative")
+    table = _box_table(p, box)
+    if not table.smooth:
+        raise InvalidInput("index scan needs a smooth surface")
+    return _boxed_min(table, "index", 2 * k, "no divisor of sufficient index inside the box")
+
+
+def _with_divisor(found: tuple[Fraction, tuple[int, ...]]) -> tuple[Fraction, TorusDivisor]:
+    from .toric import TorusDivisor
+
+    value, a = found
+    return value, TorusDivisor(a)
+
+
 def brute_calg(p: MomentPolygon, k: int, box: int = 6) -> Fraction:
-    return brute_calg_witness(p, k, box)[0]
+    return _sections_min(p, k, box)[0]
 
 
 def brute_calg_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction, TorusDivisor]:
@@ -234,13 +279,11 @@ def brute_calg_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction
     Raises BoxTooSmall when nothing in the box is feasible or the optimum
     touches the box boundary (a better vector might sit outside).
     """
-    if k < 0:
-        raise IndexTooSmall("capacity index must be nonnegative")
-    return _boxed_min(_box_table(p, box), "sections", k + 1, "no feasible divisor inside the box")
+    return _with_divisor(_sections_min(p, k, box))
 
 
 def sw_infimum(p: MomentPolygon, k: int, box: int = 6) -> Fraction:
-    return sw_infimum_witness(p, k, box)[0]
+    return _index_min(p, k, box)[0]
 
 
 def sw_infimum_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction, TorusDivisor]:
@@ -250,12 +293,7 @@ def sw_infimum_witness(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction
     The index of D is D . (D - K); nonnegative coefficient vectors are all
     effective, so this scans the degree-k part of the effective cone.
     """
-    if k < 0:
-        raise IndexTooSmall("index bound must be nonnegative")
-    table = _box_table(p, box)
-    if not table.smooth:
-        raise InvalidInput("index scan needs a smooth surface")
-    return _boxed_min(table, "index", 2 * k, "no divisor of sufficient index inside the box")
+    return _with_divisor(_index_min(p, k, box))
 
 
 def sw_equals_nef(p: MomentPolygon, k: int, box: int = 6) -> tuple[Fraction, Fraction, bool]:
@@ -273,6 +311,8 @@ def preferable_check(p: MomentPolygon, d: TorusDivisor) -> bool:
 
     The output must be integral, nef, pair no worse against the
     polarization, and have index at least that of the input."""
+    from . import toric
+
     y = toric.build_surface(p)
     d0 = toric.preferable_nef(y, d)
     ample = toric.associated_divisor(p)

@@ -764,6 +764,18 @@ def test_xi_width():
     assert res.stable
 
 
+def test_xi_width_stable_flag_is_a_heuristic():
+    """`stable` only says the minimizer lies in the first half of the
+    horizon: here a longer horizon finds a smaller ratio past k = 200.  The
+    regression case for an exact width verdict (ROADMAP item 4)."""
+    p = MomentPolygon(((0, 1), (4, 0), (4, 3), (2, 4), (1, 3)))
+    omega = ConcaveDomain(((0, Fraction(5, 4)), (3, 0)))
+    assert capacities.xi_width(p, omega, 200) == capacities.XiWidth(
+        value=Fraction(12, 5), argmin_k=2, k_max=200, stable=True)
+    assert capacities.xi_width(p, omega, 300) == capacities.XiWidth(
+        value=Fraction(424, 177), argmin_k=285, k_max=300, stable=False)
+
+
 def test_gromov_width_bound_is_the_unit_ball_width():
     for p in corpus.CORPUS.values():
         assert capacities.gromov_width_bound(p, 16) == \

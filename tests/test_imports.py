@@ -99,12 +99,37 @@ def test_capacity_commands_load_no_toric_code(tmp_path, args):
         assert f"torcap.{module}" not in loaded, module
 
 
-def test_verify_calg_loads_no_ech_or_verdict_code(tmp_path):
-    loaded = _loaded_by_command(tmp_path, ["verify-calg", "square.poly", "--k-max", "3",
-                                           "--box", "4"])
-    assert "torcap._table" in loaded and "torcap.oracle" in loaded
-    for module in ("ech", "capacities"):
-        assert f"torcap.{module}" not in loaded, module
+# all that `torcap verify-calg` loads: the oracle reads its rays, weights and
+# intersection numbers off the polygon, with no toric or lattice code
+VERIFY_CALG_COMMAND_MODULES = ["torcap", "torcap._base", "torcap._polygon", "torcap._table",
+                               "torcap.cli", "torcap.corpus", "torcap.errors", "torcap.oracle"]
+
+
+@pytest.mark.parametrize("command", ["verify-calg", "verify-sw"])
+def test_verify_commands_load_only_the_oracle(tmp_path, command):
+    loaded = _loaded_by_command(tmp_path, [command, "square.poly", "--k-max", "3", "--box", "4"])
+    if command == "verify-calg":
+        assert loaded == VERIFY_CALG_COMMAND_MODULES
+    else:
+        # the same without the fast path's table
+        assert loaded == [m for m in VERIFY_CALG_COMMAND_MODULES if m != "torcap._table"]
+
+
+def test_oracle_scans_load_no_further_module():
+    """A scan and an index comparison build no divisor, so they load nothing
+    beyond what importing the oracle loads."""
+    vertices = corpus.CORPUS["chopped-square"].vertices
+    code = ("import sys\n"
+            "from torcap import oracle\n"
+            "from torcap._polygon import MomentPolygon\n"
+            f"p = MomentPolygon({vertices!r})\n"
+            f"before = {LOADED}\n"
+            "value = oracle.brute_calg(p, 3)\n"
+            "equal = oracle.sw_equals_nef(p, 3)[2]\n"
+            f"print(value, equal, before == {LOADED}, *{LOADED}, file=sys.stderr)\n")
+    assert _last_stderr_line(f"from fractions import Fraction\n{code}").split() == [
+        "2", "True", "True", "torcap", "torcap._base", "torcap._polygon", "torcap.errors",
+        "torcap.oracle"]
 
 
 def test_capacity_queries_after_import_load_no_module():

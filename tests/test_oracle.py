@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import OCTAGON
+from conftest import OCTAGON, random_fan
 from torcap import capacities, corpus, lattice, oracle, toric
 from torcap.errors import BoxTooSmall
 from torcap.toric import TorusDivisor
@@ -37,25 +37,32 @@ def test_brute_matches_fast_on_octagon():
         assert oracle.brute_calg(OCTAGON, k, box=3) == capacities.calg(OCTAGON, k), k
 
 
-def test_box_table_reads_no_fan_row_constants(monkeypatch):
-    """The oracle's nef test and smoothness use its own cone determinants,
-    not the row constants of `_polygon._fan_rows` that the fast path reads."""
+def test_box_table_reads_no_fan_row_constants():
+    """The oracle's weights, nef test and smoothness use its own cone
+    determinants, not the row constants _d and _e that `_polygon._fan_rows`
+    leaves on the polygon for the fast path."""
     p = corpus.CORPUS["chopped-square"]
     ks = range(2, 8)
     expected = [(oracle.brute_calg(p, k), oracle.sw_infimum(p, k)) for k in ks]
-    fan_rows = toric._fan_rows
-
-    def doubled(rays):
-        d, e, winds_once = fan_rows(rays)
-        return tuple(2 * x for x in d), tuple(2 * x for x in e), winds_once
-
-    monkeypatch.setattr(toric, "_fan_rows", doubled)
-    assert toric.build_surface(p).cone_dets == tuple(2 * x for x in p._d)
+    doubled = lattice.MomentPolygon(p.vertices)
+    doubled.__dict__.update(_d=tuple(2 * x for x in p._d), _e=tuple(2 * x for x in p._e))
+    assert doubled == p and doubled._d != p._d
     oracle._box_table.cache_clear()
     try:
-        assert [(oracle.brute_calg(p, k), oracle.sw_infimum(p, k)) for k in ks] == expected
+        assert [(oracle.brute_calg(doubled, k), oracle.sw_infimum(doubled, k)) for k in ks] == expected
     finally:
         oracle._box_table.cache_clear()
+
+
+def test_intersections_match_toric_intersection_matrix():
+    """The oracle's intersection numbers and `toric.intersection_matrix` are
+    two independent formulas for the same pairings."""
+    rng = random.Random(43)
+    fans = [toric.build_surface(p) for p in corpus.CORPUS.values()]
+    fans += [random_fan(rng) for _ in range(50)]
+    for y in fans:
+        assert oracle._intersections(y.rays) == toric.intersection_matrix(y), y.rays
+    assert {y.smooth for y in fans} == {True, False}
 
 
 def test_box_too_small():
