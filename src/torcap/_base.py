@@ -1,7 +1,8 @@
-"""Helpers shared by the geometry, table and ECH modules: exact rational
-coercion, integer views of rational points, the 2x2 determinant, the
-immutable record base, the per-polygon cache size and `CapacitySequence`,
-which holds algebraic and ECH capacities alike."""
+"""Helpers shared by the geometry, table, oracle and ECH modules: exact
+rational coercion, integer views of rational points, the 2x2 determinant,
+the intersection numbers of a fan, the immutable record base, the
+per-polygon cache size and `CapacitySequence`, which holds algebraic and
+ECH capacities alike."""
 
 from __future__ import annotations
 
@@ -31,6 +32,20 @@ def integer_view(pts: Sequence) -> tuple[int, tuple[tuple[int, int], ...]]:
 def det2(u: Sequence, v: Sequence):
     """Determinant of the 2x2 matrix with rows (or columns) u, v."""
     return u[0] * v[1] - u[1] * v[0]
+
+
+def intersection_numbers(rays: Sequence, dets: Sequence) -> tuple[tuple[Fraction, ...], ...]:
+    """Pairings D_i . D_j of the boundary divisors of the fan with the rays,
+    given its cone determinants det_i = det(v_i, v_{i+1}): 1/det_i on
+    adjacent rays i and i+1, -det(v_{i-1}, v_{i+1}) / (det_{i-1} det_i) on
+    the diagonal, and 0 for disjoint boundary divisors."""
+    n = len(rays)
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        j = (i + 1) % n
+        q[i][j] = q[j][i] = Fraction(1, dets[i])
+        q[i][i] = Fraction(-det2(rays[i - 1], rays[j]), dets[i - 1] * dets[i])
+    return tuple(map(tuple, q))
 
 
 class _Record:

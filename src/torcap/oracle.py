@@ -3,8 +3,9 @@
 Everything here recomputes quantities from first principles by exhaustive
 scans over boxed coefficient vectors, deliberately sharing as little code as
 possible with the optimized routines it validates: the scans read only the
-polygon's rays and support numbers, and take their intersection numbers,
-nef test and section counts from their own cone determinants.  `toric` is
+polygon's rays and support numbers, and take their intersection numbers
+(`_base.intersection_numbers`), nef test and section counts from their own
+cone determinants, not from the fast path's row constants.  `toric` is
 imported only to wrap a witness in a `TorusDivisor` and by
 `preferable_check`, which validates `toric` itself.  One cached table per
 (polygon, box) ranks the vectors of the box by their pairing with the
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from ._base import CACHE_SIZE, det2
+from ._base import CACHE_SIZE, det2, intersection_numbers
 from ._polygon import MomentPolygon
 from .errors import BoxTooSmall, IndexTooSmall, InvalidInput
 
@@ -36,21 +37,6 @@ if TYPE_CHECKING:
 
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
-
-
-def _intersections(rays) -> tuple[tuple[Fraction, ...], ...]:
-    """Pairings D_i . D_j of the boundary divisors of the fan with the rays,
-    from its own cone determinants det_i = det(v_i, v_{i+1}): 1/det_i on
-    adjacent rays i and i+1, -det(v_{i-1}, v_{i+1}) / (det_{i-1} det_i) on
-    the diagonal, and 0 for disjoint boundary divisors."""
-    n = len(rays)
-    dets = [det2(rays[i], rays[(i + 1) % n]) for i in range(n)]
-    q = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        j = (i + 1) % n
-        q[i][j] = q[j][i] = Fraction(1, dets[i])
-        q[i][i] = Fraction(-det2(rays[i - 1], rays[j]), dets[i - 1] * dets[i])
-    return tuple(map(tuple, q))
 
 
 def _nef_int(rays, dets, a) -> Optional[list[tuple[int, int, int]]]:
@@ -122,7 +108,7 @@ class _BoxTable:
         self.box, self.rays = box, rays
         self.dets = tuple(det2(rays[i], rays[(i + 1) % n]) for i in range(n))
         self.smooth = all(d == 1 for d in self.dets)
-        q = _intersections(rays)
+        q = intersection_numbers(rays, self.dets)
         # A . D_i for the polarization A, whose coefficients are the support numbers
         support = [a for (_u, a) in p.edge_data()]
         weights = [sum(q[i][j] * support[j] for j in range(n)) for i in range(n)]

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._base import _Record, det2, frac
+from ._base import _Record, det2, frac, intersection_numbers
 from ._polygon import _fan_rows
 from .errors import (
     InvalidInput,
@@ -146,17 +146,8 @@ def intersection_matrix(y: ToricSurface) -> tuple[tuple[Fraction, ...], ...]:
     are disjoint, and self-intersections come from the two adjacent cones.
     Its determinants are its own, so that it stays a reference for `pairings`.
     """
-    n = len(y.rays)
-    q = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        j = (i + 1) % n
-        val = Fraction(1, det2(y.rays[i], y.rays[j]))
-        q[i][j] += val
-        q[j][i] += val
-    for i in range(n):
-        vp, v, vn = y.rays[i - 1], y.rays[i], y.rays[(i + 1) % n]
-        q[i][i] = Fraction(-det2(vp, vn), det2(vp, v) * det2(v, vn))
-    return tuple(tuple(row) for row in q)
+    rays, n = y.rays, len(y.rays)
+    return intersection_numbers(rays, [det2(rays[i], rays[(i + 1) % n]) for i in range(n)])
 
 
 def pairings(y: ToricSurface, d: TorusDivisor) -> tuple[Fraction, ...]:

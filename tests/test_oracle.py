@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import OCTAGON, random_fan
+from conftest import OCTAGON
 from torcap import capacities, corpus, lattice, oracle, toric
 from torcap.errors import BoxTooSmall
 from torcap.toric import TorusDivisor
@@ -52,17 +52,6 @@ def test_box_table_reads_no_fan_row_constants():
         assert [(oracle.brute_calg(doubled, k), oracle.sw_infimum(doubled, k)) for k in ks] == expected
     finally:
         oracle._box_table.cache_clear()
-
-
-def test_intersections_match_toric_intersection_matrix():
-    """The oracle's intersection numbers and `toric.intersection_matrix` are
-    two independent formulas for the same pairings."""
-    rng = random.Random(43)
-    fans = [toric.build_surface(p) for p in corpus.CORPUS.values()]
-    fans += [random_fan(rng) for _ in range(50)]
-    for y in fans:
-        assert oracle._intersections(y.rays) == toric.intersection_matrix(y), y.rays
-    assert {y.smooth for y in fans} == {True, False}
 
 
 def test_box_too_small():
