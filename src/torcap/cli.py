@@ -5,10 +5,15 @@ two whitespace separated fractions (`3/2 1`), `#` starts a comment, blank
 lines are ignored.  Numeric output is tab separated and exact; `--decimal`
 appends an approximate column.
 
+The grammar is the table `_COMMANDS`, which this module parses itself:
+cli() looks up the command words, imports that command's torcap modules
+alone, then parses the rest of the line.  `-h` or `--help` prints the help page on stdout.
+
 Exit codes: 0 success (or compatible), 1 obstructed, or a verification with
 a mismatch or a skipped index, 2 bad input, 3 an internal iteration limit
-reached on valid input.  A verification that does not exit 0 prints
-`checked N, skipped M` on stderr.
+reached on valid input.  A command line that does not parse exits 2 after a
+`usage:` line and an error line on stderr.  A verification that does not
+exit 0 prints `checked N, skipped M` on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ import sys
 from fractions import Fraction
 from importlib import import_module
 
+# imported here, not only in the corpus command: bench/run.py reads the import
+# time of torcap.corpus from `-X importtime` of `import torcap.cli`, and a
+# traced run stops with a KeyError when that import is missing
 from . import corpus
 from .errors import BoxTooSmall, IterationLimit, ParseError, TorcapError
 
@@ -94,102 +102,103 @@ def _echo_sequence(seq, k_max: int, decimal: bool) -> None:
         print(_row((k, seq[k]), decimal))
 
 
-# Each command takes the parsed arguments and returns its exit code, or None
-# for 0.  It imports the torcap modules it runs, which `_MODULES` lists.
+# Each command takes its operands as positional and its options as keyword
+# arguments, and returns its exit code, or None for 0.  It imports the torcap
+# modules it runs, which `_COMMANDS` lists so that cli() imports them first.
 
 
-def capacities_cmd(args) -> None:
+def capacities_cmd(polygon, k_max, decimal) -> None:
     """Algebraic capacities of the surface polarized by POLYGON."""
     from . import _table
 
-    p = parse_polygon(_read(args.polygon))
-    _echo_sequence(_table.alg_capacities(p, args.k_max), args.k_max, args.decimal)
+    p = parse_polygon(_read(polygon))
+    _echo_sequence(_table.alg_capacities(p, k_max), k_max, decimal)
 
 
-def ech_ellipsoid_cmd(args) -> None:
+def ech_ellipsoid_cmd(a, b, k_max, decimal) -> None:
     """Capacities of the ellipsoid with areas A and B."""
     from . import ech
 
     seq = ech.ech_ellipsoid_capacities(
-        _parse_fraction(args.a, "argument A"), _parse_fraction(args.b, "argument B"), args.k_max
+        _parse_fraction(a, "argument A"), _parse_fraction(b, "argument B"), k_max
     )
-    _echo_sequence(seq, args.k_max, args.decimal)
+    _echo_sequence(seq, k_max, decimal)
 
 
-def ech_convex_cmd(args) -> None:
+def ech_convex_cmd(polygon, k_max, decimal) -> None:
     """Capacities of the convex toric domain over POLYGON."""
     from . import capacities
 
-    p = parse_polygon(_read(args.polygon))
-    _echo_sequence(capacities.ech_convex_capacities(p, args.k_max), args.k_max, args.decimal)
+    p = parse_polygon(_read(polygon))
+    _echo_sequence(capacities.ech_convex_capacities(p, k_max), k_max, decimal)
 
 
-def ech_concave_cmd(args) -> None:
+def ech_concave_cmd(chain, k_max, decimal) -> None:
     """Capacities of the concave toric domain under CHAIN."""
     from . import ech
 
-    omega = parse_chain(_read(args.chain))
-    _echo_sequence(ech.ech_concave_capacities(omega, args.k_max), args.k_max, args.decimal)
+    omega = parse_chain(_read(chain))
+    _echo_sequence(ech.ech_concave_capacities(omega, k_max), k_max, decimal)
 
 
-def embed(args) -> int:
+def embed(chain, polygon, k_max, decimal) -> int:
     """Capacity test for embedding the domain under CHAIN into POLYGON's surface."""
     from . import capacities
 
-    omega = parse_chain(_read(args.chain))
-    p = parse_polygon(_read(args.polygon))
-    verdict = capacities.embedding_verdict(omega, p, args.k_max)
+    omega = parse_chain(_read(chain))
+    p = parse_polygon(_read(polygon))
+    verdict = capacities.embedding_verdict(omega, p, k_max)
     if verdict.compatible:
-        print(f"COMPATIBLE\tk_max={args.k_max}")
+        print(f"COMPATIBLE\tk_max={k_max}")
         return 0
     print(_row((
         f"OBSTRUCTED\tk={verdict.first_violation}",
         verdict.domain_capacity,
         verdict.target_capacity,
-    ), args.decimal))
+    ), decimal))
     return 1
 
 
-def width(args) -> None:
+def width(polygon, k_max, decimal, xi) -> None:
     """Best capacity ratio for scaling a concave domain into POLYGON's surface."""
     from . import capacities
 
-    p = parse_polygon(_read(args.polygon))
-    omega = parse_chain(_read(args.xi)) if args.xi else capacities.ConcaveDomain.ball(1)
-    res = capacities.xi_width(p, omega, args.k_max)
+    p = parse_polygon(_read(polygon))
+    omega = parse_chain(_read(xi)) if xi else capacities.ConcaveDomain.ball(1)
+    res = capacities.xi_width(p, omega, k_max)
     print(_row((res.value, f"k={res.argmin_k}",
-                "stable" if res.stable else "unstable"), args.decimal))
+                "stable" if res.stable else "unstable"), decimal))
 
 
-def lattice_width_cmd(args) -> None:
+def lattice_width_cmd(polygon, decimal) -> None:
     """Lattice width of POLYGON and a minimizing direction."""
     from . import lattice
 
-    p = parse_polygon(_read(args.polygon))
+    p = parse_polygon(_read(polygon))
     w, direction = lattice.lattice_width(p)
-    print(_row((w, f"{direction[0]},{direction[1]}"), args.decimal))
+    print(_row((w, f"{direction[0]},{direction[1]}"), decimal))
 
 
-def transform_ip(args) -> None:
+def transform_ip(polygon, coeffs) -> None:
     """Iterate the isoparametric transform of a divisor until it is nef."""
     from . import toric
 
-    p = parse_polygon(_read(args.polygon))
+    p = parse_polygon(_read(polygon))
     y = toric.build_surface(p)
     try:
-        values = tuple(Fraction(int(c)) for c in args.coeffs.split(","))
+        values = tuple(Fraction(int(c)) for c in coeffs.split(","))
     except ValueError:
-        raise ParseError(f"bad coefficient list {args.coeffs!r}")
+        raise ParseError(f"bad coefficient list {coeffs!r}")
     d = toric.divisor(y, values)
     out = toric.iterate_ip(y, d)
     print("\t".join(_fmt(c) for c in out.coeffs))
 
 
-def resolve(args) -> None:
+def resolve(polygon) -> None:
     """Rays of the smooth refinement of POLYGON's normal fan."""
     from . import toric
 
-    p = parse_polygon(_read(args.polygon))
+    p = parse_polygon(_read(polygon))
     y = toric.resolve(toric.build_surface(p))
     for vx, vy in y.rays:
         print(f"{vx}\t{vy}")
@@ -218,172 +227,147 @@ def _verify_rows(k_max: int, pair) -> int:
     return 1
 
 
-def verify_calg(args) -> int:
+def verify_calg(polygon, k_max, box) -> int:
     """Cross check capacities against the exhaustive boxed scan."""
     from . import _table, oracle
 
-    p = parse_polygon(_read(args.polygon))
-    seq = _table.alg_capacities(p, args.k_max)
-    return _verify_rows(args.k_max, lambda k: (seq[k], oracle.brute_calg(p, k, args.box)))
+    p = parse_polygon(_read(polygon))
+    seq = _table.alg_capacities(p, k_max)
+    return _verify_rows(k_max, lambda k: (seq[k], oracle.brute_calg(p, k, box)))
 
 
-def verify_sw(args) -> int:
+def verify_sw(polygon, k_max, box) -> int:
     """Check the index-constrained infimum against the section-constrained one."""
     from . import oracle
 
-    p = parse_polygon(_read(args.polygon))
-    return _verify_rows(args.k_max, lambda k: oracle.sw_equals_nef(p, k, args.box)[:2])
+    p = parse_polygon(_read(polygon))
+    return _verify_rows(k_max, lambda k: oracle.sw_equals_nef(p, k, box)[:2])
 
 
-def corpus_cmd(args) -> None:
+def corpus_cmd(name=None) -> None:
     """List the built-in polygons, or print one as polygon text."""
-    if args.name is None:
+    if name is None:
         for key in corpus.CORPUS:
             print(key)
         return
-    if args.name not in corpus.CORPUS:
-        raise ParseError(f"unknown corpus polygon {args.name!r}")
-    for x, y in corpus.CORPUS[args.name].vertices:
+    if name not in corpus.CORPUS:
+        raise ParseError(f"unknown corpus polygon {name!r}")
+    for x, y in corpus.CORPUS[name].vertices:
         print(f"{_fmt(x)} {_fmt(y)}")
 
 
-def _at_least(least: int):
-    """Integer argument type bounded below; a violation is a parse error."""
-    def integer(text: str) -> int:
-        import argparse
+# Options are (invocation, default, help, least value).  A default of False
+# makes a flag, a least value an integer option and a default of `...` an
+# option that must be given; any other option takes a string.
+_DECIMAL = ("--decimal", False, "Append decimal approximations to exact values.", None)
+_K_MAX = "Largest capacity index to compute (default: 100)."
+_SEQUENCE = (("--k-max K_MAX", 100, _K_MAX, 0), _DECIMAL)
+_FROM_ONE = (("--k-max K_MAX", 100, _K_MAX, 1), _DECIMAL)  # embed and width start at k = 1
+_VERIFY = (("--k-max K_MAX", 5, "Largest capacity index to check (default: 5).", 0),
+           ("--box BOX", 6, "Brute force coefficient bound (default: 6).", 0))
 
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
-        if value < least:
-            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={least}")
-        return value
-
-    return integer
-
-
-def _command(run, *positionals: str, min_k_max: int | None = None, decimal: bool = False,
-             options=()):
-    """Builder of a subcommand calling run(args), with run's docstring as its
-    help; min_k_max is the least `--k-max` allowed, None for no such option,
-    and `options` holds (name, add_argument keywords) pairs added last."""
-    def build(commands, name: str, argv) -> None:
-        cmd = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
-                                  allow_abbrev=False)
-        cmd.set_defaults(run=run)
-        for metavar in positionals:
-            cmd.add_argument(metavar.lower(), metavar=metavar)
-        if min_k_max is not None:
-            cmd.add_argument("--k-max", type=_at_least(min_k_max), default=100,
-                             help="Largest capacity index to compute (default: %(default)s).")
-        if decimal:
-            cmd.add_argument("--decimal", action="store_true",
-                             help="Append decimal approximations to exact values.")
-        for option, keywords in options:
-            cmd.add_argument(option, **keywords)
-
-    return build
-
-
-def _group(doc: str, table):
-    """Builder of a command group whose subcommands are built by `table`."""
-    def build(commands, name: str, argv) -> None:
-        _add_commands(commands.add_parser(name, help=doc, description=doc, allow_abbrev=False),
-                      table, argv)
-
-    return build
-
-
-def _add_commands(parser, table, argv) -> None:
-    """Give `parser` the subcommands of `table`: only the one that argv[0]
-    names, for the arguments after it, or all of them when argv[0] names
-    none (help, an unknown command, no command).  Help and parse errors read
-    the same either way."""
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
-    if argv and argv[0] in table:
-        table[argv[0]](commands, argv[0], argv[1:])
-    else:
-        for name, build in table.items():
-            build(commands, name, [])
-
-
-_VERIFY_OPTIONS = (
-    ("--k-max", dict(type=_at_least(0), default=5,
-                     help="Largest capacity index to check (default: %(default)s).")),
-    ("--box", dict(type=_at_least(0), default=6,
-                   help="Brute force coefficient bound (default: %(default)s).")),
-)
-
-# the subcommand builders, in help order
+# The command line grammar, by the words that name each group or command, in
+# help order.  A group maps to its help; a command to its function, the
+# torcap modules it runs, its operands (in brackets when optional) and its
+# options.  The function's docstring is the command's help.
 _COMMANDS = {
-    "capacities": _command(capacities_cmd, "POLYGON", min_k_max=0, decimal=True),
-    "ech": _group("ECH capacity sequences of toric domains.", {
-        "ellipsoid": _command(ech_ellipsoid_cmd, "A", "B", min_k_max=0, decimal=True),
-        "convex": _command(ech_convex_cmd, "POLYGON", min_k_max=0, decimal=True),
-        "concave": _command(ech_concave_cmd, "CHAIN", min_k_max=0, decimal=True),
-    }),
-    "embed": _command(embed, "CHAIN", "POLYGON", min_k_max=1, decimal=True),
-    "width": _command(width, "POLYGON", min_k_max=1, decimal=True, options=(
-        ("--xi", dict(help="Chain file for the domain to scale (default: unit ball).")),)),
-    "lattice-width": _command(lattice_width_cmd, "POLYGON", decimal=True),
-    "transform-ip": _command(transform_ip, "POLYGON", options=(
-        ("--coeffs", dict(required=True,
-                          help="Comma separated integer divisor coefficients, one per edge.")),)),
-    "resolve": _command(resolve, "POLYGON"),
-    "verify-calg": _command(verify_calg, "POLYGON", options=_VERIFY_OPTIONS),
-    "verify-sw": _command(verify_sw, "POLYGON", options=_VERIFY_OPTIONS),
-    "corpus": _command(corpus_cmd, options=(("name", dict(metavar="NAME", nargs="?")),)),
+    "": "Exact capacities of toric surfaces and embedding obstructions.",
+    "capacities": (capacities_cmd, "_table", "POLYGON", *_SEQUENCE),
+    "ech": "ECH capacity sequences of toric domains.",
+    "ech ellipsoid": (ech_ellipsoid_cmd, "ech", "A B", *_SEQUENCE),
+    "ech convex": (ech_convex_cmd, "capacities", "POLYGON", *_SEQUENCE),
+    "ech concave": (ech_concave_cmd, "ech", "CHAIN", *_SEQUENCE),
+    "embed": (embed, "capacities", "CHAIN POLYGON", *_FROM_ONE),
+    "width": (width, "capacities", "POLYGON", *_FROM_ONE,
+              ("--xi XI", None, "Chain file for the domain to scale (default: unit ball).", None)),
+    "lattice-width": (lattice_width_cmd, "lattice", "POLYGON", _DECIMAL),
+    "transform-ip": (transform_ip, "toric", "POLYGON", ("--coeffs COEFFS", ...,
+                     "Comma separated integer divisor coefficients, one per edge.", None)),
+    "resolve": (resolve, "toric", "POLYGON"),
+    "verify-calg": (verify_calg, "_table oracle", "POLYGON", *_VERIFY),
+    "verify-sw": (verify_sw, "oracle", "POLYGON", *_VERIFY),
+    "corpus": (corpus_cmd, "lattice", "[NAME]"),
 }
 
-
-# the torcap modules each command runs, by the words that name it
-_MODULES = {
-    "capacities": ("_table",),
-    "ech ellipsoid": ("ech",),
-    "ech convex": ("capacities",),
-    "ech concave": ("ech",),
-    "embed": ("capacities",),
-    "width": ("capacities",),
-    "lattice-width": ("lattice",),
-    "transform-ip": ("toric",),
-    "resolve": ("toric",),
-    "verify-calg": ("_table", "oracle"),
-    "verify-sw": ("oracle",),
-    "corpus": ("lattice",),
-}
+def _is_option(token: str) -> bool:
+    """Whether token reads as an option rather than a value: `-`, a token
+    with a space and a negative number such as `-3` or `-.5` are values."""
+    # the pattern compiles on first use: only for an operand or value that starts with `-`
+    return (token[:1] == "-" and token != "-" and " " not in token
+            and not re.match(r"-\d+$|-\d*\.\d+$", token))
 
 
-def _import_modules(argv) -> None:
-    """Import the torcap modules of the command that argv names, if any.
-    This runs before argparse is imported and the parser built, so that the
-    transient memory of compiling the modules does not add to theirs at the
-    peak."""
-    names = _MODULES.get(" ".join(argv[:2])) or _MODULES.get(" ".join(argv[:1]), ())
-    for name in names:
-        import_module(f".{name}", __package__)
+def _parse(prog_name: str, args) -> tuple:
+    """The function of the command that args names, with the command's
+    modules imported, its operands and its options by keyword.  Help exits
+    0; a command line that does not parse exits 2 with its usage on stderr."""
+    words, prog, tokens = "", prog_name, iter(args)
 
+    def stop(error: str | None = None) -> None:
+        # the help and usage code loads, and compiles, only to print a page
+        from . import _help
 
-def _parser(prog: str, argv) -> argparse.ArgumentParser:
-    """The parser of the command line argv."""
-    import argparse
+        _help.stop(prog, words, error)
 
-    parser = argparse.ArgumentParser(
-        prog=prog, allow_abbrev=False,
-        description="Exact capacities of toric surfaces and embedding obstructions.")
-    _add_commands(parser, _COMMANDS, argv)
-    return parser
+    while isinstance(_COMMANDS[words], str):
+        token = next(tokens, None)
+        if token in ("-h", "--help"):
+            stop()
+        if token is None:
+            stop("the following arguments are required: COMMAND")
+        if token.split() != [token] or f"{words} {token}".lstrip() not in _COMMANDS:
+            from ._help import subcommands
+
+            stop(f"argument COMMAND: invalid choice: {token!r} "
+                 f"(choose from {', '.join(map(repr, subcommands(words)))})")
+        words, prog = f"{words} {token}".lstrip(), f"{prog} {token}"
+
+    run, modules, operands, *specs = _COMMANDS[words]
+    for module in modules.split():
+        import_module(f".{module}", __package__)
+    options = {spec[0].split()[0]: spec for spec in specs}
+    values = {name: spec[1] for name, spec in options.items()}
+    given, unknown = [], []
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if token == "--":
+            given += tokens
+        elif token in ("-h", "--help"):
+            stop()
+        elif name not in options or eq and options[name][1] is False:
+            (unknown if _is_option(token) else given).append(token)
+        elif options[name][1] is False:
+            values[name] = True
+        else:
+            # past the last token, "--" stands for the missing value
+            if not eq and _is_option(value := next(tokens, "--")):
+                stop(f"argument {name}: expected one argument")
+            if (least := options[name][3]) is not None:
+                try:
+                    value = int(value)
+                except ValueError:
+                    stop(f"argument {name}: {value!r} is not a valid integer")
+                if value < least:
+                    stop(f"argument {name}: {value} is not in the range x>={least}")
+            values[name] = value
+
+    names = operands.split()
+    missing = names[len(given):len(names) - operands.count("[")]
+    missing += [name for name, value in values.items() if value is ...]
+    if missing:
+        stop(f"the following arguments are required: {', '.join(missing)}")
+    if unknown := unknown + given[len(names):]:
+        stop(f"unrecognized arguments: {' '.join(unknown)}")
+    return run, given, {name[2:].replace("-", "_"): value for name, value in values.items()}
 
 
 def cli(args=None, prog_name: str = "torcap") -> None:
     """Run the command line `args` (default: sys.argv[1:]).  Always ends in
     SystemExit with the exit code of the module docstring; a command line
     that does not parse exits 2."""
-    args = sys.argv[1:] if args is None else list(args)
-    _import_modules(args)
-    parsed = _parser(prog_name, args).parse_args(args)
+    run, operands, options = _parse(prog_name, sys.argv[1:] if args is None else args)
     try:
-        code = parsed.run(parsed)
+        code = run(*operands, **options)
         # a failed write, say to a closed pipe, is reported here too
         sys.stdout.flush()
     except (TorcapError, OSError) as exc:

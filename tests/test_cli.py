@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import os
@@ -371,64 +370,141 @@ def test_import_leaves_dataclasses_and_inspect_unloaded(module):
     assert out == "[]\n"
 
 
-def _parse(parser, args):
-    """(exit code, stdout, stderr) of parsing args, which must exit."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as info:
-            parser.parse_args(args)
-    return info.value.code, out.getvalue(), err.getvalue()
-
-
-def _subcommands(parser):
-    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
-
 COMMANDS = ["capacities", "ech", "ech ellipsoid", "ech convex", "ech concave", "embed", "width",
             "lattice-width", "transform-ip", "resolve", "verify-calg", "verify-sw", "corpus"]
 TOP_COMMANDS = [command for command in COMMANDS if " " not in command]
 
 
-def _leaf_commands(parser, words=()):
-    """The word sequences, space-joined, of the commands under parser that
-    have no subcommand."""
-    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not actions:
-        return {" ".join(words)}
-    return set().union(*(_leaf_commands(sub, (*words, name))
-                         for name, sub in actions[0].choices.items()))
-
-
 def test_every_command_lists_its_modules():
-    assert _leaf_commands(cli_module._parser("torcap", [])) == set(cli_module._MODULES)
+    """The table runs the commands that the help pages list, and each names
+    the torcap modules it runs."""
+    package = os.path.dirname(torcap.__file__)
+    leaves = {words: entry for words, entry in cli_module._COMMANDS.items()
+              if not isinstance(entry, str)}
+    assert set(leaves) == set(COMMANDS) - {"ech"}
+    for words, entry in leaves.items():
+        assert entry[1].split(), words
+        for name in entry[1].split():
+            assert os.path.isfile(os.path.join(package, f"{name}.py")), (words, name)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_one_subparser_reads_like_all(command):
-    """A parser built for one command line holds only the subcommand it
-    names, and prints the same help and parse errors as the full parser."""
+def test_one_subparser_reads_like_all(runner, command):
+    """Each command prints its own help page and its own usage line with a
+    parse error, and the page of the group above it lists it."""
     words = command.split()
-    parser = cli_module._parser("torcap", [*words, "--help"])
-    assert list(_subcommands(parser)) == words[:1]
-    if words[1:]:
-        assert list(_subcommands(_subcommands(parser)["ech"])) == words[1:]
-    full = cli_module._parser("torcap", [])
-    assert list(_subcommands(full)) == TOP_COMMANDS
-    for args in ([*words, "--help"], [*words, "--no-such-option"]):
-        one = cli_module._parser("torcap", args)
-        assert _parse(one, args) == _parse(full, args), args
-    code, out, err = _parse(full, [*words, "--no-such-option"])
-    assert code == 2 and out == "" and err.startswith("usage: torcap "), err
+    group = runner.invoke(cli, [*words[:-1], "--help"])
+    # a command's row starts with its name, indented by 4; the rest of a
+    # wrapped help text is indented further
+    listed = [line.split()[0] for line in group.stdout.splitlines()
+              if line.startswith("    ") and line[4] != " "]
+    assert listed == (TOP_COMMANDS if len(words) == 1 else ["ellipsoid", "convex", "concave"])
+    res = runner.invoke(cli, [*words, "--help"])
+    assert (res.exit_code, res.stderr) == (0, ""), command
+    assert res.stdout.startswith(f"usage: torcap {command} [-h] "), res.stdout
+    res = runner.invoke(cli, [*words, "--no-such-option"])
+    assert (res.exit_code, res.stdout) == (2, ""), command
+    assert res.stderr.startswith(f"usage: torcap {command} [-h] "), res.stderr
+    assert f"\ntorcap {command}: error: " in res.stderr, res.stderr
 
 
-def test_unknown_command_lists_every_command():
+def test_unknown_command_lists_every_command(runner):
     for args, names in ((["frobnicate"], TOP_COMMANDS),
                         (["ech", "frobnicate"], ("ellipsoid", "convex", "concave"))):
-        code, out, err = _parse(cli_module._parser("torcap", args), args)
-        assert (code, out) == (2, "")
-        assert "invalid choice: 'frobnicate'" in err
-        assert all(f"'{name}'" in err for name in names), err
+        res = runner.invoke(cli, args)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.startswith(" ".join(["usage: torcap", *args[:-1], "[-h] COMMAND ...\n"]))
+        assert "invalid choice: 'frobnicate'" in res.stderr
+        assert all(f"'{name}'" in res.stderr for name in names), res.stderr
+
+
+ROWS_3 = "0\t0\n1\t1\n2\t2\n3\t2\n"
+ROWS_2 = "0\t0\n1\t1\n2\t2\n"
+# Each form of command line that the argparse-based CLI accepted or refused,
+# with the exit code and stdout it gave, the start of the stderr expected now
+# and a word that stderr must name.  A line that parses runs with the square
+# (or, from stdin, the one of `stdin`) in square.poly and the chains of the
+# balls of capacity 1/2 and 1 in half.chain and ball.chain.
+GRAMMAR = [
+    pytest.param(["capacities", "square.poly", "--k-max", "3"], None, 0, ROWS_3, "", "",
+                 id="options-after-operands"),
+    pytest.param(["capacities", "--k-max", "3", "square.poly"], None, 0, ROWS_3, "", "",
+                 id="options-before-operands"),
+    pytest.param(["capacities", "--k-max=3", "square.poly"], None, 0, ROWS_3, "", "",
+                 id="option-equals-value"),
+    pytest.param(["ech", "ellipsoid", "1", "--k-max", "4", "2"], None, 0,
+                 "0\t0\n1\t1\n2\t2\n3\t2\n4\t3\n", "", "", id="option-between-operands"),
+    pytest.param(["capacities", "square.poly", "--k-max", "9", "--k-max", "2"], None, 0, ROWS_2,
+                 "", "", id="repeated-option-last-wins"),
+    pytest.param(["capacities", "--decimal", "square.poly", "--k-max", "2"], None, 0,
+                 "0\t0\t0.000000\n1\t1\t1.000000\n2\t2\t2.000000\n", "", "",
+                 id="flag-before-operand"),
+    pytest.param(["capacities", "-", "--k-max", "3"], RECT_2x3, 0, "0\t0\n1\t2\n2\t4\n3\t5\n",
+                 "", "", id="dash-operand-is-stdin"),
+    pytest.param(["capacities", "--k-max", "2", "--", "square.poly"], None, 0, ROWS_2, "", "",
+                 id="double-dash-before-operand"),
+    pytest.param(["capacities", "--k-max", "3", "--", "-"], "0 0\n1 0\n0 1\n", 0,
+                 "0\t0\n1\t1\n2\t1\n3\t2\n", "", "", id="double-dash-before-stdin"),
+    pytest.param(["embed", "--k-max=4", "--", "half.chain", "square.poly"], None, 0,
+                 "COMPATIBLE\tk_max=4\n", "", "", id="double-dash-before-operands"),
+    pytest.param(["width", "square.poly", "--xi=", "--k-max", "5"], None, 0, "1\tk=1\tstable\n",
+                 "", "", id="empty-equals-value"),
+    pytest.param(["width", "--xi=half.chain", "square.poly", "--k-max", "5", "--decimal"], None, 0,
+                 "2\t2.000000\tk=1\tstable\n", "", "", id="string-option-equals-value"),
+    pytest.param(["transform-ip", "--coeffs=-1,2,1,0", "chop.poly"], None, 0, "-1\t0\t1\t0\n",
+                 "", "", id="equals-value-starting-with-dash"),
+    pytest.param(["verify-calg", "--box=4", "square.poly", "--k-max=3"], None, 0,
+                 "k=0\t0\t0\tOK\nk=1\t1\t1\tOK\nk=2\t2\t2\tOK\nk=3\t2\t2\tOK\n", "", "",
+                 id="two-options-equals-value"),
+    pytest.param(["corpus"], None, 0, "unit-triangle\ndouble-triangle\nunit-square\nrect-2x3\n"
+                 "rect-1x5\nchopped-square\nchopped-triangle\ntwo-chop-square\nsingular-triangle\n"
+                 "f2-polygon\n", "", "", id="corpus-without-name"),
+    pytest.param(["corpus", "unit-square"], None, 0, SQUARE, "", "",
+                 id="corpus-with-name"),
+    pytest.param(["capacities", "square.poly", "--k-max", "-3"], None, 2, "",
+                 "usage: torcap capacities [-h] ", "--k-max: -3 is not in the range x>=0",
+                 id="negative-value"),
+    pytest.param(["capacities", "square.poly", "--k-max=-3"], None, 2, "",
+                 "usage: torcap capacities [-h] ", "--k-max: -3 is not in the range x>=0",
+                 id="negative-equals-value"),
+    pytest.param(["ech", "ellipsoid", "-1", "2"], None, 2, "",
+                 "error: ellipsoid needs positive areas\n", "", id="negative-operand"),
+    pytest.param(["ech", "ellipsoid", "--", "-1", "2"], None, 2, "",
+                 "error: ellipsoid needs positive areas\n", "", id="double-dash-negative-operand"),
+    pytest.param(["embed", "ball.chain"], None, 2, "", "usage: torcap embed [-h] ", "POLYGON",
+                 id="missing-operand"),
+    pytest.param(["capacities", "square.poly", "extra"], None, 2, "",
+                 "usage: torcap capacities [-h] ", "extra", id="extra-operand"),
+    pytest.param(["capacities", "square.poly", "--k-max"], None, 2, "",
+                 "usage: torcap capacities [-h] ", "--k-max", id="option-without-value"),
+    pytest.param(["capacities", "square.poly", "--k-max", "x"], None, 2, "",
+                 "usage: torcap capacities [-h] ", "--k-max", id="option-not-an-integer"),
+    pytest.param(["capacities", "square.poly", "--k-m", "3"], None, 2, "",
+                 "usage: torcap capacities [-h] ", "--k-m", id="no-abbreviation"),
+    pytest.param(["transform-ip", "chop.poly"], None, 2, "", "usage: torcap transform-ip [-h] ",
+                 "--coeffs", id="required-option-missing"),
+    pytest.param(["transform-ip", "chop.poly", "--coeffs", "-1,2,1,0"], None, 2, "",
+                 "usage: torcap transform-ip [-h] ", "--coeffs", id="value-reads-as-option"),
+    pytest.param(["ech"], None, 2, "", "usage: torcap ech [-h] ", "COMMAND", id="group-alone"),
+    pytest.param(["capacities", "square.poly", "--", "--k-max", "3"], None, 2, "",
+                 "usage: torcap capacities [-h] ", "--k-max", id="option-after-double-dash"),
+    pytest.param(["capacities", "square.poly", "--decimal=yes"], None, 2, "",
+                 "usage: torcap capacities [-h] ", "--decimal", id="flag-with-value"),
+]
+
+
+@pytest.mark.parametrize("args, stdin, code, stdout, stderr, names", GRAMMAR)
+def test_command_line_grammar(runner, tmp_path, monkeypatch, args, stdin, code, stdout, stderr,
+                              names):
+    monkeypatch.chdir(tmp_path)
+    for name, text in (("square.poly", SQUARE), ("half.chain", "0 1/2\n1/2 0\n"),
+                       ("ball.chain", "0 1\n1 0\n"), ("chop.poly", "0 0\n2/3 0\n2/3 1/3\n0 1\n")):
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    res = runner.invoke(cli, args)
+    assert (res.exit_code, res.stdout) == (code, stdout)
+    assert res.stderr.startswith(stderr) and names in res.stderr, res.stderr
+    assert code or res.stderr == ""
 
 
 def test_help_exits_0_on_stdout(runner, monkeypatch):

@@ -147,10 +147,15 @@ def test_capacity_queries_after_import_load_no_module():
     assert _last_stderr_line(f"import sys\n{code}") == "True True"
 
 
-@pytest.mark.parametrize("words", sorted(cli._MODULES))
+# the word sequences, space-joined, of the commands that the table runs
+LEAF_COMMANDS = sorted(words for words, entry in cli._COMMANDS.items()
+                       if not isinstance(entry, str))
+
+
+@pytest.mark.parametrize("words", LEAF_COMMANDS)
 def test_command_modules_are_imported_before_the_parser(tmp_path, words):
-    """The modules imported ahead of argparse and the parser are all that
-    the command loads: none is compiled while the parser is alive."""
+    """The modules that the table lists for a command are all that the
+    command loads, and no argument parser module is loaded."""
     (tmp_path / "p.txt").write_text(SQUARE)
     (tmp_path / "chain.txt").write_text(CHAIN)
     (tmp_path / "ball.txt").write_text("0 1/2\n1/2 0\n")
@@ -160,15 +165,35 @@ def test_command_modules_are_imported_before_the_parser(tmp_path, words):
                 "verify-sw": ["p.txt", "--k-max", "2"]}
     args = [*words.split(), *operands.get(words, ["p.txt"])]
     code = ("import sys\n"
+            "from importlib import import_module\n"
             "from torcap import cli\n"
-            f"cli._import_modules({args!r})\n"
+            f"for name in cli._COMMANDS[{words!r}][1].split():\n"
+            "    import_module('torcap.' + name)\n"
             f"before = {LOADED}\n"
-            "parser_module = 'argparse' in sys.modules\n"
             "try:\n"
             f"    cli.cli({args!r})\n"
             "except SystemExit as exc:\n"
-            f"    print(exc.code, before == {LOADED}, parser_module, file=sys.stderr)\n")
+            f"    print(exc.code, before == {LOADED}, 'argparse' in sys.modules,\n"
+            "          file=sys.stderr)\n")
     assert _last_stderr_line(code, tmp_path) == "0 True False"
+
+
+@pytest.mark.parametrize("args", [["ech", "concave", "chain.txt", "--k-max", "5"], ["--help"],
+                                  ["ech", "--help"], ["ech", "concave", "--help"],
+                                  ["capacities", "--no-such-option"]], ids=" ".join)
+def test_no_command_line_loads_argparse(tmp_path, args):
+    """The CLI parses its own command line, help pages and usage errors
+    included: argparse, and the gettext and locale modules it pulls in, stay
+    unloaded."""
+    (tmp_path / "chain.txt").write_text(CHAIN)
+    code = ("import sys\n"
+            "from torcap.cli import cli\n"
+            "try:\n"
+            f"    cli({args!r})\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)),\n"
+            "          file=sys.stderr)\n")
+    assert _last_stderr_line(code, tmp_path) == ("2" if "--no-such-option" in args else "0")
 
 
 def test_public_names_resolve():
