@@ -63,6 +63,16 @@ def _ensure_table(p: MomentPolygon, k: int) -> _Table:
     return table
 
 
+def _edge_count(cuts, coeffs, j: int, c: int) -> int:
+    """`line_count(cuts, coeffs, c)` for the line <m, v_j> = -c of ray j,
+    cuts = line_cuts(v_j, rays, others) with others the rays but j in order,
+    when coeffs with coeffs[j] = c is nef: then its points are those of edge
+    j, which the cuts of rays j-1 and j+1 end, with fixed signs."""
+    n = len(coeffs)
+    (_, g0, d0), (_, g1, d1) = cuts[j - 1], cuts[j % (n - 1)]
+    return (c * g0 - coeffs[j - 1]) // d0 + (coeffs[(j + 1) % n] - c * g1) // d1 + 1
+
+
 def _gauge_classes(v0, v1) -> list[tuple[int, int]]:
     """One representative (a_0, a_1) per class of Z^2 modulo the pairs
     (<u, v0>, <u, v1>) for u in Z^2, the first of each in lexicographic
@@ -114,9 +124,15 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     Each feasible vector updates all indices its section count covers.  That
     count is carried, and no row is scanned: it starts at 1 on the zero
     vector, whose section polytope is the origin, and a unit move of one
-    coefficient adds or removes the lattice points of one line.  Each gauge
-    class moves coefficients s and s+1; each call of the fused level moves
-    s+2, ..., s-2 at its first leaf run, and each run moves only the last two.
+    coefficient adds or removes the lattice points of one line.  Where the
+    coefficient's row is negative the line holds no point; on a nef vector
+    its neighbours' cuts count it, by `_edge_count`; else `line_count` does.
+    Each gauge class moves coefficients s and s+1.  The first leaf run since
+    level l was called restores the checkpoint of level l, the first leaf
+    vector under its last call, nef and equal below l-1, raises coefficients
+    from s-1 down, lowers them after, and checkpoints levels l, ..., n-2.
+    Later runs move only the last two, raising a_{s-1} before a_{s-2} and
+    lowering it after, which keeps every row but s-1 nonnegative.
     """
     rays = p._normals
     n = len(rays)
@@ -141,28 +157,37 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
 
     b = [0] * n
     q, last = n - 2, n - 1
-    wl, el = w[last], e[last]
-    # a unit move of coefficient j adds or removes the points of its line
+    wl, el, dl = w[last], e[last], d[last]
+    # a unit move of coefficient j adds or removes the points of its line;
+    # the leaf runs inline `_edge_count` on lines n-2 and n-1
     lines = [line_cuts(v[j], v, [i for i in range(n) if i != j]) for j in range(n)]
     line_q, line_last = lines[q], lines[last]
-    # on a nef vector rays n-2 and 0 end the new edge n-1, the line
-    # <m, v[n-1]> = -c.  The signs of its cuts are fixed, det(v[n-1], v[n-2])
-    # < 0 < det(v[n-1], v[0]), so its `line_count` is (c g_prev - b[n-2]) //
-    # d_prev + (b[0] - c g_first) // d_last + 1, if that is positive
-    (_, g_first, d_last), (_, g_prev, d_prev) = line_last[0], line_last[-1]
-    # h counts the section polytope of hb, the zero vector's at first
-    hb, h = [0] * n, 1
+    (_, gq0, dq0), (_, gq1, dq1) = line_q[q - 1], line_q[q]
+    (_, g0, d0), (_, g1, d1) = line_last[-1], line_last[0]
+    # h counts the section polytope of hb, the zero vector's at first; nef
+    # is set only while hb is nef
+    hb, h, nef = [0] * n, 1, True
 
     def move(i: int, c: int) -> None:
-        """Move hb[i] to c one unit at a time, carrying h."""
-        nonlocal h
-        cuts = lines[i]
-        while hb[i] < c:
-            hb[i] += 1
-            h += line_count(cuts, hb, hb[i])
-        while hb[i] > c:
-            h -= line_count(cuts, hb, hb[i])
-            hb[i] -= 1
+        """Move hb[i] to c one unit at a time, carrying h.  A raise lifts
+        rows i-1 and i+1 and lowers row i, r - hb[i] e[i]: where that row is
+        negative, line i holds no point and hb is not nef.  `_edge_count`
+        counts the other raises of a nef hb, `line_count` the rest."""
+        nonlocal h, nef
+        x, cuts, ei = hb[i], lines[i], e[i]
+        r = hb[i - 1] * d[i] + hb[(i + 1) % n] * d[i - 1]
+        while x < c:
+            x += 1
+            hb[i] = x
+            if x * ei > r:
+                nef = False
+            else:
+                h += _edge_count(cuts, hb, i, x) if nef else line_count(cuts, hb, x)
+        while x > c:
+            h -= line_count(cuts, hb, x)
+            nef = False
+            x -= 1
+            hb[i] = x
 
     # value bound: the least multiple m of the support numbers of P0 = P' / g
     # with k_max + 1 sections, g their gcd with p._scale
@@ -194,12 +219,13 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
 
     def search(j: int, partial: int, c: int) -> None:
         # b[j] runs upward from c, the least value that lows[j] and row j-1 allow
-        nonlocal bound, h
+        nonlocal bound, h, nef, fresh
+        if fresh > j:
+            fresh = j
         wj, wn, rest = w[j], w[j + 1], rest_min[j + 2]
-        # hb[2..q] are set at the level's first leaf run; every run moves
-        # hb[q] upward and hb[last]
-        unset = True
-        while True:
+        # b[1] is the gauge coefficient, taken at its one value; past the
+        # range, the value and the least rest pass the bound
+        for c in range(c, c + 1 if j == 1 else (bound - partial - rest_min[j + 1]) // wj + 1):
             value = partial + c * wj
             # least b[j+1] that keeps row j nonnegative; it does not fall as c
             # rises when e[j] >= 0, and then the first c over the bound ends j
@@ -213,7 +239,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
                 else:
                     # the leaf run: b[last] from lo upward.  lo keeps rows q
                     # and 0 nonnegative; row last and the bound cap it at hi
-                    r = c * d[last] + b[0] * d[q]
+                    r = c * dl + rq
                     hi = (bound - value) // wl
                     if el > 0:
                         cap = r // el
@@ -226,58 +252,64 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
                     elif r < 0:
                         hi = lo - 1
                     if lo <= hi:
-                        b[last] = lo
-                        if unset:
-                            unset = False
-                            for i in range(2, q + 1):
-                                move(i, b[i])
-                        while hb[q] < c:
-                            hb[q] += 1
-                            h += line_count(line_q, hb, hb[q])
-                        while hb[last] < lo:
-                            hb[last] += 1
-                            h += line_count(line_last, hb, hb[last])
-                        while hb[last] > lo:
-                            h -= line_count(line_last, hb, hb[last])
-                            hb[last] -= 1
-                        # the first vector's count is h; raising b[last] by
-                        # one adds the points of edge n-1
-                        count = h
-                        value += lo * wl
-                        # the numerators of the edge's two ends
-                        top = lo * g_prev - c
-                        bottom = b[0] - lo * g_first
-                        while True:
+                        if fresh < n:
+                            # the first run since level fresh was called
+                            b[last] = lo
+                            if fresh > 1:
+                                hb[:], h = cp[fresh]
+                                nef = True
+                            first = max(fresh - 1, 2)
+                            for i in range(last, first - 1, -1):
+                                if hb[i] < b[i]:
+                                    move(i, b[i])
+                            for i in range(first, n):
+                                if hb[i] > b[i]:
+                                    move(i, b[i])
+                            nef = True
+                            cp[fresh:last] = [(tuple(hb), h)] * (last - fresh)
+                            fresh = n
+                        else:
+                            # from the last run's first vector; only row n-1 can
+                            # turn negative, and then line n-1 holds no point
+                            while hb[last] < lo:
+                                hb[last] = y = hb[last] + 1
+                                if y * el <= hb[q] * dl + rq:
+                                    h += (y * g0 - hb[q]) // d0 + (r0 - y * g1) // d1 + 1
+                            while hb[q] < c:
+                                hb[q] = x = hb[q] + 1
+                                h += (line_count(line_q, hb, x) if hb[last] * el > x * dl + rq else
+                                      (x * gq0 - hb[q - 1]) // dq0 + (hb[last] - x * gq1) // dq1 + 1)
+                            while hb[last] > lo:
+                                h -= (hb[last] * g0 - c) // d0 + (r0 - hb[last] * g1) // d1 + 1
+                                hb[last] -= 1
+                        # the first vector's count is h; raising b[last] to y
+                        # adds the points of edge n-1, as every vector of the
+                        # run is nef
+                        count, value = h, value + lo * wl
+                        for y in range(lo + 1, hi + 2):
                             # the per-index optima are nondecreasing, and a later
                             # vector wins only with a strictly smaller value, so
                             # the entries this vector improves end at its count
                             k = count - 1 if count <= k_max else k_max
                             if k >= 0 and value < vals[k]:
-                                if k == k_max:
-                                    # feasible at the top index: nothing more
-                                    # expensive can improve any entry of the table
-                                    bound = value
+                                b[last] = y - 1
                                 vec = tuple(b)
                                 while k >= 0 and value < vals[k]:
                                     vals[k], vecs[k] = value, vec
                                     k -= 1
-                            lo += 1
+                                if count > k_max:
+                                    # feasible at the top index: nothing more
+                                    # expensive can improve any entry of the table
+                                    bound = value
+                                    break
                             value += wl
-                            if lo > hi or value > bound:
-                                break
-                            b[last] = lo
-                            top += g_prev
-                            bottom -= g_first
-                            points = top // d_prev + bottom // d_last + 1
-                            if points > 0:
-                                count += points
+                            count += (y * g0 - c) // d0 + (r0 - y * g1) // d1 + 1
             elif e[j] >= 0 or value + rest_min[j + 1] > bound:
                 return
-            if j == 1:
-                # b[1] is the gauge coefficient, taken at its one value
-                return
-            c += 1
 
+    # the checkpoint (hb, h) of each level; no level was called yet
+    cp = [None] * n
+    fresh = n
     for r0, r1 in _gauge_classes(v[0], v[1]):
         b[0], b[1] = r0, r1
         move(0, r0)
@@ -292,6 +324,8 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
         rest_min = [0] * (n + 1)
         for j in range(last, 1, -1):
             rest_min[j] = rest_min[j + 1] + w[j] * lows[j]
+        # row n-1 reads b[n-2] d[n-1] - b[n-1] e[n-1] + rq >= 0
+        rq = r0 * d[q]
         search(1, r0 * w[0], r1)
     if None in vecs:
         # a bug, not a budget: the bound is attained by a multiple of the

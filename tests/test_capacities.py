@@ -278,6 +278,79 @@ def test_line_count_is_a_section_count_difference():
     assert min(seen.values()) >= 50, seen
 
 
+def test_edge_count_is_line_count_on_nef_vectors():
+    # nef vectors: the support numbers of a point set on a random fan, which
+    # often have rows 0, and random vectors that are nef on a fan without a
+    # smooth cone, whose lines often miss the lattice
+    rng = random.Random(53)
+    fans = [toric.build_surface(MomentPolygon(v)) for v in NO_SMOOTH_CONE]
+    seen = {"zero row": 0, "no point": 0, "negative row": 0}
+    pairs = 0
+    while pairs < 300:
+        if rng.random() < 0.5:
+            y = random_fan(rng)
+            pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 5))]
+            a = [max(-(vx * x + vy * yy) for x, yy in pts) for vx, vy in y.rays]
+        else:
+            y = rng.choice(fans)
+            a = [rng.randint(-2, 4) for _ in y.rays]
+        rows = toric.pairings(y, TorusDivisor(tuple(a)))
+        n = len(a)
+        for j in range(n):
+            cuts = lattice.line_cuts(y.rays[j], y.rays, [i for i in range(n) if i != j])
+            count = lattice.line_count(cuts, a, a[j])
+            if rows[j] < 0:
+                # where a row is negative, nef or not, its line holds no point
+                assert count == 0, (y.rays, a, j)
+                seen["negative row"] += 1
+            elif min(rows) >= 0:
+                assert _table._edge_count(cuts, a, j, a[j]) == count, (y.rays, a, j)
+                seen["zero row"] += rows[j] == 0
+                seen["no point"] += count == 0
+        pairs += min(rows) >= 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_line_count_calls_of_many_edge_tables(monkeypatch):
+    # the carried section count moves through nef vectors, where two cuts
+    # decide each line; counting every unit move with `line_count` took
+    # 86,042 and 25,990 calls
+    calls = []
+    count = _table.line_count
+    monkeypatch.setattr(_table, "line_count", lambda *args: calls.append(1) or count(*args))
+    hexagon = MomentPolygon(((1, 0), (3, 1), (4, 3), (3, 4), (1, 3), (0, 1)))
+    assert min(hexagon._d) == 3
+    made = []
+    for p, k_max in ((OCTAGON, 100), (hexagon, 60)):
+        calls.clear()
+        _table._compute_table(p, k_max)
+        made.append(len(calls))
+    assert made == [1993, 223]
+    assert 3 * made[0] <= 86042 and 3 * made[1] <= 25990
+
+
+def test_calg_at_ehrhart_indices_is_the_multiple_of_the_polygon():
+    # for a lattice polygon P, mP has L(m) = (area2 m^2 + perimeter m) / 2 + 1
+    # lattice points, and at k = L(m) - 1 the capacity is that of mP itself,
+    # m area2 = 2 m Area(P): no nef divisor with as many sections is cheaper
+    rng = random.Random(59)
+    polygons = [p for p in corpus.CORPUS.values() if p._scale == 1]
+    polygons += [random_lattice_polygon(rng, size=5) for _ in range(100)]
+    anchors = 0
+    for p in polygons:
+        area2, perimeter = p._area2, sum(lattice.edge_lengths(p))
+        ks = []
+        m = 1
+        while (area2 * m * m + perimeter * m) // 2 <= 60:
+            ks.append((m, (area2 * m * m + perimeter * m) // 2))
+            m += 1
+        seq = capacities.alg_capacities(p, ks[-1][1]) if ks else ()
+        for m, k in ks:
+            assert seq[k] == m * area2, (p.vertices, m, k)
+            anchors += 1
+    assert anchors >= 200
+
+
 def test_row_counter_matches_count_points():
     # count_points sums the rows of the section polytope, nef or not
     rng = random.Random(38)
