@@ -270,7 +270,8 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
                             fresh = n
                         else:
                             # from the last run's first vector; only row n-1 can
-                            # turn negative, and then line n-1 holds no point
+                            # turn negative, and then line n-1 holds no point and
+                            # line n-2 is not an edge
                             while hb[last] < lo:
                                 hb[last] = y = hb[last] + 1
                                 if y * el <= hb[q] * dl + rq:
