@@ -8,21 +8,18 @@ polygon's rays and support numbers, and take their intersection numbers
 cone determinants, not from the fast path's row constants.  `toric` is
 imported only to wrap a witness in a `TorusDivisor` and by
 `preferable_check`, which validates `toric` itself.  One cached table per
-(polygon, box) ranks the vectors of the box by their pairing with the
-polarization, sorting them lazily; a query walks that ranking from the
-cheapest vector.  Nefness with sections, and the index, are computed at
-most once per vector and table, on a prefix of the ranking at most twice
-as long as the longest walk, so a query that repeats or extends an earlier
-walk reads stored counts.
+(polygon, box) walks the vectors of the box best-first from the zero
+vector, by their pairing with the polarization and then lexicographically;
+a query reads that walk from the cheapest vector until it passes its
+optimal value.  Nefness with sections, and the index, are computed at most
+once per vector and table, and only on vectors some query has read, so a
+query that repeats or extends an earlier one reads stored counts.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
-import operator
-from array import array
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -89,17 +86,16 @@ def _h0_int(rays, a, ms) -> int:
 
 
 class _BoxTable:
-    """Every coefficient vector of [0, box]^n in (value, vector) order, and
-    the measures the walks have asked for so far.
+    """The vectors of [0, box]^n in (value, lexicographic) order, as far as
+    the walks have asked for them, and their measures so far.
 
-    The value is the pairing with the polarization in units of 1/denom.
-    A vector is one integer key, value * (box+1)^n + its index in
-    itertools.product order, so sorting the keys sorts the pairs.  The keys
-    of the vectors with last coefficient c are head + c * unit, where head
-    holds the sorted keys of the other coefficients; they are sorted lazily,
-    all keys below a threshold at a time.  Each measure ("sections" or
-    "index") covers a prefix of the keys that doubles whenever a walk runs
-    past it.
+    The value is the pairing with the polarization in units of 1/denom.  The
+    walk starts at the zero vector, and a heap holds its frontier as (value,
+    vector, place of the vector's last nonzero coefficient).  Popping a
+    vector pushes the vectors one unit above it at that place and later
+    ones: each vector is pushed once, by the vector with its last nonzero
+    coefficient one lower, which comes first in the order, so the vectors
+    pop in order.
     """
 
     def __init__(self, p: MomentPolygon, box: int):
@@ -113,29 +109,15 @@ class _BoxTable:
         support = [a for (_u, a) in p.edge_data()]
         weights = [sum(q[i][j] * support[j] for j in range(n)) for i in range(n)]
         self.denom = math.lcm(*(w.denominator for w in weights))
+        self.weights = [int(w * self.denom) for w in weights]
         # integral on a smooth surface, where the index is defined
         self._q = [[int(c) for c in row] for row in q] if self.smooth else None
         self._rowsum = [sum(row) for row in self._q] if self.smooth else None
-        side = max(box + 1, 0)  # a negative box holds no vector
-        self.size = side ** n
-        # the key of one unit of coefficient i: its value and its index place
-        units = [int(w * self.denom) * self.size + side ** (n - 1 - i) for i, w in enumerate(weights)]
-        head = [0]
-        for unit in units[:-1]:
-            steps = [c * unit for c in range(side)]
-            head = [x + s for x in head for s in steps]
-        head.sort()
-        self._head, self._offsets = head, [c * units[-1] for c in range(side)]
-        # every key below _upto is in keys; the all-box vector has the largest key
-        self._upto, self._end = 0, box * sum(units) + 1
-        self.keys = array("q") if self._end <= 2 ** 63 else []
-        # an index decodes as the first n//2 coefficients and the rest
-        self._low = side ** (n - n // 2)
-        self._digits = (list(itertools.product(range(side), repeat=n // 2)),
-                        list(itertools.product(range(side), repeat=n - n // 2)))
-        # measure name -> measures of the first keys, each measure larger
-        # than all before it, and the position where it first occurs
-        self.walked: dict[str, tuple[array, array, array]] = {}
+        # the walked (value, vector) pairs; a negative box holds no vector
+        self.walked: list[tuple[int, tuple[int, ...]]] = []
+        self._heap = [(0, (0,) * n, 0)] if box >= 0 else []
+        # measure name -> measures of the first walked vectors
+        self.measured: dict[str, list[int]] = {}
 
     def sections(self, a) -> int:
         """h0 of a nef divisor, -1 for one that is not nef."""
@@ -152,45 +134,28 @@ class _BoxTable:
                 idx += a[i] * (sum(row[j] * a[j] for j in range(n)) + rowsum[i])
         return idx
 
-    def _read(self, stop: int) -> None:
-        """Sort at least the first stop keys into keys."""
-        head, upto = self._head, self._upto
-        if len(self.keys) >= stop or upto == self._end:
-            return
-        # the run with c = 0 alone holds the missing keys below the next threshold
-        i = bisect_left(head, upto) + stop - len(self.keys)
-        self._upto = head[i] if i < len(head) else self._end
-        self.keys.extend(sorted(itertools.chain.from_iterable(
-            map(off.__add__, head[bisect_left(head, upto - off):bisect_left(head, self._upto - off)])
-            for off in self._offsets)))
-
-    def value(self, pos: int) -> int:
-        return self.keys[pos] // self.size
-
-    def vectors(self, start: int, stop: int) -> Iterator[tuple[int, ...]]:
-        """Coefficient vectors of the keys from position start to stop,
-        decoded by maps: a walk through the whole box spends its time here."""
-        ranks = [key % self.size for key in self.keys[start:stop]]
-        high, low = self._digits
-        his = map(operator.floordiv, ranks, itertools.repeat(self._low))
-        los = map(operator.mod, ranks, itertools.repeat(self._low))
-        return map(operator.add, map(high.__getitem__, his), map(low.__getitem__, los))
-
-    def measure_more(self, name: str) -> bool:
-        """Measure as many keys again by the method name; False when all are."""
-        measures, peaks, firsts = self.walked[name]
-        done = len(measures)
-        if done == self.size:
+    def _pop(self) -> bool:
+        """Walk one vector further; False when the box is exhausted."""
+        if not self._heap:
             return False
-        stop = min(2 * done + 1, self.size)
-        self._read(stop)
-        batch = list(map(getattr(self, name), self.vectors(done, stop)))
-        measures.extend(batch)
-        for pos, m in enumerate(batch, done):
-            if not peaks or m > peaks[-1]:
-                peaks.append(m)
-                firsts.append(pos)
+        value, a, last = heapq.heappop(self._heap)
+        self.walked.append((value, a))
+        for j in range(last, len(a)):
+            if a[j] < self.box:
+                up = a[:j] + (a[j] + 1,) + a[j + 1:]
+                heapq.heappush(self._heap, (value + self.weights[j], up, j))
         return True
+
+    def walk(self, name: str) -> Iterator[tuple[tuple[int, tuple[int, ...]], int]]:
+        """((value, vector), measure by the method name) for the vectors of
+        the box in order: the stored measures first, then each further vector
+        measured as the caller reads on."""
+        measures, measure = self.measured.setdefault(name, []), getattr(self, name)
+        yield from zip(self.walked, measures)
+        while len(measures) < len(self.walked) or self._pop():
+            value, a = self.walked[len(measures)]
+            measures.append(measure(a))
+            yield (value, a), measures[-1]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -204,29 +169,24 @@ def _boxed_min(table: _BoxTable, name: str, need: int,
     name is at least need, with the first optimal vector (in lexicographic
     order) off the box boundary, as its integer coefficients.
 
-    A vector is measured at most once per table, and only while the
-    measured prefix is at most twice what some walk has read.  Raises
-    BoxTooSmall with empty_msg when no vector of the box is feasible, and
-    when every optimal vector touches the boundary (a better vector might
-    sit outside).
+    Reads the walk only until it passes the optimal value, so a vector is
+    measured at most once per table, and only when some query reached it.
+    Raises BoxTooSmall with empty_msg when no vector of the box is feasible,
+    and when every optimal vector touches the boundary (a better vector
+    might sit outside).
     """
-    measures, peaks, firsts = table.walked.setdefault(name, (array("q"), array("q"), array("q")))
-    # the first feasible vector is where the first peak of at least need occurs
-    while (i := bisect_left(peaks, need)) == len(peaks):
-        if not table.measure_more(name):
-            raise BoxTooSmall(empty_msg)
-    pos = firsts[i]
-    best = table.value(pos)
-    while table.value(pos) == best:
-        # prefer a witness away from the boundary: only when every vector
-        # attaining the optimum touches it is the box declared too small
-        if measures[pos] >= need:
-            a = next(table.vectors(pos, pos + 1))
-            if all(ai < table.box for ai in a):
-                return Fraction(best, table.denom), a
-        pos += 1
-        if pos == len(measures) and not table.measure_more(name):
+    best = None
+    for (value, a), m in table.walk(name):
+        if best is not None and value > best:
             break
+        if m >= need:
+            best = value
+            # prefer a witness away from the boundary: only when every vector
+            # attaining the optimum touches it is the box declared too small
+            if max(a) < table.box:
+                return Fraction(value, table.denom), a
+    if best is None:
+        raise BoxTooSmall(empty_msg)
     raise BoxTooSmall("every optimal vector touches the box boundary")
 
 
