@@ -102,10 +102,12 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     pairs with the boundary curve D_i in the lattice length of edge i, both
     over p._scale.
 
-    Every value is at most the bound, the value of m P', m the least
-    multiple with k_max + 1 sections.  P' is a lattice polygon, so by Pick's
-    formula m P' has (area2 m^2 + L m) / 2 + 1 lattice points, area2 twice
-    the area of P' and L its lattice perimeter.
+    Every value is at most the bound, the value of m P0: P0 = P' / g, g the
+    gcd of p._scale and the support numbers of P', and m the least multiple
+    with k_max + 1 sections.  For g = 1, P0 = P' is a lattice polygon, and by
+    Pick's formula m P' has (area2 m^2 + L m) / 2 + 1 lattice points, area2
+    twice the area of P' and L its lattice perimeter.  For g > 1 the
+    multiples are counted by unit moves, as below.
 
     One bounded depth-first search serves all indices at once.  Divisors are
     taken once per linear equivalence class, in a gauge fixed at the first
@@ -187,12 +189,29 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
             x -= 1
             hb[i] = x
 
-    # value bound: the value of the least multiple m P' with k_max + 1
-    # sections, which has (area2 m^2 + L m) / 2 + 1 lattice points
-    m = 1
-    while m * (p._area2 * m + sum(lengths)) < 2 * k_max:
-        m += 1
-    bound = m * sum(-(u[0] * x + u[1] * y) * wi for u, (x, y), wi in zip(rays, p._ipts, iweights))
+    # value bound: the least multiple m of the support numbers of P0 = P' / g
+    # with k_max + 1 sections, g their gcd with p._scale
+    supports = [-(u[0] * x + u[1] * y) for u, (x, y) in zip(rays, p._ipts)]
+    g = math.gcd(p._scale, *supports)
+    if g == 1:
+        # m P' has (area2 m^2 + L m) / 2 + 1 lattice points
+        area2, perimeter = p._area2, sum(lengths)
+        m = 1
+        while m * (area2 * m + perimeter) < 2 * k_max:
+            m += 1
+    else:
+        # hb walks the multiples of P0 - z, z a lattice point next to the
+        # vertex p._ipts[0] / g: a lattice translate, so its counts are
+        # those of P0, with support numbers of the size of P0
+        zx, zy = p._ipts[0][0] // g, p._ipts[0][1] // g
+        base = [a // g + u[0] * zx + u[1] * zy for u, a in zip(rays, supports)]
+        base = base[s:] + base[:s]
+        m = 0
+        while h <= k_max:
+            m += 1
+            for i in range(n):
+                move(i, m * base[i])
+    bound = m * sum(a // g * wi for a, wi in zip(supports, iweights))
 
     # the optimum per index; every vector searched has value at most bound
     vals = [bound + 1] * (k_max + 1)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -95,7 +96,9 @@ class _BoxTable:
     vector pushes the vectors one unit above it at that place and later
     ones: each vector is pushed once, by the vector with its last nonzero
     coefficient one lower, which comes first in the order, so the vectors
-    pop in order.
+    pop in order.  The walked vectors and their measures are kept in flat
+    integer arrays: a walked vector comes after the vectors below it on each
+    axis, so no coefficient or measure outgrows 64 bits.
     """
 
     def __init__(self, p: MomentPolygon, box: int):
@@ -113,11 +116,12 @@ class _BoxTable:
         # integral on a smooth surface, where the index is defined
         self._q = [[int(c) for c in row] for row in q] if self.smooth else None
         self._rowsum = [sum(row) for row in self._q] if self.smooth else None
-        # the walked (value, vector) pairs; a negative box holds no vector
-        self.walked: list[tuple[int, tuple[int, ...]]] = []
+        # walked vector i has value values[i] and coefficients
+        # coeffs[i * n:(i + 1) * n]; a negative box holds no vector
+        self.values, self.coeffs = array("q"), array("B" if box < 256 else "q")
         self._heap = [(0, (0,) * n, 0)] if box >= 0 else []
         # measure name -> measures of the first walked vectors
-        self.measured: dict[str, list[int]] = {}
+        self.measured: dict[str, array] = {}
 
     def sections(self, a) -> int:
         """h0 of a nef divisor, -1 for one that is not nef."""
@@ -134,28 +138,34 @@ class _BoxTable:
                 idx += a[i] * (sum(row[j] * a[j] for j in range(n)) + rowsum[i])
         return idx
 
+    def vector(self, i: int) -> tuple[int, ...]:
+        """The coefficients of walked vector i."""
+        n = len(self.rays)
+        return tuple(self.coeffs[i * n:(i + 1) * n])
+
     def _pop(self) -> bool:
         """Walk one vector further; False when the box is exhausted."""
         if not self._heap:
             return False
-        value, a, last = heapq.heappop(self._heap)
-        self.walked.append((value, a))
+        heap, box, weights = self._heap, self.box, self.weights
+        value, a, last = heapq.heappop(heap)
+        self.values.append(value)
+        self.coeffs.extend(a)
         for j in range(last, len(a)):
-            if a[j] < self.box:
-                up = a[:j] + (a[j] + 1,) + a[j + 1:]
-                heapq.heappush(self._heap, (value + self.weights[j], up, j))
+            if a[j] < box:
+                heapq.heappush(heap, (value + weights[j], a[:j] + (a[j] + 1,) + a[j + 1:], j))
         return True
 
-    def walk(self, name: str) -> Iterator[tuple[tuple[int, tuple[int, ...]], int]]:
-        """((value, vector), measure by the method name) for the vectors of
+    def walk(self, name: str) -> Iterator[tuple[int, int, int]]:
+        """(position, value, measure by the method name) for the vectors of
         the box in order: the stored measures first, then each further vector
         measured as the caller reads on."""
-        measures, measure = self.measured.setdefault(name, []), getattr(self, name)
-        yield from zip(self.walked, measures)
-        while len(measures) < len(self.walked) or self._pop():
-            value, a = self.walked[len(measures)]
-            measures.append(measure(a))
-            yield (value, a), measures[-1]
+        measures, measure = self.measured.setdefault(name, array("q")), getattr(self, name)
+        yield from zip(range(len(measures)), self.values, measures)
+        while len(measures) < len(self.values) or self._pop():
+            i = len(measures)
+            measures.append(measure(self.vector(i)))
+            yield i, self.values[i], measures[i]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -176,13 +186,14 @@ def _boxed_min(table: _BoxTable, name: str, need: int,
     might sit outside).
     """
     best = None
-    for (value, a), m in table.walk(name):
+    for i, value, m in table.walk(name):
         if best is not None and value > best:
             break
         if m >= need:
             best = value
             # prefer a witness away from the boundary: only when every vector
             # attaining the optimum touches it is the box declared too small
+            a = table.vector(i)
             if max(a) < table.box:
                 return Fraction(value, table.denom), a
     if best is None:

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -327,6 +328,33 @@ def test_line_count_calls_of_many_edge_tables(monkeypatch):
         made.append(len(calls))
     assert made == [1993, 223]
     assert 3 * made[0] <= 86042 and 3 * made[1] <= 25990
+
+
+def test_value_bound_of_a_polygon_with_a_large_g():
+    # the hexagon's support numbers are integers and its vertex denominators
+    # have lcm 70, so g = p._scale = 70 and P0 = p, whose least multiple with 9
+    # sections bounds the values at k = 8.  Bounded by 70 p instead, the least
+    # multiple of the lattice polygon P', the search made 21,738 level calls
+    # in seconds, not 353
+    p = MomentPolygon(((-25, 10), (-8, Fraction(3, 2)), (Fraction(-2, 5), Fraction(-2, 5)),
+                       (0, 0), (Fraction(-1, 2), 1), (Fraction(-16, 7), Fraction(17, 7))))
+    supports = [-(u[0] * x + u[1] * y) for u, (x, y) in zip(p._normals, p._ipts)]
+    assert math.gcd(p._scale, *supports) == 70
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "search":
+            calls.append(1)
+            if len(calls) > 1000:
+                raise RuntimeError("the value bound leaves too many vectors")
+
+    sys.setprofile(profile)
+    try:
+        values, denom, _ = _table._compute_table(p, 8)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 353
+    assert (values, denom) == ([0, 530, 728, 1085, 1258, 1456, 1680, 1813, 1986], 70)
 
 
 def test_calg_at_ehrhart_indices_is_the_multiple_of_the_polygon():
