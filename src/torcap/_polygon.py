@@ -1,7 +1,8 @@
 """The polygon core: `MomentPolygon` and the integer kernels the capacity
-table runs on.  `lattice` re-exports its public names as the same objects;
-`_fan_rows`, the one check of a fan's turns and winding, is read here by
-`MomentPolygon` and `toric.ToricSurface`."""
+table runs on, `line_count` for the points of one line and `count_points`,
+its sum over the rows.  `lattice` re-exports its public names as the same
+objects; `_fan_rows`, the one check of a fan's turns and winding, is read
+here by `MomentPolygon` and `toric.ToricSurface`."""
 
 from __future__ import annotations
 
@@ -140,6 +141,27 @@ def line_count(cuts, coeffs: Sequence[int], c: int) -> int:
             return 0
     count = hi - lo + 1
     return count if count > 0 else 0
+
+
+def count_points(rays: Sequence[IntVec], coeffs: Sequence[int]) -> int:
+    """Integer points m with <m, v_i> >= -a_i for the rays v_i of a complete
+    fan, in counterclockwise order, and integers a_i: the lattice points of
+    a polygon from its inward edge normals, or of a section polytope.
+
+    The sum of `line_count` over the rows m_y = y, each the line <m, (0, -1)>
+    = -y.  The fan is complete, so the cone around (0, -1) puts the polytope
+    below its linearization, and likewise upward: the rows lie between the
+    per-cone linearizations.  For a nef divisor no row is empty.
+    """
+    n = len(rays)
+    # y coordinates of the cone linearizations, times the cone determinants
+    ms = [(-coeffs[(i + 1) % n] * rays[i][0] + coeffs[i] * rays[(i + 1) % n][0],
+           det2(rays[i], rays[(i + 1) % n])) for i in range(n)]
+    rows = line_cuts((0, -1), rays, range(n))
+    total = 0
+    for y in range(min(-(-my // d) for my, d in ms), max(my // d for my, d in ms) + 1):
+        total += line_count(rows, coeffs, y)
+    return total
 
 
 def edge_lengths(p: MomentPolygon) -> tuple[int, ...]:

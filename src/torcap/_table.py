@@ -11,8 +11,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from ._base import CACHE_SIZE, CapacitySequence, _check_index, det2
-from ._polygon import MomentPolygon, edge_lengths, line_count, line_cuts
+from ._base import CACHE_SIZE, CapacitySequence, _check_index
+from ._polygon import MomentPolygon, count_points, edge_lengths, line_count, line_cuts
 from .errors import NotAmple
 
 if TYPE_CHECKING:
@@ -30,8 +30,8 @@ def calg_witness(p: MomentPolygon, k: int) -> tuple[Fraction, TorusDivisor]:
 
     The witness is an integral nef divisor with at least k+1 sections
     minimizing the pairing with the polarization, in gauge form at the first
-    cone s of least determinant: (a_s, a_{s+1}) is the first residue class,
-    in order, that holds an optimal divisor, and within it the coefficients
+    cone s of least determinant: a_s = 0, a_{s+1} is the least t < det_s
+    that holds an optimal divisor, and within it the coefficients
     a_{s+2}, ..., a_{s-1} are the lexicographically smallest optimal ones.
     On a smooth cone the gauge is a_s = a_{s+1} = 0.
     """
@@ -73,23 +73,6 @@ def _edge_count(cuts, coeffs, j: int, c: int) -> int:
     return (c * g0 - coeffs[j - 1]) // d0 + (coeffs[(j + 1) % n] - c * g1) // d1 + 1
 
 
-def _gauge_classes(v0, v1) -> list[tuple[int, int]]:
-    """One representative (a_0, a_1) per class of Z^2 modulo the pairs
-    (<u, v0>, <u, v1>) for u in Z^2, the first of each in lexicographic
-    order over [0, det)^2.  A smooth cone has the single class (0, 0)."""
-    d = det2(v0, v1)
-    seen = set()
-    reps = []
-    for r0 in range(d):
-        for r1 in range(d):
-            # the class is determined by d * (M^-1 r) mod d, M with rows v0, v1
-            key = ((v1[1] * r0 - v0[1] * r1) % d, (v0[0] * r1 - v1[0] * r0) % d)
-            if key not in seen:
-                seen.add(key)
-                reps.append((r0, r1))
-    return reps
-
-
 def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     """(values, denom, witnesses): for every capacity index k up to k_max,
     the capacity values[k] / denom and the coefficient vector witnesses[k]
@@ -106,13 +89,16 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     gcd of p._scale and the support numbers of P', and m the least multiple
     with k_max + 1 sections.  For g = 1, P0 = P' is a lattice polygon, and by
     Pick's formula m P' has (area2 m^2 + L m) / 2 + 1 lattice points, area2
-    twice the area of P' and L its lattice perimeter.  For g > 1 the
-    multiples are counted by unit moves, as below.
+    twice the area of P' and L its lattice perimeter.  For g > 1,
+    `count_points` sums the rows of m P0, whose support numbers are m / g
+    times those of P'.
 
     One bounded depth-first search serves all indices at once.  Divisors are
     taken once per linear equivalence class, in a gauge fixed at the first
-    cone s of least determinant: (a_s, a_{s+1}) runs over the det_s residue
-    classes modulo linear functions, and the remaining coefficients are set
+    cone s of least determinant.  v_s is primitive, so a linear function
+    sets a_s = 0, and those that vanish on v_s shift a_{s+1} by multiples of
+    det_s: each class has one vector with a_s = 0 and 0 <= a_{s+1} < det_s.
+    a_{s+1} runs over these in order, and the remaining coefficients are set
     in cyclic order s+2, ..., s-1.  Nefness is local on a complete simplicial
     surface (D nef iff D.D_i >= 0 for every boundary curve), so each row is
     checked as soon as its three coefficients are set, and it floors the next
@@ -127,7 +113,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     coefficient adds or removes the lattice points of one line.  Where the
     coefficient's row is negative the line holds no point; on a nef vector
     its neighbours' cuts count it, by `_edge_count`; else `line_count` does.
-    Each gauge class moves coefficients s and s+1.  The first leaf run since
+    Each gauge class moves coefficient s+1.  The first leaf run since
     level l was called restores the checkpoint of level l, the first leaf
     vector under its last call, nef and equal below l-1, raises coefficients
     from s-1 down, lowers them after, and checkpoints levels l, ..., n-2.
@@ -159,7 +145,8 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     q, last = n - 2, n - 1
     wl, el, dl = w[last], e[last], d[last]
     # a unit move of coefficient j adds or removes the points of its line;
-    # the leaf runs inline `_edge_count` on lines n-2 and n-1
+    # the leaf runs inline `_edge_count` on lines n-2 and n-1, where the cut
+    # of ray 0 reads b[0] = 0, the gauge
     lines = [line_cuts(v[j], v, [i for i in range(n) if i != j]) for j in range(n)]
     line_q, line_last = lines[q], lines[last]
     (_, gq0, dq0), (_, gq1, dq1) = line_q[q - 1], line_q[q]
@@ -200,17 +187,10 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
         while m * (area2 * m + perimeter) < 2 * k_max:
             m += 1
     else:
-        # hb walks the multiples of P0 - z, z a lattice point next to the
-        # vertex p._ipts[0] / g: a lattice translate, so its counts are
-        # those of P0, with support numbers of the size of P0
-        zx, zy = p._ipts[0][0] // g, p._ipts[0][1] // g
-        base = [a // g + u[0] * zx + u[1] * zy for u, a in zip(rays, supports)]
-        base = base[s:] + base[:s]
+        # m P0 has support numbers m a / g; its rows count its points
         m = 0
-        while h <= k_max:
+        while count_points(rays, [m * a // g for a in supports]) <= k_max:
             m += 1
-            for i in range(n):
-                move(i, m * base[i])
     bound = m * sum(a // g * wi for a, wi in zip(supports, iweights))
 
     # the optimum per index; every vector searched has value at most bound
@@ -238,8 +218,9 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
                     search(j + 1, value, lo)
                 else:
                     # the leaf run: b[last] from lo upward.  lo keeps rows q
-                    # and 0 nonnegative; row last and the bound cap it at hi
-                    r = c * dl + rq
+                    # and 0 nonnegative; row last, c d[last] - b[last] e[last]
+                    # >= 0 as b[0] = 0, and the bound cap it at hi
+                    r = c * dl
                     hi = (bound - value) // wl
                     if el > 0:
                         cap = r // el
@@ -274,14 +255,14 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
                             # line n-2 is not an edge
                             while hb[last] < lo:
                                 hb[last] = y = hb[last] + 1
-                                if y * el <= hb[q] * dl + rq:
-                                    h += (y * g0 - hb[q]) // d0 + (r0 - y * g1) // d1 + 1
+                                if y * el <= hb[q] * dl:
+                                    h += (y * g0 - hb[q]) // d0 + (-y * g1) // d1 + 1
                             while hb[q] < c:
                                 hb[q] = x = hb[q] + 1
-                                h += (line_count(line_q, hb, x) if hb[last] * el > x * dl + rq else
+                                h += (line_count(line_q, hb, x) if hb[last] * el > x * dl else
                                       (x * gq0 - hb[q - 1]) // dq0 + (hb[last] - x * gq1) // dq1 + 1)
                             while hb[last] > lo:
-                                h -= (hb[last] * g0 - c) // d0 + (r0 - hb[last] * g1) // d1 + 1
+                                h -= (hb[last] * g0 - c) // d0 + (-hb[last] * g1) // d1 + 1
                                 hb[last] -= 1
                         # the first vector's count is h; raising b[last] to y
                         # adds the points of edge n-1, as every vector of the
@@ -304,30 +285,26 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
                                     bound = value
                                     break
                             value += wl
-                            count += (y * g0 - c) // d0 + (r0 - y * g1) // d1 + 1
+                            count += (y * g0 - c) // d0 + (-y * g1) // d1 + 1
             elif e[j] >= 0 or value + rest_min[j + 1] > bound:
                 return
 
     # the checkpoint (hb, h) of each level; no level was called yet
     cp = [None] * n
     fresh = n
-    for r0, r1 in _gauge_classes(v[0], v[1]):
-        b[0], b[1] = r0, r1
-        move(0, r0)
+    for r1 in range(d[0]):
+        b[1] = r1
         move(1, r1)
-        # the cone vertex m_0 = -(x0, x1) / d[0] lies in the section polytope
-        # of every nef divisor of this class, so b[l] >= ceil(-<m_0, v[l]>);
-        # for l = 2 and l = n-1 these are the floors that rows 1 and 0 give
-        x0 = v[1][1] * r0 - v[0][1] * r1
-        x1 = v[0][0] * r1 - v[1][0] * r0
-        lows = [-(-(x0 * vx + x1 * vy) // d[0]) for vx, vy in v]
+        # the cone vertex m_0 = r1 (v[0][1], -v[0][0]) / d[0], on the lines
+        # <m, v[0]> = 0 and <m, v[1]> = -r1, lies in the section polytope of
+        # every nef divisor of this class, so b[l] >= ceil(-<m_0, v[l]>); for
+        # l = 2 and l = n-1 these are the floors that rows 1 and 0 give
+        lows = [-(-r1 * (v[0][0] * vy - v[0][1] * vx) // d[0]) for vx, vy in v]
         # least possible contribution of the coefficients from index j on
         rest_min = [0] * (n + 1)
         for j in range(last, 1, -1):
             rest_min[j] = rest_min[j + 1] + w[j] * lows[j]
-        # row n-1 reads b[n-2] d[n-1] - b[n-1] e[n-1] + rq >= 0
-        rq = r0 * d[q]
-        search(1, r0 * w[0], r1)
+        search(1, 0, r1)
     if None in vecs:
         # a bug, not a budget: the bound is attained by a multiple of the
         # polarization, whose gauge representative lies in the search region

@@ -7,7 +7,8 @@ as `fractions.Fraction`, and no floating point enters anywhere.
 
 Re-exported as the same objects from `_polygon`, the core that the capacity
 table loads without this module: `MomentPolygon`, `cross`, `primitive`,
-`egcd`, `line_cuts`, `line_count`, `edge_lengths`, `Point` and `IntVec`.
+`egcd`, `line_cuts`, `line_count`, `count_points`, `edge_lengths`, `Point`
+and `IntVec`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ._polygon import (  # noqa: F401  (re-exported)
     IntVec,
     MomentPolygon,
     Point,
+    count_points,
     cross,
     edge_lengths,
     egcd,
@@ -91,27 +93,6 @@ class UnimodularAffineMap(_Record):
 def area(p: MomentPolygon) -> Fraction:
     """Exact Euclidean area, from twice the area of the integer view."""
     return Fraction(p._area2, 2 * p._scale ** 2)
-
-
-def count_points(rays: Sequence[IntVec], coeffs: Sequence[int]) -> int:
-    """Integer points m with <m, v_i> >= -a_i for the rays v_i of a complete
-    fan, in counterclockwise order, and integers a_i: the lattice points of
-    a polygon from its inward edge normals, or of a section polytope.
-
-    The sum of `line_count` over the rows m_y = y, each the line <m, (0, -1)>
-    = -y.  The fan is complete, so the cone around (0, -1) puts the polytope
-    below its linearization, and likewise upward: the rows lie between the
-    per-cone linearizations.  For a nef divisor no row is empty.
-    """
-    n = len(rays)
-    # y coordinates of the cone linearizations, times the cone determinants
-    ms = [(-coeffs[(i + 1) % n] * rays[i][0] + coeffs[i] * rays[(i + 1) % n][0],
-           det2(rays[i], rays[(i + 1) % n])) for i in range(n)]
-    rows = line_cuts((0, -1), rays, range(n))
-    total = 0
-    for y in range(min(-(-my // d) for my, d in ms), max(my // d for my, d in ms) + 1):
-        total += line_count(rows, coeffs, y)
-    return total
 
 
 def halfplane_vertices(cons: Sequence[tuple[int, int, Fraction]]) -> list[Point]:

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import (OCTAGON, TWELVE_GON, random_chain, random_domain_polygon, random_fan,
                       random_lattice_polygon, random_unimodular, section_points)
-from torcap import _base, _table, capacities, corpus, ech, lattice, oracle, toric
+from torcap import _base, _polygon, _table, capacities, corpus, ech, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
 from torcap.errors import (IndexTooSmall, InvalidInput, IterationLimit, NoSmoothVertex,
                            NonPositiveArea, NotAmple, NotConcave, NotDomainPolygon, TorcapError)
@@ -194,6 +194,9 @@ def _first_optimal_witnesses(p, k_max):
                    and (v0[0] * (r[1] - q[1]) - v1[0] * (r[0] - q[0])) % det == 0
                    for q in reps):
             reps.append(r)
+    # v0 is primitive, so a linear function sets a_s = 0, and those that
+    # vanish on v0 shift a_{s+1} by multiples of det: the search's gauge
+    assert reps == [(0, t) for t in range(det)], (v0, v1)
     top = capacities.calg(p, k_max)
     best = [None] * (k_max + 1)
     for r0, r1 in reps:
@@ -355,6 +358,48 @@ def test_value_bound_of_a_polygon_with_a_large_g():
         sys.setprofile(None)
     assert len(calls) == 353
     assert (values, denom) == ([0, 530, 728, 1085, 1258, 1456, 1680, 1813, 1986], 70)
+
+
+def _table_within(p, k_max, budget):
+    """_compute_table(p, k_max), raising once the lines it runs in `_table`
+    and `_polygon` pass budget: a count of work, not of wall time."""
+    files = {_table.__file__, _polygon.__file__}
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > budget:
+                raise RuntimeError(f"the table build ran more than {budget} lines")
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: trace if frame.f_code.co_filename in files else None)
+    try:
+        return _table._compute_table(p, k_max)
+    finally:
+        sys.settrace(outer)
+
+
+def test_gauge_of_a_cone_with_a_large_determinant():
+    # every cone of the triangle has determinant at least 300, so the gauge
+    # cone has 300 classes, one per a_{s+1} < 300 at a_s = 0: 56,085 lines.
+    # A scan of [0, 300)^2 for one representative per class ran 329,690
+    p = MomentPolygon(((0, -1), (300, 0), (0, 1)))
+    assert min(p._d) == 300
+    values, denom, _ = _table_within(p, 5, 100_000)
+    assert (values, denom) == ([0, 2, 4, 6, 8, 10], 1)
+
+
+def test_value_bound_of_a_large_polygon_with_a_large_g():
+    # the support numbers of P' = 2 p share the factor g = 2 with its scale,
+    # so the bound is the least multiple of P0 = p with 3 sections, p itself:
+    # the rows of p count its points in 17,331 lines.  Moving a carried
+    # count out to p one unit at a time ran 15,020,240
+    p = MomentPolygon(((0, 0), (500, 0), (0, Fraction(1001, 2))))
+    values, denom, _ = _table_within(p, 2, 50_000)
+    assert [Fraction(v, denom) for v in values] == [0, 500, Fraction(1001, 2)]
 
 
 def test_calg_at_ehrhart_indices_is_the_multiple_of_the_polygon():

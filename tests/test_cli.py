@@ -248,12 +248,15 @@ def test_iteration_limit_exit_code(runner, tmp_path, monkeypatch):
 
 
 def test_impossible_table_state_is_not_an_iteration_limit(runner, tmp_path, monkeypatch):
-    # with no gauge class the search finds no vector, which a sound table
-    # cannot do: the error is a bug, not a budget, and leaves the command
-    # line as a traceback instead of exit 3
-    monkeypatch.setattr(_table, "_gauge_classes", lambda v0, v1: [])
+    # with a value bound below the optimum the search finds no vector for the
+    # top indices, which a sound table cannot do: the error is a bug, not a
+    # budget, and leaves the command line as a traceback instead of exit 3.
+    # The triangle's support numbers share the factor g = 3 with its vertex
+    # denominator, so its bound counts the multiples of P0 by `count_points`,
+    # here made to report that the first, the origin, has enough sections
+    monkeypatch.setattr(_table, "count_points", lambda rays, coeffs: 10**9)
     monkeypatch.setattr(_table, "_TABLES", {})
-    poly = _write(tmp_path, "p.txt", SQUARE)
+    poly = _write(tmp_path, "p.txt", "1/3 0\n4/3 0\n1 1\n")
     with pytest.raises(RuntimeError, match="^no optimal vector found$"):
         runner.invoke(cli, ["capacities", poly, "--k-max", "3"])
 

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -215,7 +216,7 @@ CAPACITIES_FROM_ECH = ("CapacitySequence", "ConcaveDomain", "concave_weights", "
                        "ech_concave_capacities", "ech_ellipsoid", "ech_ellipsoid_capacities")
 CAPACITIES_FROM_TABLE = ("calg", "calg_witness", "alg_capacities")
 LATTICE_FROM_POLYGON = ("MomentPolygon", "primitive", "cross", "egcd", "line_cuts", "line_count",
-                        "edge_lengths", "Point", "IntVec")
+                        "count_points", "edge_lengths", "Point", "IntVec")
 
 
 def test_re_exports_are_the_same_objects():
@@ -248,9 +249,13 @@ def test_no_private_name_is_imported_unread():
 
 def test_table_build_loads_no_lattice_or_toric_code():
     """The table counts sections by unit moves from the zero vector and
-    bounds its values by Pick's formula, so a build reads neither `toric.h0`
-    nor `lattice.count_points`, and loads neither module."""
+    bounds its values by Pick's formula, or by `count_points` from the
+    polygon core when the support numbers share a factor g > 1 with the
+    scale, so a build reads no `toric.h0` and loads neither `lattice` nor
+    `toric`.  No corpus polygon has g > 1; the triangle (1/3,0) (4/3,0) (1,1)
+    has g = 3."""
     polygons = [p.vertices for p in corpus.CORPUS.values()]
+    polygons.append(((Fraction(1, 3), 0), (Fraction(4, 3), 0), (1, 1)))
     code = ("import sys\n"
             "from fractions import Fraction\n"
             "from torcap import _polygon, _table\n"
