@@ -106,18 +106,28 @@ class MomentPolygon(_Record):
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a x + b y = g = gcd(a, b) >= 0."""
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = egcd(b, a % b)
-    return (g, y, x - (a // b) * y)
+    """(g, x, y) with a x + b y = g = gcd(a, b) >= 0: the coefficients of
+    the recursion egcd(a, 0) = (|a|, sign a, 0), egcd(a, b) = (g, y, x -
+    (a // b) y) for (g, x, y) = egcd(b, a % b), sign 0 = 1, run as a loop
+    that keeps a = x0 A + y0 B and b = x1 A + y1 B for the inputs A, B."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        t = a // b
+        a, b = b, a - t * b
+        x0, y0, x1, y1 = x1, y1, x0 - t * x1, y0 - t * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
 def line_cuts(u: IntVec, rays: Sequence[IntVec], others) -> list[tuple[int, int, int]]:
     """(i, <(p, q), v_i>, det(u, v_i)) for the rays v_i, i in others, with
     (p, q) fixed by <(p, q), u> = 1; u is primitive, a ray or not."""
     _g, p, q = egcd(*u)
-    return [(i, p * rays[i][0] + q * rays[i][1], det2(u, rays[i])) for i in others]
+    ux, uy = u
+    cuts = []
+    for i in others:
+        x, y = rays[i]
+        cuts.append((i, p * x + q * y, ux * y - uy * x))
+    return cuts
 
 
 def line_count(cuts, coeffs: Sequence[int], c: int) -> int:

@@ -110,7 +110,8 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     Each feasible vector updates all indices its section count covers.  That
     count is carried, and no row is scanned: it starts at 1 on the zero
     vector, whose section polytope is the origin, and a unit move of one
-    coefficient adds or removes the lattice points of one line.  Where the
+    coefficient adds or removes the lattice points of one line, cut once
+    per table for each coefficient that moves: all but a_s.  Where the
     coefficient's row is negative the line holds no point; on a nef vector
     its neighbours' cuts count it, by `_edge_count`; else `line_count` does.
     Each gauge class moves coefficient s+1.  The first leaf run since
@@ -146,8 +147,9 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     wl, el, dl = w[last], e[last], d[last]
     # a unit move of coefficient j adds or removes the points of its line;
     # the leaf runs inline `_edge_count` on lines n-2 and n-1, where the cut
-    # of ray 0 reads b[0] = 0, the gauge
-    lines = [line_cuts(v[j], v, [i for i in range(n) if i != j]) for j in range(n)]
+    # of ray 0 reads b[0] = 0, the gauge.  Coefficient 0 never moves, so ray
+    # 0 has no line
+    lines = [None] + [line_cuts(v[j], v, [i for i in range(n) if i != j]) for j in range(1, n)]
     line_q, line_last = lines[q], lines[last]
     (_, gq0, dq0), (_, gq1, dq1) = line_q[q - 1], line_q[q]
     (_, g0, d0), (_, g1, d1) = line_last[-1], line_last[0]
@@ -292,14 +294,16 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     # the checkpoint (hb, h) of each level; no level was called yet
     cp = [None] * n
     fresh = n
+    # the cone vertex m_0 = r1 (v[0][1], -v[0][0]) / d[0], on the lines
+    # <m, v[0]> = 0 and <m, v[1]> = -r1, lies in the section polytope of
+    # every nef divisor of class r1, so b[l] >= ceil(-<m_0, v[l]>) = ceil(r1
+    # det(v[0], v[l]) / d[0]); for l = 2 and l = n-1 these are the floors
+    # that rows 1 and 0 give
+    dets = [v[0][0] * vy - v[0][1] * vx for vx, vy in v]
     for r1 in range(d[0]):
         b[1] = r1
         move(1, r1)
-        # the cone vertex m_0 = r1 (v[0][1], -v[0][0]) / d[0], on the lines
-        # <m, v[0]> = 0 and <m, v[1]> = -r1, lies in the section polytope of
-        # every nef divisor of this class, so b[l] >= ceil(-<m_0, v[l]>); for
-        # l = 2 and l = n-1 these are the floors that rows 1 and 0 give
-        lows = [-(-r1 * (v[0][0] * vy - v[0][1] * vx) // d[0]) for vx, vy in v]
+        lows = [-(-r1 * t // d[0]) for t in dets]
         # least possible contribution of the coefficients from index j on
         rest_min = [0] * (n + 1)
         for j in range(last, 1, -1):
@@ -310,7 +314,7 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
         # polarization, whose gauge representative lies in the search region
         raise RuntimeError("no optimal vector found")
     # undo the rotation: b[j] is the coefficient of ray s + j
-    return vals, denom, [vec[n - s:] + vec[:n - s] for vec in vecs]
+    return vals, denom, [vec[n - s:] + vec[:n - s] for vec in vecs] if s else vecs
 
 
 def alg_capacities(p: MomentPolygon, k_max: int) -> CapacitySequence:

@@ -85,8 +85,22 @@ class ConcaveDomain(_Record):
 
     @classmethod
     def ellipsoid(cls, a, b) -> "ConcaveDomain":
+        """The ellipsoid E(a, b), the domain under the chain (0, b), (a, 0),
+        equal to `ConcaveDomain(((0, b), (a, 0)))` and failing as it does,
+        built without its chain checks: its integer view is read off a and
+        b directly."""
         a, b = frac(a), frac(b)
-        return cls(((Fraction(0), b), (a, Fraction(0))))
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        if bn <= 0:
+            raise NotConcave("chain must start on the positive y axis")
+        if an <= 0:
+            raise NotConcave("chain must end on the positive x axis")
+        scale = math.lcm(ad, bd)
+        zero = Fraction(0)
+        self = object.__new__(cls)
+        self.__dict__.update(chain=((zero, b), (a, zero)), _scale=scale,
+                             _ipts=((0, bn * (scale // bd)), (an * (scale // ad), 0)))
+        return self
 
     @classmethod
     def ball(cls, c) -> "ConcaveDomain":

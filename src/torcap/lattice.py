@@ -215,12 +215,16 @@ def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
     those of an unbounded walk, so the direction found is the same.
     """
     vs = p._ipts
-    widths = [(_width(vs, u), u[0] * u[0] + u[1] * u[1]) for u in p._normals]
-    h, uu = widths[0]
-    for w, q in widths:
-        if w * w * uu < h * h * q:
+    h = w0 = None
+    for (ux, uy), (x0, y0) in zip(p._normals, vs):
+        # along the inward normal of an edge the least value is on the edge
+        w = max([ux * x + uy * y for x, y in vs]) - ux * x0 - uy * y0
+        q = ux * ux + uy * uy
+        if h is None or w * w * uu < h * h * q:
             h, uu = w, q
-    hh, w0 = h * h, min(w for w, _ in widths)
+        if w0 is None or w < w0:
+            w0 = w
+    hh = h * h
     best, best_dir = _width(vs, (1, 0)), (1, 0)
     # one stream b = 0, -1, 1, -2, 2, ... per a (b = 1, 2, ... for a = 0), merged;
     # popping (a, 0) opens stream a + 1

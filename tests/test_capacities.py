@@ -333,6 +333,20 @@ def test_line_count_calls_of_many_edge_tables(monkeypatch):
     assert 3 * made[0] <= 86042 and 3 * made[1] <= 25990
 
 
+def test_table_cuts_the_lines_of_the_moving_coefficients(monkeypatch):
+    # coefficient 0 carries the gauge a_s = 0 and never moves, so one build
+    # of an n-gon's table cuts n - 1 lines, once for all gauge classes
+    calls = []
+    cuts = _table.line_cuts
+    monkeypatch.setattr(_table, "line_cuts", lambda *args: calls.append(1) or cuts(*args))
+    triangle = MomentPolygon(((0, 0), (2, 1), (1, 2)))
+    assert min(triangle._d) == 3
+    for p in (triangle, corpus.CORPUS["chopped-square"], OCTAGON):
+        calls.clear()
+        _table._compute_table(p, 12)
+        assert len(calls) == len(p) - 1, p
+
+
 def test_value_bound_of_a_polygon_with_a_large_g():
     # the hexagon's support numbers are integers and its vertex denominators
     # have lcm 70, so g = p._scale = 70 and P0 = p, whose least multiple with 9
@@ -669,6 +683,32 @@ def test_concave_domain_validation():
                        (Fraction(3), Fraction(0))))
     ConcaveDomain(((Fraction(0), Fraction(2)), (Fraction(1), Fraction(1)),
                    (Fraction(3), Fraction(0))))
+
+
+def test_ellipsoid_is_the_generic_two_vertex_chain():
+    # the direct constructor must build the record the generic one builds
+    rng = random.Random(2805)
+    pairs = [(1, 1), (2, 3), (Fraction(1, 2), 5)]
+    pairs += [(Fraction(rng.randint(1, 60), rng.randint(1, 12)),
+               Fraction(rng.randint(1, 60), rng.randint(1, 12))) for _ in range(200)]
+    for a, b in pairs:
+        direct, generic = ConcaveDomain.ellipsoid(a, b), ConcaveDomain(((0, b), (a, 0)))
+        assert direct == generic and repr(direct) == repr(generic)
+        assert [type(c) for pt in direct.chain for c in pt] == [Fraction] * 4
+        assert (direct._scale, direct._ipts) == (generic._scale, generic._ipts)
+        assert hash(direct) == hash(generic)
+        assert ech._concave_values(direct, 30) == ech._concave_values(generic, 30)
+    assert ConcaveDomain.ball(Fraction(3, 4)) == ConcaveDomain(((0, Fraction(3, 4)), (Fraction(3, 4), 0)))
+    # b is checked first, with the generic constructor's error and message
+    for a, b, message in ((1, 0, "start on the positive y axis"),
+                          (0, 0, "start on the positive y axis"),
+                          (-1, Fraction(-1, 2), "start on the positive y axis"),
+                          (0, 1, "end on the positive x axis"),
+                          (Fraction(-2, 3), 5, "end on the positive x axis")):
+        for build in (lambda: ConcaveDomain.ellipsoid(a, b),
+                      lambda: ConcaveDomain(((0, b), (a, 0)))):
+            with pytest.raises(NotConcave, match=message):
+                build()
 
 
 def test_concave_weights():

@@ -134,6 +134,27 @@ def test_minkowski_and_mixed_area():
     assert lattice.mixed_area(s, lattice.rectangle(2, 3)) == 5
 
 
+def _egcd_reference(a, b):
+    """The recursion egcd is defined by."""
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, x, y = _egcd_reference(b, a % b)
+    return (g, y, x - (a // b) * y)
+
+
+def test_egcd_matches_its_recursive_definition():
+    # `line_cuts` reads its constants off the coefficients, so egcd must
+    # return the recursion's (g, x, y), not just some Bezout pair
+    pairs = [(a, b) for a in range(-60, 61) for b in range(-60, 61) if (a, b) != (0, 0)]
+    rng = random.Random(2804)
+    pairs += [(rng.randint(-10 ** 18, 10 ** 18), rng.randint(-10 ** 18, 10 ** 18))
+              for _ in range(1000)]
+    for a, b in pairs:
+        g, x, y = lattice.egcd(a, b)
+        assert (g, x, y) == _egcd_reference(a, b), (a, b)
+        assert a * x + b * y == g == math.gcd(a, b)
+
+
 def test_width_along():
     p = lattice.rectangle(2, 3)
     assert lattice.width_along(p, (1, 0)) == 2
