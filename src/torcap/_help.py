@@ -30,9 +30,9 @@ def stop(prog: str, words: str, error: str | None) -> None:
                                           for word, sub in subcommands(words).items())]
     else:
         doc = entry[0].__doc__
-        usage = " ".join((*(o[0] if o[1] is ... else f"[{o[0]}]" for o in entry[3:]), entry[2]))
-        operands = [(2, name.strip("[]"), "") for name in entry[2].split()]
-        options += [(2, option[0], option[2]) for option in entry[3:]]
+        usage = " ".join((*(o[0] if o[1] is ... else f"[{o[0]}]" for o in entry[2:]), entry[1]))
+        operands = [(2, name.strip("[]"), "") for name in entry[1].split()]
+        options += [(2, option[0], option[2]) for option in entry[2:]]
     usage = f"usage: {prog} [-h] {usage}"
     if error is not None:
         print(usage, f"{prog}: error: {error}", sep="\n", file=sys.stderr)

@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ._base import CACHE_SIZE, CapacitySequence, _check_index
 from ._polygon import MomentPolygon, count_points, edge_lengths, line_count, line_cuts
-from .errors import NotAmple
 
 if TYPE_CHECKING:
     from .toric import TorusDivisor
@@ -126,8 +125,6 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     # pairing of each boundary divisor with the polarization; positive by
     # ampleness, so the objective is a positive linear form
     lengths = edge_lengths(p)
-    if not all(w > 0 for w in lengths):
-        raise NotAmple("polarization pairs non-positively with a boundary curve")
     # the pairings lengths[i] / p._scale over their least common denominator
     g_len = math.gcd(p._scale, *lengths)
     denom = p._scale // g_len

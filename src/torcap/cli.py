@@ -6,8 +6,9 @@ lines are ignored.  Numeric output is tab separated and exact; `--decimal`
 appends an approximate column.
 
 The grammar is the table `_COMMANDS`, which this module parses itself:
-cli() looks up the command words, imports that command's torcap modules
-alone, then parses the rest of the line.  `-h` or `--help` prints the help page on stdout.
+cli() looks up the command words, parses the rest of the line and reads each
+POLYGON and CHAIN operand; the command imports the torcap modules it runs.
+`-h` or `--help` prints the help page on stdout.
 
 Exit codes: 0 success (or compatible), 1 obstructed, or a verification with
 a mismatch or a skipped index, 2 bad input, 3 an internal iteration limit
@@ -21,7 +22,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from importlib import import_module
 
 # imported here, not only in the corpus command: bench/run.py reads the import
 # time of torcap.corpus from `-X importtime` of `import torcap.cli`, and a
@@ -103,16 +103,15 @@ def _echo_sequence(seq, k_max: int, decimal: bool) -> None:
 
 
 # Each command takes its operands as positional and its options as keyword
-# arguments, and returns its exit code, or None for 0.  It imports the torcap
-# modules it runs, which `_COMMANDS` lists so that cli() imports them first.
+# arguments, and returns its exit code, or None for 0.  cli() passes a POLYGON
+# as a `MomentPolygon` and a CHAIN as a `ConcaveDomain`.
 
 
 def capacities_cmd(polygon, k_max, decimal) -> None:
     """Algebraic capacities of the surface polarized by POLYGON."""
     from . import _table
 
-    p = parse_polygon(_read(polygon))
-    _echo_sequence(_table.alg_capacities(p, k_max), k_max, decimal)
+    _echo_sequence(_table.alg_capacities(polygon, k_max), k_max, decimal)
 
 
 def ech_ellipsoid_cmd(a, b, k_max, decimal) -> None:
@@ -129,25 +128,21 @@ def ech_convex_cmd(polygon, k_max, decimal) -> None:
     """Capacities of the convex toric domain over POLYGON."""
     from . import capacities
 
-    p = parse_polygon(_read(polygon))
-    _echo_sequence(capacities.ech_convex_capacities(p, k_max), k_max, decimal)
+    _echo_sequence(capacities.ech_convex_capacities(polygon, k_max), k_max, decimal)
 
 
 def ech_concave_cmd(chain, k_max, decimal) -> None:
     """Capacities of the concave toric domain under CHAIN."""
     from . import ech
 
-    omega = parse_chain(_read(chain))
-    _echo_sequence(ech.ech_concave_capacities(omega, k_max), k_max, decimal)
+    _echo_sequence(ech.ech_concave_capacities(chain, k_max), k_max, decimal)
 
 
 def embed(chain, polygon, k_max, decimal) -> int:
     """Capacity test for embedding the domain under CHAIN into POLYGON's surface."""
     from . import capacities
 
-    omega = parse_chain(_read(chain))
-    p = parse_polygon(_read(polygon))
-    verdict = capacities.embedding_verdict(omega, p, k_max)
+    verdict = capacities.embedding_verdict(chain, polygon, k_max)
     if verdict.compatible:
         print(f"COMPATIBLE\tk_max={k_max}")
         return 0
@@ -163,9 +158,9 @@ def width(polygon, k_max, decimal, xi) -> None:
     """Best capacity ratio for scaling a concave domain into POLYGON's surface."""
     from . import capacities
 
-    p = parse_polygon(_read(polygon))
+    # `--xi=` names no file: the unit ball
     omega = parse_chain(_read(xi)) if xi else capacities.ConcaveDomain.ball(1)
-    res = capacities.xi_width(p, omega, k_max)
+    res = capacities.xi_width(polygon, omega, k_max)
     print(_row((res.value, f"k={res.argmin_k}",
                 "stable" if res.stable else "unstable"), decimal))
 
@@ -174,8 +169,7 @@ def lattice_width_cmd(polygon, decimal) -> None:
     """Lattice width of POLYGON and a minimizing direction."""
     from . import lattice
 
-    p = parse_polygon(_read(polygon))
-    w, direction = lattice.lattice_width(p)
+    w, direction = lattice.lattice_width(polygon)
     print(_row((w, f"{direction[0]},{direction[1]}"), decimal))
 
 
@@ -183,8 +177,7 @@ def transform_ip(polygon, coeffs) -> None:
     """Iterate the isoparametric transform of a divisor until it is nef."""
     from . import toric
 
-    p = parse_polygon(_read(polygon))
-    y = toric.build_surface(p)
+    y = toric.build_surface(polygon)
     try:
         values = tuple(Fraction(int(c)) for c in coeffs.split(","))
     except ValueError:
@@ -198,8 +191,7 @@ def resolve(polygon) -> None:
     """Rays of the smooth refinement of POLYGON's normal fan."""
     from . import toric
 
-    p = parse_polygon(_read(polygon))
-    y = toric.resolve(toric.build_surface(p))
+    y = toric.resolve(toric.build_surface(polygon))
     for vx, vy in y.rays:
         print(f"{vx}\t{vy}")
 
@@ -231,17 +223,15 @@ def verify_calg(polygon, k_max, box) -> int:
     """Cross check capacities against the exhaustive boxed scan."""
     from . import _table, oracle
 
-    p = parse_polygon(_read(polygon))
-    seq = _table.alg_capacities(p, k_max)
-    return _verify_rows(k_max, lambda k: (seq[k], oracle.brute_calg(p, k, box)))
+    seq = _table.alg_capacities(polygon, k_max)
+    return _verify_rows(k_max, lambda k: (seq[k], oracle.brute_calg(polygon, k, box)))
 
 
 def verify_sw(polygon, k_max, box) -> int:
     """Check the index-constrained infimum against the section-constrained one."""
     from . import oracle
 
-    p = parse_polygon(_read(polygon))
-    return _verify_rows(k_max, lambda k: oracle.sw_equals_nef(p, k, box)[:2])
+    return _verify_rows(k_max, lambda k: oracle.sw_equals_nef(polygon, k, box)[:2])
 
 
 def corpus_cmd(name=None) -> None:
@@ -267,26 +257,28 @@ _VERIFY = (("--k-max K_MAX", 5, "Largest capacity index to check (default: 5).",
            ("--box BOX", 6, "Brute force coefficient bound (default: 6).", 0))
 
 # The command line grammar, by the words that name each group or command, in
-# help order.  A group maps to its help; a command to its function, the
-# torcap modules it runs, its operands (in brackets when optional) and its
-# options.  The function's docstring is the command's help.
+# help order.  A group maps to its help; a command to its function, its
+# operands (in brackets when optional) and its options.  The function's
+# docstring is the command's help.  cli() reads the operands that `_READERS`
+# names, in operand order, from their files (`-` for stdin) by its parsers.
+_READERS = {"POLYGON": parse_polygon, "CHAIN": parse_chain}
 _COMMANDS = {
     "": "Exact capacities of toric surfaces and embedding obstructions.",
-    "capacities": (capacities_cmd, "_table", "POLYGON", *_SEQUENCE),
+    "capacities": (capacities_cmd, "POLYGON", *_SEQUENCE),
     "ech": "ECH capacity sequences of toric domains.",
-    "ech ellipsoid": (ech_ellipsoid_cmd, "ech", "A B", *_SEQUENCE),
-    "ech convex": (ech_convex_cmd, "capacities", "POLYGON", *_SEQUENCE),
-    "ech concave": (ech_concave_cmd, "ech", "CHAIN", *_SEQUENCE),
-    "embed": (embed, "capacities", "CHAIN POLYGON", *_FROM_ONE),
-    "width": (width, "capacities", "POLYGON", *_FROM_ONE,
+    "ech ellipsoid": (ech_ellipsoid_cmd, "A B", *_SEQUENCE),
+    "ech convex": (ech_convex_cmd, "POLYGON", *_SEQUENCE),
+    "ech concave": (ech_concave_cmd, "CHAIN", *_SEQUENCE),
+    "embed": (embed, "CHAIN POLYGON", *_FROM_ONE),
+    "width": (width, "POLYGON", *_FROM_ONE,
               ("--xi XI", None, "Chain file for the domain to scale (default: unit ball).", None)),
-    "lattice-width": (lattice_width_cmd, "lattice", "POLYGON", _DECIMAL),
-    "transform-ip": (transform_ip, "toric", "POLYGON", ("--coeffs COEFFS", ...,
+    "lattice-width": (lattice_width_cmd, "POLYGON", _DECIMAL),
+    "transform-ip": (transform_ip, "POLYGON", ("--coeffs COEFFS", ...,
                      "Comma separated integer divisor coefficients, one per edge.", None)),
-    "resolve": (resolve, "toric", "POLYGON"),
-    "verify-calg": (verify_calg, "_table oracle", "POLYGON", *_VERIFY),
-    "verify-sw": (verify_sw, "oracle", "POLYGON", *_VERIFY),
-    "corpus": (corpus_cmd, "lattice", "[NAME]"),
+    "resolve": (resolve, "POLYGON"),
+    "verify-calg": (verify_calg, "POLYGON", *_VERIFY),
+    "verify-sw": (verify_sw, "POLYGON", *_VERIFY),
+    "corpus": (corpus_cmd, "[NAME]"),
 }
 
 def _is_option(token: str) -> bool:
@@ -298,9 +290,9 @@ def _is_option(token: str) -> bool:
 
 
 def _parse(prog_name: str, args) -> tuple:
-    """The function of the command that args names, with the command's
-    modules imported, its operands and its options by keyword.  Help exits
-    0; a command line that does not parse exits 2 with its usage on stderr."""
+    """The function of the command that args names, its (name, value)
+    operands and its options by keyword.  Help exits 0; a command line that
+    does not parse exits 2 with its usage on stderr."""
     words, prog, tokens = "", prog_name, iter(args)
 
     def stop(error: str | None = None) -> None:
@@ -322,9 +314,7 @@ def _parse(prog_name: str, args) -> tuple:
                  f"(choose from {', '.join(map(repr, subcommands(words)))})")
         words, prog = f"{words} {token}".lstrip(), f"{prog} {token}"
 
-    run, modules, operands, *specs = _COMMANDS[words]
-    for module in modules.split():
-        import_module(f".{module}", __package__)
+    run, operands, *specs = _COMMANDS[words]
     options = {spec[0].split()[0]: spec for spec in specs}
     values = {name: spec[1] for name, spec in options.items()}
     given, unknown = [], []
@@ -358,7 +348,7 @@ def _parse(prog_name: str, args) -> tuple:
         stop(f"the following arguments are required: {', '.join(missing)}")
     if unknown := unknown + given[len(names):]:
         stop(f"unrecognized arguments: {' '.join(unknown)}")
-    return run, given, {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return run, zip(names, given), {n[2:].replace("-", "_"): v for n, v in values.items()}
 
 
 def cli(args=None, prog_name: str = "torcap") -> None:
@@ -367,7 +357,8 @@ def cli(args=None, prog_name: str = "torcap") -> None:
     that does not parse exits 2."""
     run, operands, options = _parse(prog_name, sys.argv[1:] if args is None else args)
     try:
-        code = run(*operands, **options)
+        code = run(*(_READERS[name](_read(value)) if name in _READERS else value
+                     for name, value in operands), **options)
         # a failed write, say to a closed pipe, is reported here too
         sys.stdout.flush()
     except (TorcapError, OSError) as exc:

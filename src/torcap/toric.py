@@ -380,30 +380,24 @@ def round_down_nef(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:
 def resolve(y: ToricSurface) -> ToricSurface:
     """Smooth surface whose fan refines y's, by ray insertion.
 
-    In every singular cone the unique primitive w in the cone with
-    det(u, w) = 1 against the left generator is inserted; the residual cone
-    has strictly smaller determinant, so this terminates with all cones
-    unimodular.
+    In every singular cone (u, v) the unique primitive w in the cone with
+    det(u, w) = 1 is inserted after u; the cone (u, w) is smooth and the
+    residual cone (w, v) has strictly smaller determinant, so inserting into
+    it until it is smooth resolves each cone in one pass.
     """
-    rays = list(y.rays)
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        n = len(rays)
-        for i in range(n):
-            u, v = rays[i], rays[(i + 1) % n]
-            out.append(u)
-            d = det2(u, v)
-            if d > 1:
-                out.append(_hj_insert(u, v))
-                changed = True
-        rays = out
+    rays = []
+    for i, u in enumerate(y.rays):
+        v = y.rays[(i + 1) % len(y.rays)]
+        rays.append(u)
+        while det2(u, v) > 1:
+            u = _hj_insert(u, v)
+            rays.append(u)
     return ToricSurface(tuple(rays))
 
 
 def _hj_insert(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    """Primitive w inside cone(u, v) with det(u, w) = 1 and det(w, v) minimal."""
+    """The w inside cone(u, v) with det(u, w) = 1, so primitive, and det(w, v)
+    minimal."""
     # solve det(u, w0) = u0*wy - u1*wx = 1
     _g, s, t = egcd(u[0], -u[1])
     # u0*s + (-u1)*t = 1, so w0 = (t, s) has det(u, w0) = 1
@@ -411,7 +405,6 @@ def _hj_insert(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     d = det2(u, v)
     c = det2(w0, v)
     # w = w0 + k*u keeps det(u, w) = 1 and has det(w, v) = c + k*d;
-    # the smallest positive value puts w inside the cone
-    k = math.ceil(Fraction(1 - c, d))
-    w = (w0[0] + k * u[0], w0[1] + k * u[1])
-    return primitive(w)
+    # the smallest positive value, at k = ceil((1 - c) / d), puts w inside the cone
+    k = -((c - 1) // d)
+    return (w0[0] + k * u[0], w0[1] + k * u[1])

@@ -14,7 +14,7 @@ from conftest import (OCTAGON, TWELVE_GON, random_chain, random_domain_polygon, 
 from torcap import _base, _polygon, _table, capacities, corpus, ech, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
 from torcap.errors import (IndexTooSmall, InvalidInput, IterationLimit, NoSmoothVertex,
-                           NonPositiveArea, NotAmple, NotConcave, NotDomainPolygon, TorcapError)
+                           NonPositiveArea, NotConcave, NotDomainPolygon, TorcapError)
 from torcap.lattice import MomentPolygon
 from torcap.toric import TorusDivisor
 
@@ -510,15 +510,6 @@ def test_table_cache_is_bounded(monkeypatch):
     for i in range(_base.CACHE_SIZE + 1):
         capacities.calg(lattice.translate(lattice.rectangle(1, 1), (i, 0)), 1)
     assert len(_table._TABLES) == _base.CACHE_SIZE
-
-
-def test_non_positive_weight_raises_typed_error(monkeypatch):
-    lengths = lattice.edge_lengths
-    monkeypatch.setattr(_table, "edge_lengths", lambda p: tuple(-w for w in lengths(p)))
-    monkeypatch.setattr(_table, "_TABLES", {})
-    with pytest.raises(NotAmple) as info:
-        capacities.calg(lattice.rectangle(1, 1), 1)
-    assert isinstance(info.value, TorcapError)
 
 
 def test_ech_ellipsoid_values():

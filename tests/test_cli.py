@@ -378,17 +378,10 @@ COMMANDS = ["capacities", "ech", "ech ellipsoid", "ech convex", "ech concave", "
 TOP_COMMANDS = [command for command in COMMANDS if " " not in command]
 
 
-def test_every_command_lists_its_modules():
-    """The table runs the commands that the help pages list, and each names
-    the torcap modules it runs."""
-    package = os.path.dirname(torcap.__file__)
-    leaves = {words: entry for words, entry in cli_module._COMMANDS.items()
-              if not isinstance(entry, str)}
-    assert set(leaves) == set(COMMANDS) - {"ech"}
-    for words, entry in leaves.items():
-        assert entry[1].split(), words
-        for name in entry[1].split():
-            assert os.path.isfile(os.path.join(package, f"{name}.py")), (words, name)
+def test_table_runs_every_listed_command():
+    """The table runs the commands that the help pages list."""
+    leaves = {words for words, entry in cli_module._COMMANDS.items() if not isinstance(entry, str)}
+    assert leaves == set(COMMANDS) - {"ech"}
 
 
 @pytest.mark.parametrize("command", COMMANDS)

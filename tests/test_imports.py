@@ -60,60 +60,69 @@ def test_import_cli_loads_no_math_module():
         "torcap", "torcap.cli", "torcap.corpus", "torcap.errors"]
 
 
-def _loaded_by_command(tmp_path, args) -> list:
-    """The torcap modules that the command line args loads, run with the
-    files it may name in tmp_path; the command must exit 0."""
+# the modules that every command line loads, help pages and usage errors too
+CLI_MODULES = ["torcap", "torcap.cli", "torcap.corpus", "torcap.errors"]
+
+
+def _command_loads(tmp_path, args) -> list:
+    """The exit code of the command line args, whether it loaded argparse,
+    and the torcap modules it loaded, run in a fresh interpreter with the
+    files it may name in tmp_path."""
     (tmp_path / "square.poly").write_text(SQUARE)
     (tmp_path / "ball.chain").write_text("0 1/2\n1/2 0\n")
     (tmp_path / "chain.txt").write_text(CHAIN)
     statement = ("from torcap.cli import cli\n"
-                 f"try:\n    cli({args!r})\nexcept SystemExit as exc:\n    assert exc.code == 0")
+                 f"try:\n    cli({args!r})\nexcept SystemExit as exc:\n"
+                 "    print(exc.code, 'argparse' in sys.modules, end=' ', file=sys.stderr)")
     return _loaded_after(statement, tmp_path)
 
 
-@pytest.mark.parametrize("args", [["ech", "concave", "chain.txt", "--k-max", "5"],
-                                  ["ech", "ellipsoid", "1", "2", "--k-max", "5"]])
-def test_ech_commands_load_no_toric_code(tmp_path, args):
-    # ech and the modules every command loads: no polygon, table or toric code
-    assert _loaded_by_command(tmp_path, args) == [
-        "torcap", "torcap._base", "torcap.cli", "torcap.corpus", "torcap.ech", "torcap.errors"]
+# the further torcap modules that each command loads, README's table: the
+# capacity search reads its fan and weights off the polygon, with no toric
+# code, and the oracle its rays, weights and intersection numbers, with no
+# toric or lattice code
+_ECH_VERDICTS = "_base _polygon _table capacities ech lattice"
+_LATTICE = "_base _polygon lattice"
+_TORIC = "_base _polygon lattice toric"
+COMMAND_MODULES = [
+    (["capacities", "square.poly", "--k-max", "5"], "_base _polygon _table"),
+    (["ech", "ellipsoid", "1", "2", "--k-max", "5"], "_base ech"),
+    (["ech", "convex", "square.poly", "--k-max", "5"], _ECH_VERDICTS),
+    (["ech", "concave", "chain.txt", "--k-max", "5"], "_base ech"),
+    (["embed", "ball.chain", "square.poly", "--k-max", "5"], _ECH_VERDICTS),
+    (["width", "square.poly", "--k-max", "5"], _ECH_VERDICTS),
+    (["width", "square.poly", "--xi", "chain.txt", "--k-max", "5"], _ECH_VERDICTS),
+    (["lattice-width", "square.poly"], _LATTICE),
+    (["transform-ip", "square.poly", "--coeffs", "0,1,1,0"], _TORIC),
+    (["resolve", "square.poly"], _TORIC),
+    (["verify-calg", "square.poly", "--k-max", "3", "--box", "4"], "_base _polygon _table oracle"),
+    (["verify-sw", "square.poly", "--k-max", "3", "--box", "4"], "_base _polygon oracle"),
+    (["corpus"], _LATTICE),
+    (["corpus", "unit-square"], _LATTICE),
+]
 
 
-# all that `torcap capacities` loads, and so all it compiles without bytecode
-CAPACITIES_COMMAND_MODULES = ["torcap", "torcap._base", "torcap._polygon", "torcap._table",
-                              "torcap.cli", "torcap.corpus", "torcap.errors"]
+@pytest.mark.parametrize("args, modules", COMMAND_MODULES,
+                         ids=[" ".join(args) for args, _ in COMMAND_MODULES])
+def test_each_command_loads_its_modules_alone(tmp_path, args, modules):
+    """A command that runs to success loads the CLI's modules and its own,
+    and no argument parser; with no bytecode cached, this is all it compiles."""
+    assert _command_loads(tmp_path, args) == [
+        "0", "False", *sorted(CLI_MODULES + [f"torcap.{name}" for name in modules.split()])]
 
 
-@pytest.mark.parametrize("args", [["capacities", "square.poly", "--k-max", "5"],
-                                  ["ech", "convex", "square.poly", "--k-max", "5"],
-                                  ["embed", "ball.chain", "square.poly", "--k-max", "5"],
-                                  ["width", "square.poly", "--xi", "chain.txt", "--k-max", "5"]])
-def test_capacity_commands_load_no_toric_code(tmp_path, args):
-    """The capacity search reads its fan and weights off the polygon."""
-    loaded = _loaded_by_command(tmp_path, args)
-    if args[0] == "capacities":
-        # the table and the polygon core, with no ECH, lattice or verdict code
-        assert loaded == CAPACITIES_COMMAND_MODULES
-    else:
-        assert "torcap.capacities" in loaded
-    for module in ("toric", "oracle"):
-        assert f"torcap.{module}" not in loaded, module
+def test_module_table_covers_every_command():
+    words = {" ".join(args[:2] if args[0] == "ech" else args[:1]) for args, _ in COMMAND_MODULES}
+    assert words == {words for words, entry in cli._COMMANDS.items() if not isinstance(entry, str)}
 
 
-# all that `torcap verify-calg` loads: the oracle reads its rays, weights and
-# intersection numbers off the polygon, with no toric or lattice code
-VERIFY_CALG_COMMAND_MODULES = ["torcap", "torcap._base", "torcap._polygon", "torcap._table",
-                               "torcap.cli", "torcap.corpus", "torcap.errors", "torcap.oracle"]
-
-
-@pytest.mark.parametrize("command", ["verify-calg", "verify-sw"])
-def test_verify_commands_load_only_the_oracle(tmp_path, command):
-    loaded = _loaded_by_command(tmp_path, [command, "square.poly", "--k-max", "3", "--box", "4"])
-    if command == "verify-calg":
-        assert loaded == VERIFY_CALG_COMMAND_MODULES
-    else:
-        # the same without the fast path's table
-        assert loaded == [m for m in VERIFY_CALG_COMMAND_MODULES if m != "torcap._table"]
+@pytest.mark.parametrize("args", [["capacities", "--help"], ["ech", "concave", "--help"],
+                                  ["verify-calg", "square.poly", "--k-max", "x"]], ids=" ".join)
+def test_help_and_usage_errors_load_no_command_module(tmp_path, args):
+    """A help page or a usage error loads `_help` beside the CLI's modules,
+    and none of the command's."""
+    assert _command_loads(tmp_path, args) == [
+        "0" if "--help" in args else "2", "False", *sorted(CLI_MODULES + ["torcap._help"])]
 
 
 def test_oracle_scans_load_no_further_module():
@@ -146,37 +155,6 @@ def test_capacity_queries_after_import_load_no_module():
             "    capacities.embedding_verdict(capacities.ConcaveDomain.ball(c), p, 16)\n"
             f"print(holds, before == {LOADED}, file=sys.stderr)\n")
     assert _last_stderr_line(f"import sys\n{code}") == "True True"
-
-
-# the word sequences, space-joined, of the commands that the table runs
-LEAF_COMMANDS = sorted(words for words, entry in cli._COMMANDS.items()
-                       if not isinstance(entry, str))
-
-
-@pytest.mark.parametrize("words", LEAF_COMMANDS)
-def test_command_modules_are_imported_before_the_parser(tmp_path, words):
-    """The modules that the table lists for a command are all that the
-    command loads, and no argument parser module is loaded."""
-    (tmp_path / "p.txt").write_text(SQUARE)
-    (tmp_path / "chain.txt").write_text(CHAIN)
-    (tmp_path / "ball.txt").write_text("0 1/2\n1/2 0\n")
-    operands = {"ech ellipsoid": ["1", "2"], "ech concave": ["chain.txt"],
-                "embed": ["ball.txt", "p.txt"], "transform-ip": ["p.txt", "--coeffs", "0,1,1,0"],
-                "corpus": ["unit-square"], "verify-calg": ["p.txt", "--k-max", "2"],
-                "verify-sw": ["p.txt", "--k-max", "2"]}
-    args = [*words.split(), *operands.get(words, ["p.txt"])]
-    code = ("import sys\n"
-            "from importlib import import_module\n"
-            "from torcap import cli\n"
-            f"for name in cli._COMMANDS[{words!r}][1].split():\n"
-            "    import_module('torcap.' + name)\n"
-            f"before = {LOADED}\n"
-            "try:\n"
-            f"    cli.cli({args!r})\n"
-            "except SystemExit as exc:\n"
-            f"    print(exc.code, before == {LOADED}, 'argparse' in sys.modules,\n"
-            "          file=sys.stderr)\n")
-    assert _last_stderr_line(code, tmp_path) == "0 True False"
 
 
 @pytest.mark.parametrize("args", [["ech", "concave", "chain.txt", "--k-max", "5"], ["--help"],

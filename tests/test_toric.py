@@ -344,6 +344,38 @@ def test_resolve_keeps_support_polytope():
         assert toric.support_polytope(smooth, d) == p
 
 
+def _fixpoint_resolve(rays) -> tuple:
+    """Insert a ray into every singular cone of the fan, over and over until
+    no cone changes, each ray found by a rational ceiling and made primitive:
+    the reference for `toric.resolve`, which resolves each cone in one pass."""
+    rays = list(rays)
+    changed = True
+    while changed:
+        changed, out = False, []
+        for u, v in zip(rays, rays[1:] + rays[:1]):
+            out.append(u)
+            d = u[0] * v[1] - u[1] * v[0]
+            if d > 1:
+                _g, s, t = lattice.egcd(u[0], -u[1])
+                k = math.ceil(Fraction(1 - (t * v[1] - s * v[0]), d))
+                out.append(lattice.primitive((t + k * u[0], s + k * u[1])))
+                changed = True
+        rays = out
+    return tuple(rays)
+
+
+def test_resolve_matches_fixpoint_insertion():
+    rng = random.Random(29)
+    fans = [toric.build_surface(random_lattice_polygon(rng, size=18)) for _ in range(500)]
+    # the cones from (1, 0) to (-a, det) and from (-a, det) to (0, -1) have
+    # determinants det and a
+    for det, a in ((1000, 999), (3001, 1000), (1024, 1023), (2310, 1009), (1999, 1998),
+                   (1001, 500)):
+        fans.append(toric.ToricSurface(((1, 0), (-a, det), (0, -1))))
+    for y in fans:
+        assert toric.resolve(y).rays == _fixpoint_resolve(y.rays), y.rays
+
+
 def test_resolve_worse_singularities():
     rng = random.Random(27)
     for _ in range(20):
