@@ -343,6 +343,47 @@ def test_ech_ellipsoid_bad_argument_names_it(runner):
         assert res.stderr == f"error: {message}\n"
 
 
+def _open_error(path: str) -> str:
+    try:
+        open(path)
+    except OSError as exc:
+        return str(exc)
+    raise AssertionError(f"{path!r} opened")
+
+
+# Command lines with more than one bad operand, or a bad operand and a bad
+# option value, and the error that each reports: the first operand's, in
+# operand order, before any option is read.  bad.poly and bad.chain hold text
+# that does not parse; missing.poly and missing.chain do not exist, and the
+# error of opening a path is taken from `open` in the test's directory.
+FIRST_BAD_OPERAND = [
+    pytest.param(["embed", "bad.chain", "bad.poly"], "line 1: bad fraction 'x'",
+                 id="embed-bad-chain-and-polygon"),
+    pytest.param(["embed", "missing.chain", "missing.poly"], lambda: _open_error("missing.chain"),
+                 id="embed-missing-chain-and-polygon"),
+    pytest.param(["width", "missing.poly", "--xi", "missing.chain"],
+                 lambda: _open_error("missing.poly"),
+                 id="width-missing-polygon-and-xi"),
+    pytest.param(["width", "bad.poly", "--xi", "bad.chain"], "line 2: bad fraction '0.25'",
+                 id="width-bad-polygon-and-xi"),
+    pytest.param(["transform-ip", "bad.poly", "--coeffs", "0,x"], "line 2: bad fraction '0.25'",
+                 id="transform-ip-bad-polygon-and-coeffs"),
+    pytest.param(["capacities", ""], lambda: _open_error(""), id="capacities-empty-path"),
+    pytest.param(["ech", "ellipsoid", "x", "y"], "argument A: bad fraction 'x'",
+                 id="ech-ellipsoid-both-areas-bad"),
+]
+
+
+@pytest.mark.parametrize("args, message", FIRST_BAD_OPERAND)
+def test_first_bad_operand_is_reported(runner, tmp_path, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.poly").write_text("0 0\n1 0.25\n0 1\n")
+    (tmp_path / "bad.chain").write_text("0 x\n")
+    res = runner.invoke(cli, args)
+    message = message() if callable(message) else message
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_embed_and_width_reject_k_max_zero(runner, tmp_path):
     poly = _write(tmp_path, "p.txt", SQUARE)
     ball = _write(tmp_path, "b.txt", BALL_11_10)
