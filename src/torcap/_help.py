@@ -1,7 +1,9 @@
 """Help pages and usage errors of the command line grammar `cli._COMMANDS`.
 
 The CLI imports this module only to print one of them, so that a command
-line that runs a command does not compile it."""
+line that runs a command does not compile it.  The CLI passes its grammar
+in: this module imports nothing from `cli`, which under `python -m
+torcap.cli` runs as `__main__` and would load a second time."""
 
 from __future__ import annotations
 
@@ -9,25 +11,25 @@ import shutil
 import sys
 import textwrap
 
-from .cli import _COMMANDS
 
-
-def subcommands(words: str) -> dict:
-    """The table entries of the group `words`, by their last word."""
-    return {sub.rpartition(" ")[2]: entry for sub, entry in _COMMANDS.items()
+def subcommands(commands: dict, words: str) -> dict:
+    """The entries of the grammar `commands` in the group `words`, by their
+    last word."""
+    return {sub.rpartition(" ")[2]: entry for sub, entry in commands.items()
             if sub and sub.rpartition(" ")[0] == words}
 
 
-def stop(prog: str, words: str, error: str | None) -> None:
-    """Print the help page of the group or command `words` and exit 0, or,
-    given an error, print its usage line and the error on stderr and exit 2."""
-    entry = _COMMANDS[words]
+def stop(commands: dict, prog: str, words: str, error: str | None) -> None:
+    """Print the help page of the group or command `words` of the grammar
+    `commands` and exit 0, or, given an error, print its usage line and the
+    error on stderr and exit 2."""
+    entry = commands[words]
     # (indent, name, help) rows of the two sections of the page
     options = [(2, "-h, --help", "show this help message and exit")]
     if isinstance(entry, str):
         doc, usage = entry, "COMMAND ..."
         operands = [(2, "COMMAND", ""), *((4, word, sub if isinstance(sub, str) else sub[0].__doc__)
-                                          for word, sub in subcommands(words).items())]
+                                          for word, sub in subcommands(commands, words).items())]
     else:
         doc = entry[0].__doc__
         usage = " ".join((*(o[0] if o[1] is ... else f"[{o[0]}]" for o in entry[2:]), entry[1]))

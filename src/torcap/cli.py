@@ -299,7 +299,7 @@ def _parse(prog_name: str, args) -> tuple:
         # the help and usage code loads, and compiles, only to print a page
         from . import _help
 
-        _help.stop(prog, words, error)
+        _help.stop(_COMMANDS, prog, words, error)
 
     while isinstance(_COMMANDS[words], str):
         token = next(tokens, None)
@@ -311,7 +311,7 @@ def _parse(prog_name: str, args) -> tuple:
             from ._help import subcommands
 
             stop(f"argument COMMAND: invalid choice: {token!r} "
-                 f"(choose from {', '.join(map(repr, subcommands(words)))})")
+                 f"(choose from {', '.join(map(repr, subcommands(_COMMANDS, words)))})")
         words, prog = f"{words} {token}".lstrip(), f"{prog} {token}"
 
     run, operands, *specs = _COMMANDS[words]

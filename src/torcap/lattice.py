@@ -13,8 +13,6 @@ and `IntVec`.
 
 from __future__ import annotations
 
-import heapq
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -34,10 +32,6 @@ from ._polygon import (  # noqa: F401  (re-exported)
 from .errors import ChopTooLarge, InvalidInput, NoSmoothVertex
 
 
-def point(x, y) -> Point:
-    return (frac(x), frac(y))
-
-
 class UnimodularAffineMap(_Record):
     """x -> M x + t with M an integer matrix of determinant +-1."""
 
@@ -52,10 +46,6 @@ class UnimodularAffineMap(_Record):
     @classmethod
     def identity(cls) -> "UnimodularAffineMap":
         return cls(((1, 0), (0, 1)), (Fraction(0), Fraction(0)))
-
-    @classmethod
-    def translation(cls, v) -> "UnimodularAffineMap":
-        return cls(((1, 0), (0, 1)), (frac(v[0]), frac(v[1])))
 
     @property
     def det(self) -> int:
@@ -205,41 +195,41 @@ def width_along(p: MomentPolygon, l: IntVec) -> Fraction:
 def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
     """Minimal directional lattice extent and a minimizing primitive direction.
 
-    Directions l = (a, b), a > 0 or a = 0 < b, are walked in the order
-    (|l|^2, |b|, b, a); the first narrowest wins.  The polygon's Euclidean
-    width is h / |u|, least over its edge normals u, so the width along l is
-    at least |l| h / |u|, and the walk stops once that passes min(best, w0):
-    best the narrowest width so far, w0 the narrowest edge normal width.
-    Every direction as narrow as the lattice width, the first one included,
-    comes before the stop, and the walk order and its strict update are
-    those of an unbounded walk, so the direction found is the same.
+    The width w(l) = max - min of <l, x> over p is a norm on directions; the
+    generalized Gauss reduction in it (Kaib-Schnorr) ends in a basis a, b with
+    w(a) <= w(b) <= w(b - t a) for all integers t, which attains both
+    successive minima.  Returned is the first narrowest l = (x, y), x > 0 or
+    x = 0 < y, in the order (|l|^2, |y|, y, x).  Only +-a are narrowest if
+    w(b) > w(a), else only +-(i a + j b) with |i| + |j| <= 3: by Minkowski the
+    body w <= w(a), with no nonzero lattice point inside, has area at most 4,
+    and it holds the hull of +-a, +-b, +-(i a + j b), of area |i| + |j| + 1.
     """
     vs = p._ipts
-    h = w0 = None
-    for (ux, uy), (x0, y0) in zip(p._normals, vs):
-        # along the inward normal of an edge the least value is on the edge
-        w = max([ux * x + uy * y for x, y in vs]) - ux * x0 - uy * y0
-        q = ux * ux + uy * uy
-        if h is None or w * w * uu < h * h * q:
-            h, uu = w, q
-        if w0 is None or w < w0:
-            w0 = w
-    hh = h * h
-    best, best_dir = _width(vs, (1, 0)), (1, 0)
-    # one stream b = 0, -1, 1, -2, 2, ... per a (b = 1, 2, ... for a = 0), merged;
-    # popping (a, 0) opens stream a + 1
-    heap = [(1, 0, 0, 1), (1, 1, 1, 0)]
-    while heap[0][0] * hh <= min(best, w0) ** 2 * uu:
-        _norm, _abs, b, a = heapq.heappop(heap)
-        nb = b + 1 if a == 0 else -b if b < 0 else -b - 1
-        heapq.heappush(heap, (a * a + nb * nb, abs(nb), nb, a))
-        if a and not b:
-            heapq.heappush(heap, ((a + 1) ** 2, 0, 0, a + 1))
-        if math.gcd(a, b) == 1:
-            w = _width(vs, (a, b))
-            if w < best:
-                best, best_dir = w, (a, b)
-    return Fraction(best, p._scale), best_dir
+
+    def f(t: int) -> int:  # the width along b - t a
+        return _width(vs, (b[0] - t * a[0], b[1] - t * a[1]))
+
+    a, b = (1, 0), (0, 1)
+    wa, wb = _width(vs, a), _width(vs, b)
+    while True:
+        if wa > wb:
+            a, b, wa, wb = b, a, wb, wa
+        if f(1) >= wb:
+            a = (-a[0], -a[1])  # f is convex: below w(b) on one side of 0 at most
+            if f(1) >= wb:
+                break
+        # f(t) >= t w(a) - w(b), so its first minimum t >= 1 is at most 2 w(b) / w(a)
+        lo, hi = 0, 2 * wb // wa
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if f(mid + 1) >= f(mid) else (mid, hi)
+        b, wb = (b[0] - hi * a[0], b[1] - hi * a[1]), f(hi)
+    # only +-a are narrowest if w(b) > w(a); of +-l, the larger has x > 0 or x = 0 < y
+    cands = [a] if wb > wa else [(i * a[0] + j * b[0], i * a[1] + j * b[1]) for i, j in (
+        (1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))]
+    cands = sorted((max(l, (-l[0], -l[1])) for l in cands),
+                   key=lambda l: (l[0] ** 2 + l[1] ** 2, abs(l[1]), l[1], l[0]))
+    return Fraction(wa, p._scale), next(l for l in cands if _width(vs, l) == wa)
 
 
 def vertex_directions(p: MomentPolygon, i: int) -> tuple[IntVec, IntVec]:

@@ -438,6 +438,26 @@ def test_calg_at_ehrhart_indices_is_the_multiple_of_the_polygon():
     assert anchors >= 200
 
 
+def test_calg_is_at_most_k_times_the_lattice_width():
+    # a segment of k + 1 lattice points along a primitive direction l is the
+    # section polytope of a nef divisor whose value is k times P's width
+    # along l, so c_k <= k LW(P), with LW the lattice width; at k = 1 this
+    # is the Gromov width bound, with equality on the unit square and on 2P^2
+    rng = random.Random(63)
+    polygons = [*corpus.CORPUS.values(), OCTAGON]
+    polygons += [lattice.scale(random_lattice_polygon(rng, size=rng.choice((2, 3, 4))), s)
+                 for s in (1, Fraction(1, 2), Fraction(2, 3)) for _ in range(70)]
+    equalities = 0
+    for p in polygons:
+        lw, seq = lattice.lattice_width(p)[0], capacities.alg_capacities(p, 30)
+        for k in range(31):
+            assert seq[k] <= k * lw, (p.vertices, k)
+            equalities += k > 0 and seq[k] == k * lw
+    assert equalities >= 300  # 343 of 6,630 at k >= 1
+    for p in (lattice.rectangle(1, 1), lattice.triangle(2, 2)):
+        assert capacities.calg(p, 1) == lattice.lattice_width(p)[0]
+
+
 def test_row_counter_matches_count_points():
     # count_points sums the rows of the section polytope, nef or not
     rng = random.Random(38)
@@ -944,7 +964,8 @@ def test_xi_width():
 def test_xi_width_stable_flag_is_a_heuristic():
     """`stable` only says the minimizer lies in the first half of the
     horizon: here a longer horizon finds a smaller ratio past k = 200.  The
-    regression case for an exact width verdict (ROADMAP item 4)."""
+    regression case for an exact width verdict (the ROADMAP item on Cremona
+    reduction)."""
     p = MomentPolygon(((0, 1), (4, 0), (4, 3), (2, 4), (1, 3)))
     omega = ConcaveDomain(((0, Fraction(5, 4)), (3, 0)))
     assert capacities.xi_width(p, omega, 200) == capacities.XiWidth(

@@ -16,14 +16,17 @@ SQUARE = "0 0\n1 0\n1 1\n0 1\n"
 CHAIN = "0 2\n1 1/2\n3/2 0\n"
 
 
-def _last_stderr_line(code: str, cwd=None) -> str:
-    """The last line that `python -c code` writes on stderr, run in a fresh
-    interpreter that finds torcap."""
+def _python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """`python args`, run in a fresh interpreter that finds torcap."""
     src = os.path.dirname(os.path.dirname(torcap.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    res = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True,
-                         text=True, timeout=60)
-    return res.stderr.splitlines()[-1]
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def _last_stderr_line(code: str, cwd=None) -> str:
+    """The last line that `python -c code` writes on stderr."""
+    return _python("-c", code, cwd=cwd).stderr.splitlines()[-1]
 
 
 LOADED = "sorted(m for m in sys.modules if m.startswith('torcap'))"
@@ -123,6 +126,19 @@ def test_help_and_usage_errors_load_no_command_module(tmp_path, args):
     and none of the command's."""
     assert _command_loads(tmp_path, args) == [
         "0" if "--help" in args else "2", "False", *sorted(CLI_MODULES + ["torcap._help"])]
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["capacities"], 2)],
+                         ids=["--help", "capacities"])
+def test_cli_as_main_loads_once(args, code):
+    """Under `python -m torcap.cli` the CLI runs as `__main__`: a help page
+    or a usage error loads `_help`, and an import of `torcap.cli` from it
+    would compile and run the CLI a second time."""
+    res = _python("-X", "importtime", "-m", "torcap.cli", *args)
+    imported = [line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert res.returncode == code
+    assert "torcap._help" in imported and "torcap.cli" not in imported
 
 
 def test_oracle_scans_load_no_further_module():

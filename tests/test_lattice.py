@@ -195,13 +195,15 @@ def test_lattice_width_is_attained_and_minimal_nearby():
                     assert lattice.width_along(p, (a, b)) >= w
 
 
-def test_lattice_width_walk_stops_at_the_best_width(monkeypatch):
-    # the strip has lattice width 1 along its edge normal (8, -5) and
-    # Euclidean width 1 / sqrt(89), so the walk stops past |l|^2 = 89: 92
-    # primitive directions, besides the edge normals.  The triangle has
-    # lattice width 1 and Euclidean width 1 / |(17, 104)|, its area over half
-    # its longest edge, so the walk stops past |l|^2 = 11,105: about 10,600
+def test_lattice_width_evaluates_few_directions(monkeypatch):
+    # the reduction bisects for each reduction coefficient, so the width
+    # evaluations grow with the log of the coordinates, however far from the
+    # axes the narrowest direction lies: the strip of lattice width 1 along
+    # its edge normal (8, -5), the triangle narrowest along (49, -8) and the
+    # parallelogram sheared by 10^9 each take a few dozen
     thin = lattice.apply(UnimodularAffineMap(((5, 8), (8, 13)), (0, 0)), lattice.rectangle(10, 1))
+    n = 10 ** 9
+    sheared = MomentPolygon(((0, 0), (1, 0), (n + 1, 1), (n, 1)))
     calls = []
     width = lattice._width
 
@@ -210,11 +212,11 @@ def test_lattice_width_walk_stops_at_the_best_width(monkeypatch):
         return width(ipts, l)
 
     monkeypatch.setattr(lattice, "_width", spy)
-    assert lattice.lattice_width(thin) == (1, (8, -5))
-    assert len(calls) < 120
-    calls.clear()
-    assert lattice.lattice_width(SKEWED_TRIANGLE) == (1, (49, -8))
-    assert len(calls) < 15_000
+    for p, expected, bound in ((thin, (1, (8, -5)), 60), (SKEWED_TRIANGLE, (1, (49, -8)), 60),
+                               (sheared, (1, (0, 1)), 120)):
+        calls.clear()
+        assert lattice.lattice_width(p) == expected
+        assert len(calls) < bound, p.vertices
 
 
 def test_smooth_vertices():
