@@ -117,8 +117,9 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
     level l was called restores the checkpoint of level l, the first leaf
     vector under its last call, nef and equal below l-1, raises coefficients
     from s-1 down, lowers them after, and checkpoints levels l, ..., n-2.
-    Later runs move only the last two, raising a_{s-1} before a_{s-2} and
-    lowering it after, which keeps every row but s-1 nonnegative.
+    Later runs only raise the last two, a_{s-1} before a_{s-2}, which keeps
+    every row but s-1 nonnegative: by the floor lemma at the gauge loop
+    below, no level's floor falls as its coefficient rises.
     """
     rays = p._normals
     n = len(rays)
@@ -206,96 +207,93 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
         # range, the value and the least rest pass the bound
         for c in range(c, c + 1 if j == 1 else (bound - partial - rest_min[j + 1]) // wj + 1):
             value = partial + c * wj
-            # least b[j+1] that keeps row j nonnegative; it does not fall as c
-            # rises when e[j] >= 0, and then the first c over the bound ends j
+            # least b[j+1] that keeps row j nonnegative; by the floor lemma
+            # it does not fall as c rises, so the first c over the bound ends j
             lo = -((b[j - 1] * d[j] - c * e[j]) // d[j - 1])
             if lo < lows[j + 1]:
                 lo = lows[j + 1]
-            if value + lo * wn + rest <= bound:
-                b[j] = c
-                if j < q:
-                    search(j + 1, value, lo)
-                else:
-                    # the leaf run: b[last] from lo upward.  lo keeps rows q
-                    # and 0 nonnegative; row last, c d[last] - b[last] e[last]
-                    # >= 0 as b[0] = 0, and the bound cap it at hi
-                    r = c * dl
-                    hi = (bound - value) // wl
-                    if el > 0:
-                        cap = r // el
-                        if cap < hi:
-                            hi = cap
-                    elif el < 0:
-                        cap = -(-r // el)
-                        if cap > lo:
-                            lo = cap
-                    elif r < 0:
-                        hi = lo - 1
-                    if lo <= hi:
-                        if fresh < n:
-                            # the first run since level fresh was called
-                            b[last] = lo
-                            if fresh > 1:
-                                hb[:], h = cp[fresh]
-                                nef = True
-                            first = max(fresh - 1, 2)
-                            for i in range(last, first - 1, -1):
-                                if hb[i] < b[i]:
-                                    move(i, b[i])
-                            for i in range(first, n):
-                                if hb[i] > b[i]:
-                                    move(i, b[i])
-                            nef = True
-                            cp[fresh:last] = [(tuple(hb), h)] * (last - fresh)
-                            fresh = n
-                        else:
-                            # from the last run's first vector; only row n-1 can
-                            # turn negative, and then line n-1 holds no point and
-                            # line n-2 is not an edge
-                            while hb[last] < lo:
-                                hb[last] = y = hb[last] + 1
-                                if y * el <= hb[q] * dl:
-                                    h += (y * g0 - hb[q]) // d0 + (-y * g1) // d1 + 1
-                            while hb[q] < c:
-                                hb[q] = x = hb[q] + 1
-                                h += (line_count(line_q, hb, x) if hb[last] * el > x * dl else
-                                      (x * gq0 - hb[q - 1]) // dq0 + (hb[last] - x * gq1) // dq1 + 1)
-                            while hb[last] > lo:
-                                h -= (hb[last] * g0 - c) // d0 + (-hb[last] * g1) // d1 + 1
-                                hb[last] -= 1
-                        # the first vector's count is h; raising b[last] to y
-                        # adds the points of edge n-1, as every vector of the
-                        # run is nef
-                        count, value = h, value + lo * wl
-                        for y in range(lo + 1, hi + 2):
-                            # the per-index optima are nondecreasing, and a later
-                            # vector wins only with a strictly smaller value, so
-                            # the entries this vector improves end at its count
-                            k = count - 1 if count <= k_max else k_max
-                            if k >= 0 and value < vals[k]:
-                                b[last] = y - 1
-                                vec = tuple(b)
-                                while k >= 0 and value < vals[k]:
-                                    vals[k], vecs[k] = value, vec
-                                    k -= 1
-                                if count > k_max:
-                                    # feasible at the top index: nothing more
-                                    # expensive can improve any entry of the table
-                                    bound = value
-                                    break
-                            value += wl
-                            count += (y * g0 - c) // d0 + (-y * g1) // d1 + 1
-            elif e[j] >= 0 or value + rest_min[j + 1] > bound:
+            if value + lo * wn + rest > bound:
                 return
+            b[j] = c
+            if j < q:
+                search(j + 1, value, lo)
+                continue
+            # the leaf run: b[last] from lo, which keeps rows q and 0
+            # nonnegative, up to hi, where the bound or row last, c d[last] -
+            # b[last] e[last] as b[0] = 0, caps it; by the floor lemma that
+            # row caps it only where e[last] > 0
+            hi = (bound - value) // wl
+            if el > 0:
+                cap = c * dl // el
+                if cap < hi:
+                    hi = cap
+            if lo > hi:
+                continue
+            if fresh < n:
+                # the first run since level fresh was called
+                b[last] = lo
+                if fresh > 1:
+                    hb[:], h = cp[fresh]
+                    nef = True
+                first = max(fresh - 1, 2)
+                for i in range(last, first - 1, -1):
+                    if hb[i] < b[i]:
+                        move(i, b[i])
+                for i in range(first, n):
+                    if hb[i] > b[i]:
+                        move(i, b[i])
+                nef = True
+                cp[fresh:last] = [(tuple(hb), h)] * (last - fresh)
+                fresh = n
+            else:
+                # from the last run's first vector, whose c and lo were no
+                # larger; only row n-1 can turn negative, and then line n-1
+                # holds no point and line n-2 is not an edge
+                while hb[last] < lo:
+                    hb[last] = y = hb[last] + 1
+                    if y * el <= hb[q] * dl:
+                        h += (y * g0 - hb[q]) // d0 + (-y * g1) // d1 + 1
+                while hb[q] < c:
+                    hb[q] = x = hb[q] + 1
+                    h += (line_count(line_q, hb, x) if hb[last] * el > x * dl else
+                          (x * gq0 - hb[q - 1]) // dq0 + (hb[last] - x * gq1) // dq1 + 1)
+            # the first vector's count is h; raising b[last] to y adds the
+            # points of edge n-1, as every vector of the run is nef
+            count, value = h, value + lo * wl
+            for y in range(lo + 1, hi + 2):
+                # the per-index optima are nondecreasing, and a later vector
+                # wins only with a strictly smaller value, so the entries this
+                # vector improves end at its count
+                k = count - 1 if count <= k_max else k_max
+                if k >= 0 and value < vals[k]:
+                    b[last] = y - 1
+                    vec = tuple(b)
+                    while k >= 0 and value < vals[k]:
+                        vals[k], vecs[k] = value, vec
+                        k -= 1
+                    if count > k_max:
+                        # feasible at the top index: nothing more expensive
+                        # can improve any entry of the table
+                        bound = value
+                        break
+                value += wl
+                count += (y * g0 - c) // d0 + (-y * g1) // d1 + 1
 
     # the checkpoint (hb, h) of each level; no level was called yet
     cp = [None] * n
     fresh = n
     # the cone vertex m_0 = r1 (v[0][1], -v[0][0]) / d[0], on the lines
     # <m, v[0]> = 0 and <m, v[1]> = -r1, lies in the section polytope of
-    # every nef divisor of class r1, so b[l] >= ceil(-<m_0, v[l]>) = ceil(r1
-    # det(v[0], v[l]) / d[0]); for l = 2 and l = n-1 these are the floors
-    # that rows 1 and 0 give
+    # every nef divisor of class r1, so b[l] >= lows[l] = ceil(X[l]), X[l] =
+    # -<m_0, v[l]> = r1 det(v[0], v[l]) / d[0]; for l = 2 and l = n-1 these
+    # are the floors that rows 1 and 0 give.
+    # The floor lemma: X is the divisor of a linear function, so every row
+    # vanishes on it, as e[i] v[i] = d[i] v[i-1] + d[i-1] v[i+1].  A row rises
+    # with b[i-1] and b[i+1], and where e[i] <= 0 it does not fall as b[i]
+    # rises, so such a row holds on every b >= X, as every searched vector
+    # is.  Hence row j's floor on b[j+1] rises with b[j] where e[j] > 0 and
+    # is at most lows[j+1] elsewhere, so no floor lo falls as b[j] rises, and
+    # row n-1 caps b[n-1] only where e[n-1] > 0
     dets = [v[0][0] * vy - v[0][1] * vx for vx, vy in v]
     for r1 in range(d[0]):
         b[1] = r1

@@ -315,6 +315,37 @@ def test_edge_count_is_line_count_on_nef_vectors():
     assert min(seen.values()) >= 20, seen
 
 
+def test_floor_lemma_of_the_cone_vertex():
+    # the search's floors: with the fan rotated to start at cone s, gauge
+    # class r1 has its cone vertex m_0 on <m, v_0> = 0 and <m, v_1> = -r1,
+    # and X_l = -<m_0, v_l>.  X is the divisor of a linear function, so every
+    # row vanishes on it, and a row with e_i <= 0 holds on every vector b >=
+    # ceil(X): such a row does not fall as any coefficient rises
+    rng = random.Random(59)
+    seen = {"zero rows": 0, "e <= 0 rows": 0, "off the lattice": 0}
+    for _ in range(60):
+        y = random_fan(rng)
+        n = len(y.rays)
+        for s in range(n):
+            v, d, e = (t[s:] + t[:s] for t in (y.rays, y._d, y._e))
+
+            def row(b, i):
+                return b[i - 1] * d[i] - b[i] * e[i] + b[(i + 1) % n] * d[i - 1]
+
+            for r1 in range(d[0]):
+                x = [Fraction(r1 * (v[0][0] * vy - v[0][1] * vx), d[0]) for vx, vy in v]
+                assert x[0] == 0 and x[1] == r1
+                assert all(row(x, i) == 0 for i in range(n)), (v, r1)
+                seen["zero rows"] += n
+                seen["off the lattice"] += any(t.denominator > 1 for t in x)
+                b = [math.ceil(t) + rng.choice((0, 0, 1, 3)) for t in x]
+                for i in range(n):
+                    if e[i] <= 0:
+                        assert row(b, i) >= 0, (v, r1, b, i)
+                        seen["e <= 0 rows"] += 1
+    assert min(seen.values()) >= 500, seen
+
+
 def test_line_count_calls_of_many_edge_tables(monkeypatch):
     # the carried section count moves through nef vectors, where two cuts
     # decide each line; counting every unit move with `line_count` took

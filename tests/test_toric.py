@@ -6,7 +6,8 @@ import pytest
 
 from conftest import OCTAGON, TWELVE_GON, random_fan, random_lattice_polygon, section_points
 from torcap import corpus, lattice, oracle, toric
-from torcap.errors import NotContractible, NotEffective, SingularSurfaceChi
+from torcap.errors import (IterationLimit, NotContractible, NotEffective, NotInSW,
+                           SingularSurfaceChi)
 from torcap.lattice import MomentPolygon
 from torcap.toric import TorusDivisor
 
@@ -250,6 +251,15 @@ def test_preferable_nef_properties():
         assert oracle.preferable_check(p, d)
 
 
+def test_preferable_nef_raises(monkeypatch):
+    with pytest.raises(NotInSW):
+        toric.preferable_nef(QUADRIC, TorusDivisor((-1, 0, 0, 0)))
+    # the loop reads IP_ITERATION_CAP at call time; at 0 it gives up at once
+    monkeypatch.setattr(toric, "IP_ITERATION_CAP", 0)
+    with pytest.raises(IterationLimit, match="preferable-nef procedure did not terminate"):
+        toric.preferable_nef(QUADRIC, TorusDivisor((1, 0, 0, 0)))
+
+
 def test_round_down_nef():
     half = TorusDivisor((Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)))
     assert toric.is_nef(PLANE, half)
@@ -321,8 +331,15 @@ def test_blow_down():
     exc = next(i for i in range(4) if toric.ray_self_intersection(y, i) == -1)
     down = toric.blow_down(y, exc)
     assert set(down.rays) == set(PLANE.rays)
-    with pytest.raises(NotContractible):
+    with pytest.raises(NotContractible, match="self-intersection is not -1"):
         toric.blow_down(PLANE, 0)
+    # ray (0, 1) has self-intersection -1, but both of its cones have
+    # determinant 2
+    kite = toric.ToricSurface(((2, 1), (0, 1), (-2, 1), (0, -1)))
+    assert toric.ray_self_intersection(kite, 1) == -1
+    assert kite.cone_dets[:2] == (2, 2)
+    with pytest.raises(NotContractible, match="adjacent cones are not smooth"):
+        toric.blow_down(kite, 1)
 
 
 def test_resolve():
