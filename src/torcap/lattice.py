@@ -173,14 +173,12 @@ def contains_point(p: MomentPolygon, pt) -> bool:
     return all(a * x + b * y >= c for a, b, c in p.constraints())
 
 
-def minkowski_sum(p: MomentPolygon, q: MomentPolygon) -> MomentPolygon:
-    sums = [(a[0] + b[0], a[1] + b[1]) for a in p.vertices for b in q.vertices]
-    return MomentPolygon(tuple(convex_hull(sums)))
-
-
 def mixed_area(p: MomentPolygon, q: MomentPolygon) -> Fraction:
-    """area(p (+) q) - area(p) - area(q), with (+) the Minkowski sum."""
-    return area(minkowski_sum(p, q)) - area(p) - area(q)
+    """area(p (+) q) - area(p) - area(q), with (+) the Minkowski sum: the sum
+    over the edges i of p of the lattice length l_i times q's extent
+    -min <u_i, x> against the inward normal u_i, in the integer views."""
+    return Fraction(sum(l * -min(u[0] * x + u[1] * y for x, y in q._ipts)
+                        for u, l in zip(p._normals, edge_lengths(p))), p._scale * q._scale)
 
 
 def _width(ipts, l: IntVec) -> int:
@@ -198,11 +196,8 @@ def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
     The width w(l) = max - min of <l, x> over p is a norm on directions; the
     generalized Gauss reduction in it (Kaib-Schnorr) ends in a basis a, b with
     w(a) <= w(b) <= w(b - t a) for all integers t, which attains both
-    successive minima.  Returned is the first narrowest l = (x, y), x > 0 or
-    x = 0 < y, in the order (|l|^2, |y|, y, x).  Only +-a are narrowest if
-    w(b) > w(a), else only +-(i a + j b) with |i| + |j| <= 3: by Minkowski the
-    body w <= w(a), with no nonzero lattice point inside, has area at most 4,
-    and it holds the hull of +-a, +-b, +-(i a + j b), of area |i| + |j| + 1.
+    successive minima.  Returned is +-a, which attains the first, normalized
+    to x > 0 or x = 0 < y.
     """
     vs = p._ipts
 
@@ -224,12 +219,8 @@ def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if f(mid + 1) >= f(mid) else (mid, hi)
         b, wb = (b[0] - hi * a[0], b[1] - hi * a[1]), f(hi)
-    # only +-a are narrowest if w(b) > w(a); of +-l, the larger has x > 0 or x = 0 < y
-    cands = [a] if wb > wa else [(i * a[0] + j * b[0], i * a[1] + j * b[1]) for i, j in (
-        (1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))]
-    cands = sorted((max(l, (-l[0], -l[1])) for l in cands),
-                   key=lambda l: (l[0] ** 2 + l[1] ** 2, abs(l[1]), l[1], l[0]))
-    return Fraction(wa, p._scale), next(l for l in cands if _width(vs, l) == wa)
+    # of +-a, the larger has x > 0 or x = 0 < y
+    return Fraction(wa, p._scale), max(a, (-a[0], -a[1]))
 
 
 def vertex_directions(p: MomentPolygon, i: int) -> tuple[IntVec, IntVec]:

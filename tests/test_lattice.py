@@ -124,7 +124,7 @@ def test_apply_preserves_area_and_count():
         assert lattice.lattice_count(q) == lattice.lattice_count(p)
 
 
-def test_minkowski_and_mixed_area():
+def test_mixed_area():
     s = lattice.rectangle(1, 1)
     assert lattice.mixed_area(s, s) == 2 * lattice.area(s)
     t = lattice.unit_triangle()
@@ -132,6 +132,18 @@ def test_minkowski_and_mixed_area():
     assert lattice.mixed_area(lattice.scale(s, 3), t) == 3 * lattice.mixed_area(s, t)
     assert lattice.mixed_area(lattice.scale(t, 2), t) == 2
     assert lattice.mixed_area(s, lattice.rectangle(2, 3)) == 5
+    # the edge sum runs over p's edges only, so symmetry is a check
+    rng = random.Random(15)
+    for _ in range(200):
+        p = MomentPolygon(tuple(_random_rational_vertices(rng)))
+        q = MomentPolygon(tuple(_random_rational_vertices(rng)))
+        m = lattice.mixed_area(p, q)
+        assert m == lattice.mixed_area(q, p)
+        assert lattice.mixed_area(p, p) == 2 * lattice.area(p)
+        v = (Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+        assert lattice.mixed_area(p, lattice.translate(q, v)) == m
+        k = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        assert lattice.mixed_area(p, lattice.scale(q, k)) == k * m
 
 
 def _egcd_reference(a, b):
@@ -404,6 +416,23 @@ def test_lattice_width_matches_reference_on_skewed_polygons():
         p = _skewed(rng, random_lattice_polygon(rng, size=rng.choice((2, 3, 4))))
         p = lattice.scale(p, RATIONAL_SCALES[i % len(RATIONAL_SCALES)])
         assert lattice.lattice_width(p) == _ref_lattice_width(list(p.vertices)), p.vertices
+    # polar bodies: the hull of +-u*, +-v* for the dual basis u*, v* of a
+    # lattice basis u, v with |det| <= 3, for half of them with +-s (u* + v*),
+    # where several directions tie for the narrowest
+    rng = random.Random(63)
+    for i in range(300):
+        while True:
+            u, v = ((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(2))
+            d = lattice.det2(u, v)
+            if 1 <= abs(d) <= 3:
+                break
+        us, vs = (Fraction(v[1], d), Fraction(-v[0], d)), (Fraction(-u[1], d), Fraction(u[0], d))
+        pts = [us, vs]
+        if i % 2:
+            s = Fraction(rng.randint(1, 3), rng.randint(2, 4))
+            pts.append((s * (us[0] + vs[0]), s * (us[1] + vs[1])))
+        p = MomentPolygon(tuple(lattice.convex_hull(pts + [(-x, -y) for x, y in pts])))
+        assert lattice.lattice_width(p) == _ref_lattice_width(list(p.vertices)), p.vertices
     # integer vertices keep the reference's 70,000 width evaluations fast
     assert lattice.lattice_width(SKEWED_TRIANGLE) == _ref_lattice_width(
         [(8, 49), (25, 153), (16, 98)]) == (1, (49, -8))
@@ -411,6 +440,7 @@ def test_lattice_width_matches_reference_on_skewed_polygons():
 
 @pytest.mark.parametrize("s", RATIONAL_SCALES[1:])
 @pytest.mark.parametrize("vertices, error, message", [
+    (((0, 0), (1, 1)), ZeroArea, "a polygon needs at least 3 vertices"),
     (((0, 0), (1, 1), (2, 2)), ZeroArea, "polygon has zero area"),
     (((0, 0), (1, 0), (2, 0), (0, 1)), NotConvex, "three consecutive vertices are collinear"),
     (((0, 0), (0, 1), (1, 0)), NotConvex, "vertices must be listed counterclockwise"),

@@ -23,6 +23,7 @@ def test_build_surface_rays():
     assert sing.rays == ((0, 1), (-2, -1), (1, 0))
     assert sing.cone_dets == (2, 1, 1)
     assert not sing.smooth
+    assert len(sing) == len(lattice.triangle(1, 2))
 
 
 def test_a_surface_is_its_fan():
@@ -117,6 +118,7 @@ def test_nef_and_ample_agree_with_oracle_certificate():
         divisors += [TorusDivisor(tuple(Fraction(rng.randint(-4, 8), rng.randint(1, 3))
                                         for _ in range(n))) for _ in range(6)]
         for d in divisors:
+            assert -d == (-1) * d
             scale = math.lcm(*(c.denominator for c in d.coeffs))
             ms = oracle._nef_int(y.rays, y.cone_dets, [int(scale * c) for c in d.coeffs])
             nef = ms is not None
