@@ -304,6 +304,8 @@ def _compute_table(p: MomentPolygon, k_max: int) -> _Table:
         for j in range(last, 1, -1):
             rest_min[j] = rest_min[j + 1] + w[j] * lows[j]
         search(1, 0, r1)
+    # search holds itself through its cell; cut that cycle, or gc must free the build
+    search = None
     if None in vecs:
         # a bug, not a budget: the bound is attained by a multiple of the
         # polarization, whose gauge representative lies in the search region

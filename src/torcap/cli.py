@@ -368,9 +368,5 @@ def cli(args=None, prog_name: str = "torcap") -> None:
     sys.exit(code or 0)
 
 
-def main():
-    cli()
-
-
 if __name__ == "__main__":
-    main()
+    cli()

@@ -107,14 +107,10 @@ class ConcaveDomain(_Record):
         return cls.ellipsoid(c, c)
 
 
-def _weight_runs(omega: ConcaveDomain) -> list[tuple[Fraction, int]]:
-    """Weight expansion in run form: (weight, multiplicity) pairs, adjacent
-    weights distinct, whose expansion is `concave_weights` in order."""
-    return [(Fraction(r, omega._scale), q) for r, q in _integer_runs(omega)]
-
-
 def _integer_runs(omega: ConcaveDomain) -> list[tuple[int, int]]:
-    """`_weight_runs` with each weight times omega._scale, an integer.
+    """Weight expansion in run form, each weight times omega._scale, an
+    integer: (weight, multiplicity) pairs, adjacent weights distinct, whose
+    expansion over omega._scale is `concave_weights` in order.
 
     Repeatedly carves out the largest triangle with legs on the axes,
     r = min(x + y), and shears the two leftover corners back into concave
@@ -160,14 +156,16 @@ def concave_weights(omega: ConcaveDomain) -> tuple[Fraction, ...]:
     one per ball, in carving order.
 
     Raises IterationLimit, before building the tuple, when the expansion
-    holds more than WEIGHT_EXPANSION_CAP balls; `_weight_runs` has no cap.
+    holds more than WEIGHT_EXPANSION_CAP balls; `_integer_runs` has no cap.
     """
-    runs = _weight_runs(omega)
+    runs = _integer_runs(omega)
     count = sum(m for _, m in runs)
     if count > WEIGHT_EXPANSION_CAP:
         raise IterationLimit(f"weight expansion has {count} balls, "
                              f"more than {WEIGHT_EXPANSION_CAP}")
-    return tuple(itertools.chain.from_iterable(itertools.repeat(w, m) for w, m in runs))
+    scale = omega._scale
+    return tuple(itertools.chain.from_iterable(itertools.repeat(Fraction(r, scale), m)
+                                               for r, m in runs))
 
 
 def ech_concave(omega: ConcaveDomain, k: int) -> Fraction:

@@ -58,10 +58,6 @@ class IterationLimit(TorcapError):
     """An iteration that is guaranteed to terminate exceeded its safety cap."""
 
 
-class NotAmple(TorcapError):
-    """Polarization fails to pair positively with every boundary curve."""
-
-
 class IndexTooSmall(TorcapError, ValueError):
     """Capacity index below 0, or horizon k_max below 1.  Also a ValueError,
     so code that catches ValueError for it still does."""

@@ -1,3 +1,4 @@
+import gc
 import heapq
 import itertools
 import math
@@ -563,6 +564,26 @@ def test_table_cache_is_bounded(monkeypatch):
     assert len(_table._TABLES) == _base.CACHE_SIZE
 
 
+def test_calg_search_leaves_no_cyclic_garbage(monkeypatch):
+    # the search closure holds itself through its cell; left uncut, that
+    # cycle leaves each build's closures, cells and lists to the collector
+    monkeypatch.setattr(_table, "_TABLES", {})
+    hexagon = MomentPolygon(((1, 0), (3, 1), (4, 3), (3, 4), (1, 3), (0, 1)))
+    kite = MomentPolygon(((0, 0), (1, 0), (2, 2), (-1, 2)))
+    pentagon = MomentPolygon(((0, 0), (3, 0), (3, 1), (1, 2), (0, 2)))
+    gc.collect()
+    gc.disable()
+    try:
+        for p in (*corpus.CORPUS.values(), OCTAGON, hexagon, kite):
+            capacities.alg_capacities(p, 12)
+        gw, _lw, _holds = capacities.width_bound_check(pentagon, 16)
+        for c in (gw, Fraction(65, 64) * gw):
+            capacities.embedding_verdict(ConcaveDomain.ball(c), pentagon, 16)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_ech_ellipsoid_values():
     assert [capacities.ech_ellipsoid(1, 1, k) for k in range(8)] == [0, 1, 1, 2, 2, 2, 3, 3]
     assert [capacities.ech_ellipsoid(1, 2, k) for k in range(8)] == [0, 1, 2, 2, 3, 3, 4, 4]
@@ -812,22 +833,25 @@ def _flat_weights(omega):
     return tuple(out)
 
 
-def test_weight_runs_expand_to_flat_expansion():
+def test_integer_runs_expand_to_flat_expansion():
     rng = random.Random(61)
     for _ in range(600):
         omega = random_chain(rng)
-        runs = ech._weight_runs(omega)
+        runs = ech._integer_runs(omega)
         assert all(m >= 1 for _, m in runs)
-        assert all(w1 != w2 for (w1, _), (w2, _) in zip(runs, runs[1:]))
-        flat = tuple(w for w, m in runs for _ in range(m))
-        assert flat == _flat_weights(omega) == capacities.concave_weights(omega)
+        assert all(r1 != r2 for (r1, _), (r2, _) in zip(runs, runs[1:]))
+        flat = tuple(r for r, m in runs for _ in range(m))
+        assert flat == tuple(w * omega._scale for w in _flat_weights(omega))
+        assert flat == tuple(w * omega._scale for w in capacities.concave_weights(omega))
 
 
-def test_weight_runs_of_near_degenerate_chains():
-    assert ech._weight_runs(ConcaveDomain.ellipsoid(Fraction(201, 200), 1)) == [
-        (1, 1), (Fraction(1, 200), 200)]
-    assert ech._weight_runs(ConcaveDomain.ellipsoid(Fraction(1000001, 1000000), 1)) == [
-        (1, 1), (Fraction(1, 1000000), 1000000)]
+def test_integer_runs_of_near_degenerate_chains():
+    omega = ConcaveDomain.ellipsoid(Fraction(201, 200), 1)
+    assert omega._scale == 200
+    assert ech._integer_runs(omega) == [(200, 1), (1, 200)]
+    omega = ConcaveDomain.ellipsoid(Fraction(1000001, 1000000), 1)
+    assert omega._scale == 1000000
+    assert ech._integer_runs(omega) == [(1000000, 1), (1, 1000000)]
 
 
 def test_concave_weights_cap_counts_runs():
