@@ -4,11 +4,12 @@ Algebraic capacities of polarized toric surfaces, ECH capacities of convex
 toric domains, embedding verdicts, the Xi-width and the lattice width bound,
 on integers over one denominator; every value returned is an exact rational.
 A convex domain's ECH capacities are the `alg_capacities` of its polygon.
-No `toric` code is loaded.  Re-exported as the same objects: from `_table`,
-the capacity table's `calg`, `calg_witness` and `alg_capacities`; from
-`ech`, the ellipsoid and concave capacities, `ConcaveDomain` and
-`CapacitySequence`.  Private names are not re-exported: the table's search
-and cache live in `_table`, which looks them up there.
+No `toric` code is loaded, nor `lattice` but by `width_bound_check`.
+Re-exported as the same objects: from `_table`, the capacity table's `calg`,
+`calg_witness` and `alg_capacities`; from `ech`, the ellipsoid and concave
+capacities, `ConcaveDomain` and `CapacitySequence`.  Private names are not
+re-exported: the table's search and cache live in `_table`, which looks
+them up there.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from . import lattice
 from ._base import _Record
+from ._polygon import MomentPolygon
 from ._table import _ensure_table, alg_capacities, calg, calg_witness  # noqa: F401  (re-exported)
 from .ech import (  # noqa: F401  (re-exported)
     CapacitySequence,
@@ -30,16 +31,13 @@ from .ech import (  # noqa: F401  (re-exported)
     ech_ellipsoid_capacities,
 )
 from .errors import IndexTooSmall, NoSmoothVertex, NotDomainPolygon
-from .lattice import MomentPolygon
 
 
 def is_domain_polygon(p: MomentPolygon) -> bool:
     """True iff p has the origin as a vertex with its two incident edges
-    along the axes, which puts the convex p in the first quadrant."""
-    if p.vertices[0] != (0, 0):
-        return False
-    d_next, d_prev = lattice.vertex_directions(p, 0)
-    return d_next == (1, 0) and d_prev == (0, 1)
+    along the axes, which puts the convex p in the first quadrant: the
+    inward normals of the edges out of vertex 0 are (0, 1) and (1, 0)."""
+    return p.vertices[0] == (0, 0) and p._normals[0] == (0, 1) and p._normals[-1] == (1, 0)
 
 
 def ech_convex(p: MomentPolygon, k: int) -> Fraction:
@@ -145,6 +143,8 @@ def width_bound_check(p: MomentPolygon, k_max: int) -> tuple[Fraction, Fraction,
     The capacity bound for balls never exceeds the lattice width of the
     moment polygon; the boolean reports this comparison for the horizon.
     """
+    from .lattice import lattice_width
+
     gw = gromov_width_bound(p, k_max).value
-    lw, _direction = lattice.lattice_width(p)
+    lw, _direction = lattice_width(p)
     return gw, lw, gw <= lw

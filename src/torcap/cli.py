@@ -93,7 +93,10 @@ def _row(items, decimal: bool) -> str:
     for it in items:
         cells.append(_fmt(it) if isinstance(it, Fraction) else str(it))
         if decimal and isinstance(it, Fraction):
-            cells.append(f"{float(it):.6f}")
+            try:
+                cells.append(f"{float(it):.6f}")
+            except OverflowError:  # too large for a double: rounded exactly, as it is >= 0
+                cells.append("{}.{:06d}".format(*divmod(round(it * 10**6), 10**6)))
     return "\t".join(cells)
 
 

@@ -6,15 +6,15 @@ of their denominators, so its geometry runs on integers; results are returned
 as `fractions.Fraction`, and no floating point enters anywhere.
 
 Re-exported as the same objects from `_polygon`, the core that the capacity
-table loads without this module: `MomentPolygon`, `cross`, `primitive`,
-`egcd`, `line_cuts`, `line_count`, `count_points`, `edge_lengths`, `Point`
-and `IntVec`.
+table, `toric` and the verdicts load without this module: `MomentPolygon`,
+`cross`, `primitive`, `egcd`, `line_cuts`, `line_count`, `count_points`,
+`edge_lengths`, `Point` and `IntVec`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._base import _Record, det2, frac
 from ._polygon import (  # noqa: F401  (re-exported)
@@ -85,29 +85,6 @@ def area(p: MomentPolygon) -> Fraction:
     return Fraction(p._area2, 2 * p._scale ** 2)
 
 
-def halfplane_vertices(cons: Sequence[tuple[int, int, Fraction]]) -> list[Point]:
-    """Vertices of the (bounded) region cut out by the half planes.
-
-    Returns the deduplicated corner points; empty list if infeasible.
-    """
-    pts: list[Point] = []
-    n = len(cons)
-    for i in range(n):
-        ai, bi, ci = cons[i]
-        for j in range(i + 1, n):
-            aj, bj, cj = cons[j]
-            d = ai * bj - bi * aj
-            if d == 0:
-                continue
-            x = Fraction(ci * bj - bi * cj, d)
-            y = Fraction(ai * cj - ci * aj, d)
-            if all(a * x + b * y >= c for a, b, c in cons):
-                q = (x, y)
-                if q not in pts:
-                    pts.append(q)
-    return pts
-
-
 def convex_hull(points: Iterable[Point]) -> list[Point]:
     """Strict convex hull, counterclockwise, collinear points dropped."""
     pts = sorted(set((frac(x), frac(y)) for x, y in points))
@@ -136,11 +113,9 @@ def lattice_count(p: MomentPolygon) -> int:
 
 def boundary_lattice_count(p: MomentPolygon) -> int:
     """Number of integer points on the boundary (integral-vertex polygons)."""
-    lengths = edge_lengths(p)
-    # an edge vector is integral exactly when p._scale divides its lattice length
-    if any(length % p._scale for length in lengths):
+    if p._scale != 1:
         raise InvalidInput("boundary count needs integral vertices")
-    return sum(lengths) // p._scale
+    return sum(edge_lengths(p))
 
 
 def translate(p: MomentPolygon, v) -> MomentPolygon:

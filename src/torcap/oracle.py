@@ -96,9 +96,9 @@ class _BoxTable:
     vector pushes the vectors one unit above it at that place and later
     ones: each vector is pushed once, by the vector with its last nonzero
     coefficient one lower, which comes first in the order, so the vectors
-    pop in order.  The walked vectors and their measures are kept in flat
-    integer arrays: a walked vector comes after the vectors below it on each
-    axis, so no coefficient or measure outgrows 64 bits.
+    pop in order.  The coefficients of the walked vectors are kept in one
+    flat integer array, as they lie in [0, box]; their values and measures,
+    which grow with the polygon's coordinates, in lists.
     """
 
     def __init__(self, p: MomentPolygon, box: int):
@@ -118,10 +118,10 @@ class _BoxTable:
         self._rowsum = [sum(row) for row in self._q] if self.smooth else None
         # walked vector i has value values[i] and coefficients
         # coeffs[i * n:(i + 1) * n]; a negative box holds no vector
-        self.values, self.coeffs = array("q"), array("B" if box < 256 else "q")
+        self.values, self.coeffs = [], array("B" if box < 256 else "q")
         self._heap = [(0, (0,) * n, 0)] if box >= 0 else []
         # measure name -> measures of the first walked vectors
-        self.measured: dict[str, array] = {}
+        self.measured: dict[str, list[int]] = {}
 
     def sections(self, a) -> int:
         """h0 of a nef divisor, -1 for one that is not nef."""
@@ -160,7 +160,7 @@ class _BoxTable:
         """(position, value, measure by the method name) for the vectors of
         the box in order: the stored measures first, then each further vector
         measured as the caller reads on."""
-        measures, measure = self.measured.setdefault(name, array("q")), getattr(self, name)
+        measures, measure = self.measured.setdefault(name, []), getattr(self, name)
         yield from zip(range(len(measures)), self.values, measures)
         while len(measures) < len(self.values) or self._pop():
             i = len(measures)

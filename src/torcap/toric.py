@@ -3,7 +3,8 @@
 Complete fans in the plane, torus-invariant divisors, exact intersection
 numbers on simplicial surfaces, nef/ample tests, section counts, the
 isoparametric transform, the preferable-nef procedure, blow-downs and smooth
-resolution by ray insertion.
+resolution by ray insertion.  Section polytopes are read one ray's line at
+a time, by `line_cuts` of the polygon core, for their points and corners.
 """
 
 from __future__ import annotations
@@ -13,7 +14,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._base import _Record, det2, frac, intersection_numbers
-from ._polygon import _fan_rows
+from ._polygon import (
+    MomentPolygon,
+    Point,
+    _fan_rows,
+    count_points,
+    egcd,
+    line_count,
+    line_cuts,
+    primitive,
+)
 from .errors import (
     InvalidInput,
     IterationLimit,
@@ -21,17 +31,6 @@ from .errors import (
     NotEffective,
     NotInSW,
     SingularSurfaceChi,
-)
-from .lattice import (
-    MomentPolygon,
-    Point,
-    convex_hull,
-    count_points,
-    egcd,
-    halfplane_vertices,
-    line_count,
-    line_cuts,
-    primitive,
 )
 
 IP_ITERATION_CAP = 10_000
@@ -188,15 +187,34 @@ def chi(y: ToricSurface, d: TorusDivisor) -> Fraction:
     raise SingularSurfaceChi("chi of a non-nef divisor on a singular surface")
 
 
-def divisor_constraints(y: ToricSurface, d: TorusDivisor) -> list[tuple[int, int, Fraction]]:
-    """Half-plane description of the section polytope P_D:
-    <ray_i, x> >= -a_i."""
-    return [(v[0], v[1], -a) for v, a in zip(y.rays, d.coeffs)]
-
-
 def support_vertices(y: ToricSurface, d: TorusDivisor) -> list[Point]:
-    """Corner points of the section polytope (may be 0, 1 or 2 dimensional)."""
-    return convex_hull(halfplane_vertices(divisor_constraints(y, d)))
+    """Corner points of the section polytope (may be 0, 1 or 2 dimensional),
+    counterclockwise from the least.
+
+    The line <m, v_j> = -a_j meets the polytope in an edge, a corner or
+    nothing: its points -a_j (p, q) + lam (-v_j[1], v_j[0]) with lam between
+    the other rays' bounds, `line_count`'s cuts without floors.  In fan order
+    the ends of these pieces, larger lam first, run counterclockwise through
+    the corners, a corner repeating where pieces meet."""
+    _check_count(y, d.coeffs)
+    rays, a = y.rays, d.coeffs
+    ends: list[Point] = []
+    for j, u in enumerate(rays):
+        lo, hi = [], []
+        for i, g, dt in line_cuts(u, rays, [i for i in range(len(rays)) if i != j]):
+            if dt:
+                (lo if dt > 0 else hi).append((a[j] * g - a[i]) / dt)
+            elif a[j] * g > a[i]:
+                break  # outside the half plane of the opposite ray
+        else:
+            # the fan is complete, so rays lie on both sides of the line
+            if max(lo) <= min(hi):
+                _g, p, q = egcd(*u)
+                ends += [(-a[j] * p - lam * u[1], -a[j] * q + lam * u[0])
+                         for lam in (min(hi), max(lo))]
+    corners = [m for i, m in enumerate(ends) if m != ends[i - 1]] or ends[:1]
+    s = min(range(len(corners)), key=corners.__getitem__, default=0)
+    return corners[s:] + corners[:s]
 
 
 def support_polytope(y: ToricSurface, d: TorusDivisor) -> Optional[MomentPolygon]:

@@ -11,7 +11,7 @@ import pytest
 from torcap import _table
 from torcap.ech import ConcaveDomain
 from torcap.lattice import MomentPolygon, UnimodularAffineMap, convex_hull, primitive
-from torcap.toric import ToricSurface, TorusDivisor, support_vertices
+from torcap.toric import ToricSurface
 
 
 def _polygon(*vertices) -> MomentPolygon:
@@ -42,10 +42,34 @@ def table_builds(monkeypatch):
     return builds
 
 
+def _ref_corners(y: ToricSurface, a) -> list:
+    """Corners of the section polytope <m, v_i> >= -a_i, counterclockwise
+    from the least: the meeting points of every two non-parallel lines
+    <m, v_i> = -a_i that lie in every half plane, and their strict convex
+    hull.  Solved over the integers for the polytope times the lcm of the
+    denominators of a."""
+    scale = math.lcm(*(Fraction(c).denominator for c in a))
+    b = [int(c * scale) for c in a]
+    pts = []
+    for i, (vi, bi) in enumerate(zip(y.rays, b)):
+        for vj, bj in zip(y.rays[i + 1:], b[i + 1:]):
+            det = vi[0] * vj[1] - vi[1] * vj[0]
+            if det == 0:
+                continue
+            # m = (x, yy) / det by Cramer's rule, with det made positive
+            x, yy = bj * vi[1] - bi * vj[1], bi * vj[0] - bj * vi[0]
+            if det < 0:
+                x, yy, det = -x, -yy, -det
+            if all(vx * x + vy * yy >= -c * det for (vx, vy), c in zip(y.rays, b)):
+                pts.append((Fraction(x, det * scale), Fraction(yy, det * scale)))
+    return convex_hull(pts)
+
+
 def section_points(y: ToricSurface, a) -> list:
     """Lattice points of the section polytope of the coefficients a, tested
-    one by one over the bounding box of its corners."""
-    corners = support_vertices(y, TorusDivisor(tuple(a)))
+    one by one over the bounding box of its corners, which `_ref_corners`
+    finds without `line_cuts`."""
+    corners = _ref_corners(y, a)
     if not corners:
         return []
     xs, ys = [c[0] for c in corners], [c[1] for c in corners]

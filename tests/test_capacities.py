@@ -648,6 +648,10 @@ _SINGULAR_FAN = toric.build_surface(MomentPolygon(((0, 0), (1, 0), (0, 2))))
      "matrix determinant must be \\+-1"),
     (lambda: lattice.boundary_lattice_count(MomentPolygon(((0, 0), (1, 0), (0, _HALF)))),
      InvalidInput, "boundary count needs integral vertices"),
+    # its edge vectors are integral, but no boundary point is
+    (lambda: lattice.boundary_lattice_count(lattice.translate(lattice.rectangle(1, 1),
+                                                              (_HALF, _HALF))),
+     InvalidInput, "boundary count needs integral vertices"),
     (lambda: lattice.scale(lattice.rectangle(1, 1), 0), InvalidInput,
      "scale factor must be positive"),
     (lambda: toric.ToricSurface(((1, 0), (0, 1))), InvalidInput,
@@ -675,9 +679,9 @@ _SINGULAR_FAN = toric.build_surface(MomentPolygon(((0, 0), (1, 0), (0, 2))))
      "index scan needs a smooth surface"),
 ], ids=["check-index", "oracle-index", "oracle-index-bound", "xi-width-horizon",
         "verdict-horizon", "ellipsoid-area", "zero-vector", "unimodular-det",
-        "boundary-integral", "scale-positive", "fan-size", "fan-primitive", "fan-order",
-        "coefficient-count", "effective-integral", "ip-smooth", "ip-integral",
-        "preferable-smooth", "round-down-nef", "round-down-empty", "oracle-smooth"])
+        "boundary-integral", "boundary-moved-square", "scale-positive", "fan-size",
+        "fan-primitive", "fan-order", "coefficient-count", "effective-integral", "ip-smooth",
+        "ip-integral", "preferable-smooth", "round-down-nef", "round-down-empty", "oracle-smooth"])
 def test_input_errors_are_typed_value_errors(call, error, message):
     with pytest.raises(error, match=f"^{message}$") as info:
         call()

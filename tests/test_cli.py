@@ -100,6 +100,20 @@ def test_capacities_decimal_column(runner, tmp_path):
     assert res.output.splitlines()[1] == "1\t1/2\t0.500000"
 
 
+def test_decimal_column_past_the_double_range(runner, tmp_path):
+    """A value too large for a double prints exactly, rounded to six places."""
+    big = 10**400
+    poly = _write(tmp_path, "p.txt", f"0 0\n{big} 0\n0 {big}\n")
+    res = runner.invoke(cli, ["capacities", poly, "--k-max", "1", "--decimal"])
+    assert res.exit_code == 0
+    assert res.output.splitlines() == ["0\t0\t0.000000", f"1\t{big}\t{big}.000000"]
+    res = runner.invoke(cli, ["lattice-width", poly, "--decimal"])
+    assert (res.exit_code, res.output) == (0, f"{big}\t{big}.000000\t1,0\n")
+    poly = _write(tmp_path, "p.txt", f"0 0\n{2 * big}/3 0\n0 {2 * big}/3\n")
+    res = runner.invoke(cli, ["capacities", poly, "--k-max", "1", "--decimal"])
+    assert res.output.splitlines()[1] == f"1\t{2 * big}/3\t{'6' * 400}.666667"
+
+
 def test_ech_ellipsoid_command(runner):
     res = runner.invoke(cli, ["ech", "ellipsoid", "1", "2", "--k-max", "4"])
     assert res.exit_code == 0

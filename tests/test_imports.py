@@ -82,11 +82,12 @@ def _command_loads(tmp_path, args) -> list:
 
 # the further torcap modules that each command loads, README's table: the
 # capacity search reads its fan and weights off the polygon, with no toric
-# code, and the oracle its rays, weights and intersection numbers, with no
-# toric or lattice code
-_ECH_VERDICTS = "_base _polygon _table capacities ech lattice"
+# code, the oracle its rays, weights and intersection numbers, with no
+# toric or lattice code, and the verdicts and `toric` run on the polygon
+# core, with no lattice code
+_ECH_VERDICTS = "_base _polygon _table capacities ech"
 _LATTICE = "_base _polygon lattice"
-_TORIC = "_base _polygon lattice toric"
+_TORIC = "_base _polygon toric"
 COMMAND_MODULES = [
     (["capacities", "square.poly", "--k-max", "5"], "_base _polygon _table"),
     (["ech", "ellipsoid", "1", "2", "--k-max", "5"], "_base ech"),

@@ -37,6 +37,20 @@ def test_brute_matches_fast_on_octagon():
         assert oracle.brute_calg(OCTAGON, k, box=3) == capacities.calg(OCTAGON, k), k
 
 
+def test_scans_hold_values_past_64_bits():
+    """The walked values of the triangle with legs 10^20 pass 2^63 by k = 3,
+    and on the Hirzebruch polygon (0,0) (10^20+1,0) (1,1) (0,1) the index
+    measure of its curve of self-intersection -10^20 is -2 10^20 + 2."""
+    big = 10**20
+    triangle = lattice.triangle(big, big)
+    for k in range(4):
+        assert oracle.brute_calg(triangle, k, box=3) == capacities.calg(triangle, k), k
+    assert capacities.calg(triangle, 3) == 2 * big
+    hirzebruch = lattice.MomentPolygon(((0, 0), (big + 1, 0), (1, 1), (0, 1)))
+    for k in range(4):
+        assert oracle.sw_infimum(hirzebruch, k, box=3) == capacities.calg(hirzebruch, k), k
+
+
 def test_box_table_reads_no_fan_row_constants():
     """The oracle's weights, nef test and smoothness use its own cone
     determinants, not the row constants _d and _e that `_polygon._fan_rows`

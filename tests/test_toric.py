@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import OCTAGON, TWELVE_GON, random_fan, random_lattice_polygon, section_points
+from conftest import (OCTAGON, TWELVE_GON, _ref_corners, random_fan, random_lattice_polygon,
+                      section_points)
 from torcap import corpus, lattice, oracle, toric
 from torcap.errors import (IterationLimit, NotContractible, NotEffective, NotInSW,
                            SingularSurfaceChi)
@@ -141,6 +143,29 @@ def test_h0_matches_polytope_count():
         assert toric.h0(y, d) == lattice.lattice_count(p)
         poly = toric.support_polytope(y, d)
         assert poly == p
+
+
+def test_support_vertices_match_pairwise_corners():
+    """The corners read off the rays' lines are the pairwise meeting points
+    of the lines inside every half plane, in their hull's order.  Random
+    coefficients seldom give a segment, so every fourth fan gets the
+    negative -v of a ray v and a_{-v} = -a_v, which puts the section
+    polytope on the line <m, v> = -a_v: a segment, a point or nothing."""
+    rng = random.Random(7)
+    seen = Counter()
+    for n in range(4000):
+        y = random_fan(rng)
+        if n % 4 == 0:
+            v = rng.choice(y.rays)
+            y = toric.ToricSurface(tuple(sorted(set(y.rays) | {(-v[0], -v[1])},
+                                                key=lambda w: math.atan2(w[1], w[0]))))
+        a = [Fraction(rng.randint(-4, 6), rng.randint(1, 3)) for _ in y.rays]
+        if n % 4 == 0:
+            a[y.rays.index((-v[0], -v[1]))] = -a[y.rays.index(v)]
+        corners = toric.support_vertices(y, TorusDivisor(tuple(a)))
+        assert corners == _ref_corners(y, a), (y.rays, a)
+        seen[("empty", "point", "segment", "polygon")[min(len(corners), 3)]] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
 
 def test_h0_of_ineffective_divisor():
@@ -323,7 +348,8 @@ def test_coefficient_count_must_match_ray_count():
     y, a = toric.build_surface(p), toric.associated_divisor(p)
     short, long = TorusDivisor((1, 1, 1)), TorusDivisor((1, 1, 1, 1, 5))
     for call in (lambda: toric.intersect(y, short, a), lambda: toric.is_nef(y, long),
-                 lambda: toric.h0(y, long), lambda: toric.h0(y, short)):
+                 lambda: toric.h0(y, long), lambda: toric.h0(y, short),
+                 lambda: toric.support_vertices(y, short)):
         with pytest.raises(ValueError, match="coefficient count must match ray count"):
             call()
 
