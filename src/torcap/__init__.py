@@ -9,14 +9,14 @@ from importlib import import_module
 # the submodule that defines each public name
 _HOMES = {
     "_base": ("CapacitySequence",),
-    "_polygon": ("MomentPolygon",),
+    "_polygon": ("MomentPolygon", "lattice_width"),
     "_table": ("alg_capacities", "calg", "calg_witness"),
     "ech": ("ConcaveDomain", "concave_weights", "ech_concave", "ech_concave_capacities",
             "ech_ellipsoid", "ech_ellipsoid_capacities"),
     "capacities": ("EmbeddingVerdict", "XiWidth", "ech_convex", "ech_convex_capacities",
                    "embedding_verdict", "gromov_width_bound", "width_bound_check", "xi_width"),
     "errors": ("TorcapError",),
-    "lattice": ("UnimodularAffineMap", "lattice_width"),
+    "lattice": ("UnimodularAffineMap",),
     "toric": ("DivisorClass", "ToricSurface", "TorusDivisor", "build_surface"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

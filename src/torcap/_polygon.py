@@ -1,6 +1,7 @@
 """The polygon core: `MomentPolygon` and the integer kernels the capacity
 table runs on, `line_count` for the points of one line and `count_points`,
-its sum over the rows.  `lattice` re-exports its public names as the same
+its sum over the rows, and `lattice_width`, which the width bound compares
+the capacities with.  `lattice` re-exports its public names as the same
 objects; `_fan_rows`, the one check of a fan's turns and winding, is read
 here by `MomentPolygon` and `toric.ToricSurface`."""
 
@@ -181,3 +182,40 @@ def edge_lengths(p: MomentPolygon) -> tuple[int, ...]:
     ipts = p._ipts
     return tuple(math.gcd(w[0] - v[0], w[1] - v[1]) for v, w in zip(ipts, ipts[1:] + ipts[:1]))
 
+
+def _width(ipts, l: IntVec) -> int:
+    vals = [l[0] * x + l[1] * y for x, y in ipts]
+    return max(vals) - min(vals)
+
+
+def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
+    """Minimal directional lattice extent and a minimizing primitive direction.
+
+    The width w(l) = max - min of <l, x> over p is a norm on directions; the
+    generalized Gauss reduction in it (Kaib-Schnorr) ends in a basis a, b with
+    w(a) <= w(b) <= w(b - t a) for all integers t, which attains both
+    successive minima.  Returned is +-a, which attains the first, normalized
+    to x > 0 or x = 0 < y.
+    """
+    vs = p._ipts
+
+    def f(t: int) -> int:  # the width along b - t a
+        return _width(vs, (b[0] - t * a[0], b[1] - t * a[1]))
+
+    a, b = (1, 0), (0, 1)
+    wa, wb = _width(vs, a), _width(vs, b)
+    while True:
+        if wa > wb:
+            a, b, wa, wb = b, a, wb, wa
+        if f(1) >= wb:
+            a = (-a[0], -a[1])  # f is convex: below w(b) on one side of 0 at most
+            if f(1) >= wb:
+                break
+        # f(t) >= t w(a) - w(b), so its first minimum t >= 1 is at most 2 w(b) / w(a)
+        lo, hi = 0, 2 * wb // wa
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if f(mid + 1) >= f(mid) else (mid, hi)
+        b, wb = (b[0] - hi * a[0], b[1] - hi * a[1]), f(hi)
+    # of +-a, the larger has x > 0 or x = 0 < y
+    return Fraction(wa, p._scale), max(a, (-a[0], -a[1]))

@@ -4,7 +4,8 @@ Algebraic capacities of polarized toric surfaces, ECH capacities of convex
 toric domains, embedding verdicts, the Xi-width and the lattice width bound,
 on integers over one denominator; every value returned is an exact rational.
 A convex domain's ECH capacities are the `alg_capacities` of its polygon.
-No `toric` code is loaded, nor `lattice` but by `width_bound_check`.
+No `toric` or `lattice` code is loaded: the width bound reads the lattice
+width from the polygon core.
 Re-exported as the same objects: from `_table`, the capacity table's `calg`,
 `calg_witness` and `alg_capacities`; from `ech`, the ellipsoid and concave
 capacities, `ConcaveDomain` and `CapacitySequence`.  Private names are not
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._base import _Record
-from ._polygon import MomentPolygon
+from ._polygon import MomentPolygon, lattice_width
 from ._table import _ensure_table, alg_capacities, calg, calg_witness  # noqa: F401  (re-exported)
 from .ech import (  # noqa: F401  (re-exported)
     CapacitySequence,
@@ -133,7 +134,16 @@ _UNIT_BALL = ConcaveDomain.ball(1)
 
 
 def gromov_width_bound(p: MomentPolygon, k_max: int) -> XiWidth:
-    """Upper bound for the Gromov width via the ball capacity ratios."""
+    """Upper bound for the Gromov width via the ball capacity ratios.
+
+    Its k = 1 term is calg(p, 1) / c_1(B(1)) = calg(p, 1) = LW(p), the
+    lattice width.  c_k is the least sum over p's edges of the lattice
+    length times -min <u, m> over L, u the inward normal, for the convex
+    hulls L of at least k + 1 lattice points.  Two lattice points span a
+    segment g s, s primitive, whose sum is g times p's width along s
+    turned by 90 degrees: the least is at g = 1, across the lattice-width
+    direction.  The bound is at most LW.
+    """
     return xi_width(p, _UNIT_BALL, k_max)
 
 
@@ -142,9 +152,10 @@ def width_bound_check(p: MomentPolygon, k_max: int) -> tuple[Fraction, Fraction,
 
     The capacity bound for balls never exceeds the lattice width of the
     moment polygon; the boolean reports this comparison for the horizon.
+    As c_1(B(1)) = 1 and c_1 = LW (see `gromov_width_bound`), the bound is
+    at most its k = 1 term LW, so the boolean is True on every input while
+    the table search and the width reduction are both right.
     """
-    from .lattice import lattice_width
-
     gw = gromov_width_bound(p, k_max).value
     lw, _direction = lattice_width(p)
     return gw, lw, gw <= lw

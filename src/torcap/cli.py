@@ -61,7 +61,7 @@ def parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
 
 
 def parse_polygon(text: str):
-    """The `lattice.MomentPolygon` with the vertices of `text`."""
+    """The `_polygon.MomentPolygon` with the vertices of `text`."""
     from ._polygon import MomentPolygon
 
     return MomentPolygon(tuple(parse_points(text)))
@@ -170,9 +170,9 @@ def width(polygon, k_max, decimal, xi) -> None:
 
 def lattice_width_cmd(polygon, decimal) -> None:
     """Lattice width of POLYGON and a minimizing direction."""
-    from . import lattice
+    from ._polygon import lattice_width
 
-    w, direction = lattice.lattice_width(polygon)
+    w, direction = lattice_width(polygon)
     print(_row((w, f"{direction[0]},{direction[1]}"), decimal))
 
 

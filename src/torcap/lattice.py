@@ -1,20 +1,20 @@
 """Exact rational planar lattice geometry.
 
-Polygons with rational vertices, unimodular affine maps, areas, lattice point
-counts and lattice width.  Each polygon keeps its vertices scaled by the lcm
-of their denominators, so its geometry runs on integers; results are returned
-as `fractions.Fraction`, and no floating point enters anywhere.
+Polygons with rational vertices, unimodular affine maps, areas, mixed areas,
+lattice point counts, smooth vertices and their normal form.  Each polygon
+keeps its vertices scaled by the lcm of their denominators, so its geometry
+runs on integers; results are returned as `fractions.Fraction`, and no
+floating point enters anywhere.
 
 Re-exported as the same objects from `_polygon`, the core that the capacity
 table, `toric` and the verdicts load without this module: `MomentPolygon`,
 `cross`, `primitive`, `egcd`, `line_cuts`, `line_count`, `count_points`,
-`edge_lengths`, `Point` and `IntVec`.
+`edge_lengths`, `lattice_width`, `Point` and `IntVec`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from ._base import _Record, det2, frac
 from ._polygon import (  # noqa: F401  (re-exported)
@@ -25,6 +25,7 @@ from ._polygon import (  # noqa: F401  (re-exported)
     cross,
     edge_lengths,
     egcd,
+    lattice_width,
     line_count,
     line_cuts,
     primitive,
@@ -38,8 +39,10 @@ class UnimodularAffineMap(_Record):
     _fields = ("m", "t")
 
     def __init__(self, m: tuple[IntVec, IntVec], t: Point):  # m by rows
-        d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if d not in (1, -1):
+        # a Fraction or float entry would move lattice points off the lattice
+        if not all(isinstance(c, int) for row in m for c in row):
+            raise InvalidInput("matrix entries must be integers")
+        if det2(*m) not in (1, -1):
             raise InvalidInput("matrix determinant must be +-1")
         self.__dict__.update(m=m, t=(frac(t[0]), frac(t[1])))
 
@@ -49,7 +52,7 @@ class UnimodularAffineMap(_Record):
 
     @property
     def det(self) -> int:
-        return self.m[0][0] * self.m[1][1] - self.m[0][1] * self.m[1][0]
+        return det2(*self.m)
 
     def __call__(self, p: Point) -> Point:
         x, y = frac(p[0]), frac(p[1])
@@ -58,50 +61,10 @@ class UnimodularAffineMap(_Record):
             self.m[1][0] * x + self.m[1][1] * y + self.t[1],
         )
 
-    def compose(self, other: "UnimodularAffineMap") -> "UnimodularAffineMap":
-        """self after other: (self.compose(other))(x) == self(other(x))."""
-        a, b = self.m
-        c, d = other.m
-        m = (
-            (a[0] * c[0] + a[1] * d[0], a[0] * c[1] + a[1] * d[1]),
-            (b[0] * c[0] + b[1] * d[0], b[0] * c[1] + b[1] * d[1]),
-        )
-        return UnimodularAffineMap(m, self(other.t))
-
-    def inverse(self) -> "UnimodularAffineMap":
-        d = self.det
-        a, b = self.m[0]
-        c, e = self.m[1]
-        inv = ((e * d, -b * d), (-c * d, a * d))
-        ti = (
-            -(inv[0][0] * self.t[0] + inv[0][1] * self.t[1]),
-            -(inv[1][0] * self.t[0] + inv[1][1] * self.t[1]),
-        )
-        return UnimodularAffineMap(inv, ti)
-
 
 def area(p: MomentPolygon) -> Fraction:
     """Exact Euclidean area, from twice the area of the integer view."""
     return Fraction(p._area2, 2 * p._scale ** 2)
-
-
-def convex_hull(points: Iterable[Point]) -> list[Point]:
-    """Strict convex hull, counterclockwise, collinear points dropped."""
-    pts = sorted(set((frac(x), frac(y)) for x, y in points))
-    if len(pts) <= 2:
-        return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    # collinear input leaves only its two extreme points
-    return lower[:-1] + upper[:-1]
 
 
 def lattice_count(p: MomentPolygon) -> int:
@@ -109,18 +72,6 @@ def lattice_count(p: MomentPolygon) -> int:
     # <u, x> >= -a on the polygon, a = -<u, v> / scale at the edge's first vertex v
     return count_points(p._normals, [-(u[0] * x + u[1] * y) // p._scale
                                      for u, (x, y) in zip(p._normals, p._ipts)])
-
-
-def boundary_lattice_count(p: MomentPolygon) -> int:
-    """Number of integer points on the boundary (integral-vertex polygons)."""
-    if p._scale != 1:
-        raise InvalidInput("boundary count needs integral vertices")
-    return sum(edge_lengths(p))
-
-
-def translate(p: MomentPolygon, v) -> MomentPolygon:
-    vx, vy = frac(v[0]), frac(v[1])
-    return MomentPolygon(tuple((x + vx, y + vy) for x, y in p.vertices))
 
 
 def scale(p: MomentPolygon, s) -> MomentPolygon:
@@ -143,59 +94,12 @@ def contains(p: MomentPolygon, q: MomentPolygon) -> bool:
     return all(a * x + b * y >= c for (x, y) in q.vertices for a, b, c in cons)
 
 
-def contains_point(p: MomentPolygon, pt) -> bool:
-    x, y = frac(pt[0]), frac(pt[1])
-    return all(a * x + b * y >= c for a, b, c in p.constraints())
-
-
 def mixed_area(p: MomentPolygon, q: MomentPolygon) -> Fraction:
     """area(p (+) q) - area(p) - area(q), with (+) the Minkowski sum: the sum
     over the edges i of p of the lattice length l_i times q's extent
     -min <u_i, x> against the inward normal u_i, in the integer views."""
     return Fraction(sum(l * -min(u[0] * x + u[1] * y for x, y in q._ipts)
                         for u, l in zip(p._normals, edge_lengths(p))), p._scale * q._scale)
-
-
-def _width(ipts, l: IntVec) -> int:
-    vals = [l[0] * x + l[1] * y for x, y in ipts]
-    return max(vals) - min(vals)
-
-
-def width_along(p: MomentPolygon, l: IntVec) -> Fraction:
-    return Fraction(_width(p._ipts, l), p._scale)
-
-
-def lattice_width(p: MomentPolygon) -> tuple[Fraction, IntVec]:
-    """Minimal directional lattice extent and a minimizing primitive direction.
-
-    The width w(l) = max - min of <l, x> over p is a norm on directions; the
-    generalized Gauss reduction in it (Kaib-Schnorr) ends in a basis a, b with
-    w(a) <= w(b) <= w(b - t a) for all integers t, which attains both
-    successive minima.  Returned is +-a, which attains the first, normalized
-    to x > 0 or x = 0 < y.
-    """
-    vs = p._ipts
-
-    def f(t: int) -> int:  # the width along b - t a
-        return _width(vs, (b[0] - t * a[0], b[1] - t * a[1]))
-
-    a, b = (1, 0), (0, 1)
-    wa, wb = _width(vs, a), _width(vs, b)
-    while True:
-        if wa > wb:
-            a, b, wa, wb = b, a, wb, wa
-        if f(1) >= wb:
-            a = (-a[0], -a[1])  # f is convex: below w(b) on one side of 0 at most
-            if f(1) >= wb:
-                break
-        # f(t) >= t w(a) - w(b), so its first minimum t >= 1 is at most 2 w(b) / w(a)
-        lo, hi = 0, 2 * wb // wa
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if f(mid + 1) >= f(mid) else (mid, hi)
-        b, wb = (b[0] - hi * a[0], b[1] - hi * a[1]), f(hi)
-    # of +-a, the larger has x > 0 or x = 0 < y
-    return Fraction(wa, p._scale), max(a, (-a[0], -a[1]))
 
 
 def vertex_directions(p: MomentPolygon, i: int) -> tuple[IntVec, IntVec]:

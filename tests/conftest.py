@@ -10,8 +10,28 @@ import pytest
 
 from torcap import _table
 from torcap.ech import ConcaveDomain
-from torcap.lattice import MomentPolygon, UnimodularAffineMap, convex_hull, primitive
+from torcap.lattice import MomentPolygon, UnimodularAffineMap, cross, primitive
 from torcap.toric import ToricSurface
+
+
+def convex_hull(points) -> list:
+    """Strict convex hull, counterclockwise, collinear points dropped, by
+    Andrew's monotone chain: the tests' hull reference."""
+    pts = sorted(set((Fraction(x), Fraction(y)) for x, y in points))
+    if len(pts) <= 2:
+        return pts
+    lower: list = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    # collinear input leaves only its two extreme points
+    return lower[:-1] + upper[:-1]
 
 
 def _polygon(*vertices) -> MomentPolygon:

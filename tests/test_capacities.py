@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (OCTAGON, TWELVE_GON, random_chain, random_domain_polygon, random_fan,
-                      random_lattice_polygon, random_unimodular, section_points)
+from conftest import (OCTAGON, TWELVE_GON, convex_hull, random_chain, random_domain_polygon,
+                      random_fan, random_lattice_polygon, random_unimodular, section_points)
 from torcap import _base, _polygon, _table, capacities, corpus, ech, lattice, oracle, toric
 from torcap.capacities import ConcaveDomain
 from torcap.errors import (IndexTooSmall, InvalidInput, IterationLimit, NoSmoothVertex,
@@ -486,8 +486,20 @@ def test_calg_is_at_most_k_times_the_lattice_width():
             assert seq[k] <= k * lw, (p.vertices, k)
             equalities += k > 0 and seq[k] == k * lw
     assert equalities >= 300  # 343 of 6,630 at k >= 1
-    for p in (lattice.rectangle(1, 1), lattice.triangle(2, 2)):
-        assert capacities.calg(p, 1) == lattice.lattice_width(p)[0]
+    # c_1 = LW: the least segment is the unit one across the lattice-width
+    # direction, on every rational polygon, singular or not; the table
+    # search and the Gauss reduction share no code
+    hulls = []
+    while len(hulls) < 1200:
+        d = rng.choice((1, 2, 3))
+        pts = [(Fraction(rng.randint(0, 5 * d), d), Fraction(rng.randint(0, 5 * d), d))
+               for _ in range(rng.randint(3, 7))]
+        hull = convex_hull(pts)
+        if len(hull) >= 3:
+            hulls.append(MomentPolygon(tuple(hull)))
+    assert sum(not lattice.smooth_vertices(p) for p in hulls) >= 300  # 666 of 1,200
+    for p in [*corpus.CORPUS.values(), OCTAGON, *hulls]:
+        assert capacities.calg(p, 1) == lattice.lattice_width(p)[0], p.vertices
 
 
 def test_row_counter_matches_count_points():
@@ -560,7 +572,7 @@ def test_one_table_build_per_sequence(table_builds):
 def test_table_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(_table, "_TABLES", {})
     for i in range(_base.CACHE_SIZE + 1):
-        capacities.calg(lattice.translate(lattice.rectangle(1, 1), (i, 0)), 1)
+        capacities.calg(MomentPolygon(((i, 0), (i + 1, 0), (i + 1, 1), (i, 1))), 1)
     assert len(_table._TABLES) == _base.CACHE_SIZE
 
 
@@ -646,12 +658,12 @@ _SINGULAR_FAN = toric.build_surface(MomentPolygon(((0, 0), (1, 0), (0, 2))))
     (lambda: lattice.primitive((0, 0)), InvalidInput, "zero vector has no primitive form"),
     (lambda: lattice.UnimodularAffineMap(((2, 0), (0, 1)), (0, 0)), InvalidInput,
      "matrix determinant must be \\+-1"),
-    (lambda: lattice.boundary_lattice_count(MomentPolygon(((0, 0), (1, 0), (0, _HALF)))),
-     InvalidInput, "boundary count needs integral vertices"),
-    # its edge vectors are integral, but no boundary point is
-    (lambda: lattice.boundary_lattice_count(lattice.translate(lattice.rectangle(1, 1),
-                                                              (_HALF, _HALF))),
-     InvalidInput, "boundary count needs integral vertices"),
+    # determinant 1, but (1/2, 0) (0, 2) maps the unit square, of lattice
+    # width 1, to a rectangle of lattice width 1/2
+    (lambda: lattice.UnimodularAffineMap(((_HALF, 0), (0, 2)), (0, 0)), InvalidInput,
+     "matrix entries must be integers"),
+    (lambda: lattice.UnimodularAffineMap(((1.0, 0), (0, 1)), (0, 0)), InvalidInput,
+     "matrix entries must be integers"),
     (lambda: lattice.scale(lattice.rectangle(1, 1), 0), InvalidInput,
      "scale factor must be positive"),
     (lambda: toric.ToricSurface(((1, 0), (0, 1))), InvalidInput,
@@ -679,7 +691,7 @@ _SINGULAR_FAN = toric.build_surface(MomentPolygon(((0, 0), (1, 0), (0, 2))))
      "index scan needs a smooth surface"),
 ], ids=["check-index", "oracle-index", "oracle-index-bound", "xi-width-horizon",
         "verdict-horizon", "ellipsoid-area", "zero-vector", "unimodular-det",
-        "boundary-integral", "boundary-moved-square", "scale-positive", "fan-size",
+        "unimodular-fraction", "unimodular-float", "scale-positive", "fan-size",
         "fan-primitive", "fan-order", "coefficient-count", "effective-integral", "ip-smooth",
         "ip-integral", "preferable-smooth", "round-down-nef", "round-down-empty", "oracle-smooth"])
 def test_input_errors_are_typed_value_errors(call, error, message):
@@ -705,7 +717,7 @@ def test_ech_ellipsoid_symmetry_and_scaling():
 
 
 def test_ech_convex_requires_domain_polygon():
-    shifted = lattice.translate(lattice.rectangle(1, 1), (1, 1))
+    shifted = MomentPolygon(((1, 1), (2, 1), (2, 2), (1, 2)))
     with pytest.raises(NotDomainPolygon):
         capacities.ech_convex(shifted, 1)
     with pytest.raises(NotDomainPolygon):
@@ -1034,9 +1046,14 @@ def test_xi_width_stable_flag_is_a_heuristic():
 
 
 def test_gromov_width_bound_is_the_unit_ball_width():
+    # c_1(B(1)) = 1 and c_1 = LW, so the bound is at most its k = 1 term,
+    # LW, which the first-minimizer tie-break picks when the bound is LW
     for p in corpus.CORPUS.values():
-        assert capacities.gromov_width_bound(p, 16) == \
-            capacities.xi_width(p, ConcaveDomain.ball(1), 16), p.vertices
+        res = capacities.gromov_width_bound(p, 16)
+        assert res == capacities.xi_width(p, ConcaveDomain.ball(1), 16), p.vertices
+        gw, lw, holds = capacities.width_bound_check(p, 16)
+        assert gw == res.value and lw == capacities.calg(p, 1)
+        assert holds and (gw < lw or res.argmin_k == 1), p.vertices
 
 
 def test_ball_values_cache_is_bounded_and_immutable():

@@ -186,6 +186,20 @@ def test_lattice_width_command(runner, tmp_path):
     assert res.output.strip() == "2\t1,0"
 
 
+@pytest.mark.parametrize("text, lw", [
+    ("0 0\n2 1\n1 2\n", "2"),
+    ("1 0\n3 1\n4 3\n3 4\n1 3\n0 1\n", "4"),
+], ids=["det3-triangle", "det3-hexagon"])
+def test_c1_is_the_lattice_width_across_commands(runner, tmp_path, text, lw):
+    # every cone has determinant 3, so no vertex is smooth; the table search
+    # and the Gauss reduction share no code
+    poly = _write(tmp_path, "p.txt", text)
+    res = runner.invoke(cli, ["capacities", poly, "--k-max", "1"])
+    assert (res.exit_code, res.output.splitlines()[-1]) == (0, f"1\t{lw}")
+    res = runner.invoke(cli, ["lattice-width", poly])
+    assert (res.exit_code, res.output.split("\t")[0]) == (0, lw)
+
+
 def test_transform_ip_command(runner, tmp_path):
     poly = _write(tmp_path, "p.txt", "0 0\n2/3 0\n2/3 1/3\n0 1\n")
     res = runner.invoke(cli, ["transform-ip", poly, "--coeffs", "0,2,1,0"])

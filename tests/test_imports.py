@@ -83,8 +83,8 @@ def _command_loads(tmp_path, args) -> list:
 # the further torcap modules that each command loads, README's table: the
 # capacity search reads its fan and weights off the polygon, with no toric
 # code, the oracle its rays, weights and intersection numbers, with no
-# toric or lattice code, and the verdicts and `toric` run on the polygon
-# core, with no lattice code
+# toric or lattice code, and the verdicts, `lattice-width` and `toric` run
+# on the polygon core, with no lattice code
 _ECH_VERDICTS = "_base _polygon _table capacities ech"
 _LATTICE = "_base _polygon lattice"
 _TORIC = "_base _polygon toric"
@@ -96,7 +96,7 @@ COMMAND_MODULES = [
     (["embed", "ball.chain", "square.poly", "--k-max", "5"], _ECH_VERDICTS),
     (["width", "square.poly", "--k-max", "5"], _ECH_VERDICTS),
     (["width", "square.poly", "--xi", "chain.txt", "--k-max", "5"], _ECH_VERDICTS),
-    (["lattice-width", "square.poly"], _LATTICE),
+    (["lattice-width", "square.poly"], "_base _polygon"),
     (["transform-ip", "square.poly", "--coeffs", "0,1,1,0"], _TORIC),
     (["resolve", "square.poly"], _TORIC),
     (["verify-calg", "square.poly", "--k-max", "3", "--box", "4"], "_base _polygon _table oracle"),
@@ -211,7 +211,7 @@ CAPACITIES_FROM_ECH = ("CapacitySequence", "ConcaveDomain", "concave_weights", "
                        "ech_concave_capacities", "ech_ellipsoid", "ech_ellipsoid_capacities")
 CAPACITIES_FROM_TABLE = ("calg", "calg_witness", "alg_capacities")
 LATTICE_FROM_POLYGON = ("MomentPolygon", "primitive", "cross", "egcd", "line_cuts", "line_count",
-                        "count_points", "edge_lengths", "Point", "IntVec")
+                        "count_points", "edge_lengths", "lattice_width", "Point", "IntVec")
 
 
 def test_re_exports_are_the_same_objects():
