@@ -17,7 +17,7 @@ _HOMES = {
                    "embedding_verdict", "gromov_width_bound", "width_bound_check", "xi_width"),
     "errors": ("TorcapError",),
     "lattice": ("UnimodularAffineMap",),
-    "toric": ("DivisorClass", "ToricSurface", "TorusDivisor", "build_surface"),
+    "toric": ("ToricSurface", "TorusDivisor", "build_surface"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -18,11 +18,6 @@ Point = tuple[Fraction, Fraction]
 IntVec = tuple[int, int]
 
 
-def cross(o: Point, a: Point, b: Point):
-    """Signed area (x2) of the triangle o, a, b."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def primitive(v: IntVec) -> IntVec:
     """Divide an integer vector by the gcd of its entries."""
     g = math.gcd(v[0], v[1])
@@ -61,17 +56,21 @@ class MomentPolygon(_Record):
         if len(pts) < 3:
             raise ZeroArea("a polygon needs at least 3 vertices")
         # the integer view: vertices times _scale, twice its area, and per
-        # edge i (from vertex i to i+1) its inward primitive normal, (0, 0) on
-        # a zero edge
+        # edge i (from vertex i to i+1) its inward primitive normal
         scale, ipts = integer_view(pts)
-        area2 = sum(det2(v, w) for v, w in zip(ipts, ipts[1:] + ipts[:1]))
+        edges = list(zip(ipts, ipts[1:] + ipts[:1]))
+        area2 = sum(det2(v, w) for v, w in edges)
         if area2 == 0:
             raise ZeroArea("polygon has zero area")
         if area2 < 0:
             raise NotConvex("vertices must be listed counterclockwise")
-        normals = tuple(primitive((v[1] - w[1], w[0] - v[0])) if v != w else (0, 0)
-                        for v, w in zip(ipts, ipts[1:] + ipts[:1]))
-        # d[i] has the sign of the turn at vertex i + 1, and is 0 at a zero edge
+        for i, (v, w) in enumerate(edges):
+            if v == w:
+                x, y = pts[i]
+                raise NotConvex(f"repeated vertex: consecutive vertices {i + 1} and "
+                                f"{(i + 1) % len(pts) + 1} are both ({x}, {y})")
+        normals = tuple(primitive((v[1] - w[1], w[0] - v[0])) for v, w in edges)
+        # d[i] has the sign of the turn at vertex i + 1
         d, e, winds_once = _fan_rows(normals)
         for turn in d:
             if turn == 0:

@@ -44,8 +44,10 @@ def _parse_fraction(token: str, where: str) -> Fraction:
 
 
 def parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
+    """The points of `text`, two fractions a line; `#` starts a comment, and
+    one leading byte-order mark, as some editors write, is dropped."""
     pts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -10,7 +10,9 @@ class ParseError(TorcapError):
 
 
 class NotConvex(TorcapError):
-    """Vertex list is not a strictly convex counterclockwise polygon."""
+    """Vertex list is not a strictly convex counterclockwise polygon: a
+    vertex repeated next to itself, three consecutive vertices on a line, a
+    clockwise or non-convex turn, or a star that winds more than once."""
 
 
 class ZeroArea(TorcapError):
@@ -35,10 +37,6 @@ class NotInSW(TorcapError):
 
 class NotContractible(TorcapError):
     """Ray cannot be blown down (wrong self-intersection or singular cones)."""
-
-
-class SingularSurfaceChi(TorcapError):
-    """Euler characteristic requested for a non-nef divisor on a singular surface."""
 
 
 class NotDomainPolygon(TorcapError):

@@ -8,7 +8,7 @@ floating point enters anywhere.
 
 Re-exported as the same objects from `_polygon`, the core that the capacity
 table, `toric` and the verdicts load without this module: `MomentPolygon`,
-`cross`, `primitive`, `egcd`, `line_cuts`, `line_count`, `count_points`,
+`primitive`, `egcd`, `line_cuts`, `line_count`, `count_points`,
 `edge_lengths`, `lattice_width`, `Point` and `IntVec`.
 """
 
@@ -22,7 +22,6 @@ from ._polygon import (  # noqa: F401  (re-exported)
     MomentPolygon,
     Point,
     count_points,
-    cross,
     edge_lengths,
     egcd,
     lattice_width,

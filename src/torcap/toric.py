@@ -1,10 +1,11 @@
 """The polygon-to-surface dictionary.
 
-Complete fans in the plane, torus-invariant divisors, exact intersection
-numbers on simplicial surfaces, nef/ample tests, section counts, the
-isoparametric transform, the preferable-nef procedure, blow-downs and smooth
-resolution by ray insertion.  Section polytopes are read one ray's line at
-a time, by `line_cuts` of the polygon core, for their points and corners.
+Complete fans in the plane, torus-invariant divisors as coefficient tuples,
+exact intersection numbers and the index D . (D - K) on simplicial surfaces,
+nef/ample tests, section counts, the isoparametric transform, the
+preferable-nef procedure, blow-downs and smooth resolution by ray
+insertion.  Section polytopes are read one ray's line at a time, by
+`line_cuts` of the polygon core, for their points and corners.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
     NotContractible,
     NotEffective,
     NotInSW,
-    SingularSurfaceChi,
 )
 
 IP_ITERATION_CAP = 10_000
@@ -81,29 +81,6 @@ class TorusDivisor(_Record):
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def __add__(self, other: "TorusDivisor") -> "TorusDivisor":
-        return TorusDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "TorusDivisor") -> "TorusDivisor":
-        return TorusDivisor(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rmul__(self, s) -> "TorusDivisor":
-        s = frac(s)
-        return TorusDivisor(tuple(s * c for c in self.coeffs))
-
-    def __neg__(self) -> "TorusDivisor":
-        return TorusDivisor(tuple(-c for c in self.coeffs))
-
-
-class DivisorClass(_Record):
-    """Divisor modulo linear functions, as a canonical coset representative
-    (the unique representative vanishing on the first two rays)."""
-
-    _fields = ("rep",)
-
-    def __init__(self, rep: tuple[Fraction, ...]):
-        self.__dict__["rep"] = rep
-
 
 def build_surface(p: MomentPolygon) -> ToricSurface:
     """Surface of the inner normal fan of p."""
@@ -115,10 +92,6 @@ def associated_divisor(p: MomentPolygon) -> TorusDivisor:
     return TorusDivisor(tuple(a for (_u, a) in p.edge_data()))
 
 
-def canonical_divisor(y: ToricSurface) -> TorusDivisor:
-    return TorusDivisor(tuple(Fraction(-1) for _ in y.rays))
-
-
 def _check_count(y: ToricSurface, coeffs: Sequence) -> None:
     if len(coeffs) != len(y.rays):
         raise InvalidInput("coefficient count must match ray count")
@@ -127,10 +100,6 @@ def _check_count(y: ToricSurface, coeffs: Sequence) -> None:
 def divisor(y: ToricSurface, coeffs: Sequence) -> TorusDivisor:
     _check_count(y, coeffs)
     return TorusDivisor(tuple(frac(c) for c in coeffs))
-
-
-def prime_divisor(y: ToricSurface, i: int) -> TorusDivisor:
-    return TorusDivisor(tuple(Fraction(1 if j == i else 0) for j in range(len(y.rays))))
 
 
 def ray_self_intersection(y: ToricSurface, i: int) -> Fraction:
@@ -170,21 +139,8 @@ def intersect(y: ToricSurface, d1: TorusDivisor, d2: TorusDivisor) -> Fraction:
 
 
 def index(y: ToricSurface, d: TorusDivisor) -> Fraction:
-    """D . (D - K)."""
-    return intersect(y, d, d - canonical_divisor(y))
-
-
-def chi(y: ToricSurface, d: TorusDivisor) -> Fraction:
-    """Euler characteristic of the divisor sheaf.
-
-    Smooth surfaces use the index formula chi = 1 + I/2; on singular
-    surfaces only nef divisors are supported (via the lattice point count).
-    """
-    if y.smooth:
-        return 1 + index(y, d) / 2
-    if is_nef(y, d):
-        return Fraction(h0(y, d))
-    raise SingularSurfaceChi("chi of a non-nef divisor on a singular surface")
+    """D . (D - K) = sum_i (a_i + 1) (D_i . D), as K = -sum_i D_i."""
+    return sum(((a + 1) * w for a, w in zip(d.coeffs, pairings(y, d))), Fraction(0))
 
 
 def support_vertices(y: ToricSurface, d: TorusDivisor) -> list[Point]:
@@ -253,34 +209,6 @@ def is_effective(y: ToricSurface, d: TorusDivisor) -> bool:
     if not d.is_integral:
         raise InvalidInput("effectivity test expects an integral divisor")
     return h0(y, d) >= 1
-
-
-def linear_shift(y: ToricSurface, m: Sequence) -> TorusDivisor:
-    """Divisor of the character with exponent m: coefficients <m, ray_i>."""
-    mx, my = frac(m[0]), frac(m[1])
-    return TorusDivisor(tuple(mx * v[0] + my * v[1] for v in y.rays))
-
-
-def divisor_class(y: ToricSurface, d: TorusDivisor) -> DivisorClass:
-    """Canonical coset representative vanishing on the first two rays."""
-    v0, v1 = y.rays[0], y.rays[1]
-    a0, a1 = d.coeffs[0], d.coeffs[1]
-    det = y._d[0]
-    mx = Fraction(-a0 * v1[1] + a1 * v0[1], det)
-    my = Fraction(-a1 * v0[0] + a0 * v1[0], det)
-    shift = linear_shift(y, (mx, my))
-    return DivisorClass((d + shift).coeffs)
-
-
-def polytope_divisor(y: ToricSurface, p: MomentPolygon) -> TorusDivisor:
-    """Divisor with support numbers of the polygon p on y's fan.
-
-    Always nef; ample iff y's fan is the inner normal fan of p.
-    """
-    coeffs = []
-    for v in y.rays:
-        coeffs.append(-min(v[0] * x + v[1] * y_ for (x, y_) in p.vertices))
-    return TorusDivisor(tuple(coeffs))
 
 
 def ip_transform(y: ToricSurface, d: TorusDivisor) -> TorusDivisor:

@@ -10,8 +10,13 @@ import pytest
 
 from torcap import _table
 from torcap.ech import ConcaveDomain
-from torcap.lattice import MomentPolygon, UnimodularAffineMap, cross, primitive
-from torcap.toric import ToricSurface
+from torcap.lattice import MomentPolygon, UnimodularAffineMap, primitive
+from torcap.toric import ToricSurface, TorusDivisor
+
+
+def cross(o, a, b):
+    """Signed area (x2) of the triangle o, a, b."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def convex_hull(points) -> list:
@@ -83,6 +88,12 @@ def _ref_corners(y: ToricSurface, a) -> list:
             if all(vx * x + vy * yy >= -c * det for (vx, vy), c in zip(y.rays, b)):
                 pts.append((Fraction(x, det * scale), Fraction(yy, det * scale)))
     return convex_hull(pts)
+
+
+def polygon_divisor(y: ToricSurface, p: MomentPolygon) -> TorusDivisor:
+    """The divisor of the polygon p on y's fan, -min <v, x> over p per ray v:
+    nef, and on p's own fan `toric.associated_divisor(p)`."""
+    return TorusDivisor(tuple(-min(vx * x + vy * yy for x, yy in p.vertices) for vx, vy in y.rays))
 
 
 def section_points(y: ToricSurface, a) -> list:

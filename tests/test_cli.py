@@ -356,10 +356,33 @@ def test_polygon_from_stdin(runner, monkeypatch):
     assert res.output.splitlines() == ["0\t0", "1\t2", "2\t4", "3\t5"]
 
 
+def test_leading_byte_order_mark_is_dropped(runner, tmp_path, monkeypatch):
+    """Files saved by some editors start with U+FEFF: one is dropped from a
+    polygon or a chain, given as POLYGON, CHAIN, --xi or stdin, and a second
+    is bad input."""
+    bom = "\ufeff"
+    assert parse_polygon(bom + SQUARE) == parse_polygon(SQUARE)
+    assert parse_chain(bom + "0 2\n1 1\n3 0\n") == parse_chain("0 2\n1 1\n3 0\n")
+    with pytest.raises(ParseError, match="line 1: bad fraction"):
+        parse_polygon(2 * bom + SQUARE)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(bom + "0 0\n1 0\n0 1\n"))
+    res = runner.invoke(cli, ["capacities", "-", "--k-max", "1"])
+    assert (res.exit_code, res.stdout) == (0, "0\t0\n1\t1\n")
+    poly = _write(tmp_path, "p.txt", SQUARE)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(bom + "0 1/2\n1/2 0\n"))
+    res = runner.invoke(cli, ["width", poly, "--xi", "-", "--k-max", "20"])
+    assert (res.exit_code, res.stdout) == (0, "2\tk=1\tstable\n")
+
+
 def test_nonconvex_input_exit_code(runner, tmp_path):
     poly = _write(tmp_path, "p.txt", "0 0\n0 1\n1 0\n")
     res = runner.invoke(cli, ["capacities", poly, "--k-max", "1"])
     assert res.exit_code == 2
+    # a file that closes its ring repeats its first vertex
+    ring = _write(tmp_path, "r.txt", SQUARE + "0 0\n")
+    res = runner.invoke(cli, ["capacities", ring, "--k-max", "1"])
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", "error: repeated vertex: consecutive vertices 5 and 1 are both (0, 0)\n")
 
 
 def test_ech_ellipsoid_bad_argument_names_it(runner):

@@ -210,7 +210,7 @@ def test_public_names_resolve():
 CAPACITIES_FROM_ECH = ("CapacitySequence", "ConcaveDomain", "concave_weights", "ech_concave",
                        "ech_concave_capacities", "ech_ellipsoid", "ech_ellipsoid_capacities")
 CAPACITIES_FROM_TABLE = ("calg", "calg_witness", "alg_capacities")
-LATTICE_FROM_POLYGON = ("MomentPolygon", "primitive", "cross", "egcd", "line_cuts", "line_count",
+LATTICE_FROM_POLYGON = ("MomentPolygon", "primitive", "egcd", "line_cuts", "line_count",
                         "count_points", "edge_lengths", "lattice_width", "Point", "IntVec")
 
 

@@ -432,6 +432,8 @@ def test_lattice_width_matches_reference_on_skewed_polygons():
     (((0, 0), (1, 1)), ZeroArea, "a polygon needs at least 3 vertices"),
     (((0, 0), (1, 1), (2, 2)), ZeroArea, "polygon has zero area"),
     (((0, 0), (1, 0), (2, 0), (0, 1)), NotConvex, "three consecutive vertices are collinear"),
+    (((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)), NotConvex,
+     r"repeated vertex: consecutive vertices 5 and 1 are both \("),
     (((0, 0), (0, 1), (1, 0)), NotConvex, "vertices must be listed counterclockwise"),
     (((0, 0), (3, 0), (1, 1), (3, 3), (0, 3)), NotConvex, "polygon is not convex"),
     (PENTAGRAM, NotConvex, "winds around more than once"),

@@ -10,7 +10,7 @@ import pytest
 from torcap import capacities, corpus, lattice, toric
 from torcap.capacities import CapacitySequence, ConcaveDomain, EmbeddingVerdict, XiWidth
 from torcap.lattice import MomentPolygon, UnimodularAffineMap
-from torcap.toric import DivisorClass, ToricSurface, TorusDivisor
+from torcap.toric import ToricSurface, TorusDivisor
 
 
 def _samples():
@@ -24,7 +24,6 @@ def _samples():
         pair(lambda: MomentPolygon(((1, 1), (0, 1), (0, 0), (1, 0)))),
         pair(lambda: toric.build_surface(lattice.rectangle(2, 3))),
         pair(lambda: TorusDivisor((1, Fraction(1, 2), 0))),
-        pair(lambda: DivisorClass((Fraction(0), Fraction(0), Fraction(3, 2)))),
         pair(lambda: capacities.alg_capacities(square, 4)),
         pair(lambda: ConcaveDomain(((0, 2), (1, Fraction(1, 2)), (Fraction(3, 2), 0)))),
         pair(lambda: capacities.embedding_verdict(ConcaveDomain.ball(2), square, 4)),
@@ -38,7 +37,6 @@ FIELDS = {
     MomentPolygon: ("vertices",),
     ToricSurface: ("rays",),
     TorusDivisor: ("coeffs",),
-    DivisorClass: ("rep",),
     CapacitySequence: ("values",),
     ConcaveDomain: ("chain",),
     EmbeddingVerdict: ("compatible", "k_max", "first_violation", "domain_capacity",
@@ -47,7 +45,7 @@ FIELDS = {
 }
 
 
-def test_nine_record_types_are_covered():
+def test_eight_record_types_are_covered():
     assert [type(a) for a, _ in SAMPLES] == list(FIELDS)
 
 
@@ -86,7 +84,7 @@ def test_polygon_private_view_is_read_only():
 
 def test_records_of_different_types_are_never_equal():
     coeffs = (Fraction(1), Fraction(2), Fraction(3))
-    assert TorusDivisor(coeffs) != DivisorClass(coeffs)
+    assert TorusDivisor(coeffs) != CapacitySequence(coeffs)
     assert TorusDivisor(coeffs) != coeffs
     records = [a for a, _ in SAMPLES]
     for i, a in enumerate(records):
@@ -116,7 +114,6 @@ def test_positional_and_keyword_construction():
     assert UnimodularAffineMap(m=((1, 0), (0, 1)), t=(0, 0)) == UnimodularAffineMap.identity()
     assert MomentPolygon(vertices=t.vertices) == t
     assert TorusDivisor(coeffs=(1, 2)).coeffs == (Fraction(1), Fraction(2))
-    assert DivisorClass(rep=(Fraction(1),)).rep == (Fraction(1),)
     assert ConcaveDomain(chain=((0, 1), (1, 0))) == ConcaveDomain.ball(1)
     with pytest.raises(TypeError):
         EmbeddingVerdict(True)

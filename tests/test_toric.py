@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (OCTAGON, TWELVE_GON, _ref_corners, random_fan, random_lattice_polygon,
-                      section_points)
+from conftest import (OCTAGON, TWELVE_GON, _ref_corners, polygon_divisor, random_fan,
+                      random_lattice_polygon, section_points)
 from torcap import corpus, lattice, oracle, toric
-from torcap.errors import (IterationLimit, NotContractible, NotEffective, NotInSW,
-                           SingularSurfaceChi)
+from torcap.errors import IterationLimit, NotContractible, NotEffective, NotInSW
 from torcap.lattice import MomentPolygon
 from torcap.toric import TorusDivisor
 
@@ -56,29 +55,61 @@ def test_rejects_bad_fans():
             toric.ToricSurface(rays)
 
 
+def _linearly_equivalent(y, d, e) -> bool:
+    """Whether d - e = (<m, v_i>)_i for an integer vector m, solved on the
+    first two rays by Cramer's rule."""
+    diff = [a - b for a, b in zip(d.coeffs, e.coeffs)]
+    (a, b), (c, dd) = y.rays[0], y.rays[1]
+    det = a * dd - b * c
+    m = (Fraction(diff[0] * dd - diff[1] * b, det), Fraction(a * diff[1] - c * diff[0], det))
+    return (all(x.denominator == 1 for x in m)
+            and all(m[0] * vx + m[1] * vy == t for (vx, vy), t in zip(y.rays, diff)))
+
+
 def test_plane_intersection_numbers():
     h = TorusDivisor((0, 0, 1))
     assert toric.intersect(PLANE, h, h) == 1
-    k = toric.canonical_divisor(PLANE)
+    k = TorusDivisor((-1, -1, -1))
     assert toric.intersect(PLANE, k, k) == 9
     for kk in (1, 2, 3, 5):
         d = TorusDivisor((0, 0, kk))
         assert toric.index(PLANE, d) == kk * kk + 3 * kk
-        assert toric.chi(PLANE, d) == (kk + 1) * (kk + 2) / Fraction(2)
+        # Riemann-Roch: the kk-th multiple of a line has chi = 1 + index / 2 sections
+        assert toric.h0(PLANE, d) == 1 + toric.index(PLANE, d) / 2 == (kk + 1) * (kk + 2) // 2
 
 
 def test_quadric_intersection_numbers():
-    d1 = toric.prime_divisor(QUADRIC, 0)
-    d2 = toric.prime_divisor(QUADRIC, 1)
+    d1, d2 = TorusDivisor((1, 0, 0, 0)), TorusDivisor((0, 1, 0, 0))
     assert toric.intersect(QUADRIC, d1, d1) == 0
     assert toric.intersect(QUADRIC, d1, d2) == 1
-    k = toric.canonical_divisor(QUADRIC)
-    assert toric.divisor_class(QUADRIC, -1 * k) == toric.divisor_class(
-        QUADRIC, 2 * toric.prime_divisor(QUADRIC, 2) + 2 * toric.prime_divisor(QUADRIC, 3)
-    )
+    # -K is the sum of the boundary divisors, and the class (2, 2)
+    assert _linearly_equivalent(QUADRIC, TorusDivisor((1, 1, 1, 1)), TorusDivisor((0, 0, 2, 2)))
+    assert not _linearly_equivalent(QUADRIC, TorusDivisor((1, 1, 1, 1)),
+                                    TorusDivisor((0, 0, 2, 1)))
     for a, b in ((1, 1), (2, 3), (0, 4)):
-        d = a * toric.prime_divisor(QUADRIC, 2) + b * toric.prime_divisor(QUADRIC, 3)
+        d = TorusDivisor((0, 0, a, b))
         assert toric.index(QUADRIC, d) == 2 * a * b + 2 * a + 2 * b
+
+
+def test_index_is_the_intersection_form_against_d_minus_k():
+    """index(y, d) = a^T Q (a + 1) with Q the intersection matrix, as
+    D - K = sum_i (a_i + 1) D_i, on smooth and singular fans with integral
+    and rational coefficients."""
+    rng = random.Random(31)
+    fans = [toric.build_surface(p) for p in list(corpus.CORPUS.values()) + [OCTAGON, TWELVE_GON]]
+    fans += [random_fan(rng) for _ in range(60)]
+    seen = Counter()
+    for y in fans:
+        q, n = toric.intersection_matrix(y), len(y.rays)
+        for j in range(20):
+            if j % 2:
+                a = [Fraction(rng.randint(-6, 9), rng.randint(1, 5)) for _ in y.rays]
+            else:
+                a = [Fraction(rng.randint(-4, 6)) for _ in y.rays]
+            expected = sum(a[i] * q[i][k] * (a[k] + 1) for i in range(n) for k in range(n))
+            assert toric.index(y, TorusDivisor(tuple(a))) == expected, (y.rays, a)
+            seen[("singular", "smooth")[y.smooth], ("rational", "integral")[j % 2 == 0]] += 1
+    assert len(seen) == 4 and sum(seen.values()) >= 1000 and min(seen.values()) >= 100, seen
 
 
 def test_self_intersections_after_chop():
@@ -100,7 +131,7 @@ def test_polytope_divisor_is_ample_on_own_fan():
 def test_nef_but_not_ample():
     # a pullback class is nef but contracts the exceptional curve
     y = toric.build_surface(corpus.CORPUS["chopped-triangle"])
-    h = toric.polytope_divisor(y, lattice.unit_triangle())
+    h = polygon_divisor(y, lattice.unit_triangle())
     assert toric.is_nef(y, h)
     assert not toric.is_ample(y, h)
 
@@ -115,12 +146,11 @@ def test_nef_and_ample_agree_with_oracle_certificate():
     seen = {"nef": 0, "not nef": 0, "nef, not ample": 0}
     for y in fans:
         n = len(y.rays)
-        divisors = [toric.polytope_divisor(y, random_lattice_polygon(rng, size=3))]
+        divisors = [polygon_divisor(y, random_lattice_polygon(rng, size=3))]
         divisors += [TorusDivisor(tuple(rng.randint(-2, 4) for _ in range(n))) for _ in range(6)]
         divisors += [TorusDivisor(tuple(Fraction(rng.randint(-4, 8), rng.randint(1, 3))
                                         for _ in range(n))) for _ in range(6)]
         for d in divisors:
-            assert -d == (-1) * d
             scale = math.lcm(*(c.denominator for c in d.coeffs))
             ms = oracle._nef_int(y.rays, y.cone_dets, [int(scale * c) for c in d.coeffs])
             nef = ms is not None
@@ -175,14 +205,6 @@ def test_h0_of_ineffective_divisor():
     assert toric.is_effective(PLANE, TorusDivisor((1, 0, 0)))
 
 
-def test_chi_singular_surface():
-    y = toric.build_surface(lattice.triangle(1, 2))
-    a = toric.associated_divisor(lattice.triangle(1, 2))
-    assert toric.chi(y, a) == 4
-    with pytest.raises(SingularSurfaceChi):
-        toric.chi(y, TorusDivisor((0, 0, -1)))
-
-
 def _random_nef(rng, p, y):
     """Sample nef integral divisors by rejection from a nonnegative box."""
     n = len(y.rays)
@@ -210,29 +232,15 @@ def test_noether_pick_and_mixed_area_on_random_nef_divisors():
             assert toric.intersect(y, d, e) == lattice.mixed_area(pd, pe)
 
 
-def test_divisor_class_mod_linear_shifts():
-    rng = random.Random(23)
-    for name in corpus.SMOOTH_NAMES:
-        y = toric.build_surface(corpus.CORPUS[name])
-        n = len(y.rays)
-        for _ in range(20):
-            d = TorusDivisor(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)))
-            m = (rng.randint(-3, 3), rng.randint(-3, 3))
-            shifted = d + toric.linear_shift(y, m)
-            assert toric.divisor_class(y, d) == toric.divisor_class(y, shifted)
-            assert toric.intersect(y, d, d) == toric.intersect(y, shifted, shifted)
-            assert toric.h0(y, d) == toric.h0(y, shifted)
-
-
 def test_ip_transform_reaches_pullback():
     y = toric.build_surface(corpus.CORPUS["chopped-triangle"])
-    h = toric.polytope_divisor(y, lattice.unit_triangle())
+    h = polygon_divisor(y, lattice.unit_triangle())
     exc = next(i for i in range(4) if toric.ray_self_intersection(y, i) == -1)
-    d = h + toric.prime_divisor(y, exc)
+    d = TorusDivisor(tuple(c + (i == exc) for i, c in enumerate(h.coeffs)))
     assert not toric.is_nef(y, d)
     out = toric.iterate_ip(y, d)
     assert toric.is_nef(y, out)
-    assert toric.divisor_class(y, out) == toric.divisor_class(y, h)
+    assert _linearly_equivalent(y, out, h)
 
 
 def test_ip_transform_requires_sections():
@@ -306,7 +314,7 @@ def test_round_down_nef_random():
         a = toric.associated_divisor(p)
         for _ in range(10):
             s = Fraction(rng.randint(1, 12), rng.randint(1, 4))
-            d = s * a
+            d = TorusDivisor(tuple(s * c for c in a.coeffs))
             out = toric.round_down_nef(y, d)
             assert out.is_integral and toric.is_nef(y, out)
             assert toric.h0(y, out) == toric.h0(y, d)
@@ -325,11 +333,14 @@ def test_round_down_nef_singular_fans():
         a = toric.associated_divisor(p)
         seen["singular"] += not y.smooth
         for _ in range(8):
-            d = Fraction(rng.randint(1, 8), rng.randint(2, 7)) * a
+            s = Fraction(rng.randint(1, 8), rng.randint(2, 7))
+            d = TorusDivisor(tuple(s * c for c in a.coeffs))
             if rng.random() < 0.5:
-                # the same class moved off the lattice
-                d = d + toric.linear_shift(y, (Fraction(rng.randint(0, 5), rng.randint(2, 5)),
-                                               Fraction(rng.randint(0, 5), rng.randint(2, 5))))
+                # the same class moved off the lattice, by (<m, v_i>)_i
+                m = (Fraction(rng.randint(0, 5), rng.randint(2, 5)),
+                     Fraction(rng.randint(0, 5), rng.randint(2, 5)))
+                d = TorusDivisor(tuple(c + m[0] * vx + m[1] * vy
+                                       for c, (vx, vy) in zip(d.coeffs, y.rays)))
             floored = [math.floor(c) for c in d.coeffs]
             pts = section_points(y, floored)
             if not pts:
@@ -384,7 +395,7 @@ def test_resolve_keeps_support_polytope():
     # pulling the polarization back to the resolution does not move its polygon
     for p in (lattice.triangle(1, 2), lattice.triangle(2, 3)):
         smooth = toric.resolve(toric.build_surface(p))
-        d = toric.polytope_divisor(smooth, p)
+        d = polygon_divisor(smooth, p)
         assert toric.is_nef(smooth, d)
         assert toric.support_polytope(smooth, d) == p
 
